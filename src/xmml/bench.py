@@ -23,10 +23,10 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import model
-from .evaluator import Protocol, evaluate, modality_gap
+from .evaluator import Protocol, embed_split, evaluate, modality_gap
 from .losses import LossWeights, weights_with
 from .synthdata import DatasetBundle
-from .trainer import TrainConfig, TrainResult, run_training
+from .trainer import TrainConfig, TrainResult, encoder_config_for, run_training
 
 # label -> overrides applied on top of the configured loss weights
 ABLATION_GRID: tuple[tuple[str, dict[str, object]], ...] = (
@@ -132,16 +132,10 @@ def run_cell(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
 def untrained_gap_ratio(data: DatasetBundle, train_cfg: TrainConfig,
                         seed: int | None = None) -> float:
     """Modality-gap ratio of a freshly initialized encoder on the test split."""
-    d_feature = data.train.samples[0].x_raw.shape[0]
-    d_text = data.train.samples[0].l_raw.shape[0]
-    enc_cfg = model.EncoderConfig(
-        d_in_visual=d_feature, d_in_text=d_text,
-        n_classes=data.train.n_identities,
-        d_hidden=train_cfg.d_hidden, d_embed=train_cfg.d_embed,
-        init_scale=train_cfg.init_scale,
-        seed=train_cfg.seed if seed is None else seed)
-    store = model.init_params(enc_cfg)
-    return modality_gap(store, data.test)["gap_ratio"]
+    if seed is not None:
+        train_cfg = replace(train_cfg, seed=seed)
+    store = model.init_params(encoder_config_for(train_cfg, data))
+    return modality_gap(embed_split(store, data.test))["gap_ratio"]
 
 
 def run_ablation(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,

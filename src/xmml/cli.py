@@ -16,18 +16,17 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, model
 from .bench import (ABLATION_LABELS, grid_overrides, run_ablation, run_sweep,
                     write_ablation_csv, write_sweep_csv)
-from .config import (ConfigError, generator_config, load_config_file, loss_weights,
+from .config import (ConfigError, generator_config, load_config_file,
                      parse_override_args, protocol, resolve, train_config)
 from .evaluator import Protocol, evaluate
 from .gradcheck import DEFAULT_SIZES, LOSS_NAMES, run_all
 from .numerics import ProtocolError
-from .synthdata import generate_dataset, load_dataset, save_dataset
+from .synthdata import DATASET_FILES, generate_dataset, load_dataset, save_dataset
 from .trainer import (TrainingDivergedError, run_training, save_train_log,
                       with_long_schedule)
 
@@ -137,7 +136,7 @@ def cmd_train(args, cfg: dict) -> int:
     result = run_training(tcfg, data)
     model.save_checkpoint(out / "checkpoint.jsonl", result.encoder_config, result.store)
     save_train_log(out / "train_log.jsonl", result.log)
-    inputs = [data_dir / n for n in ("train.jsonl", "test.jsonl", "meta.json")]
+    inputs = [data_dir / n for n in DATASET_FILES]
     cfg_echo = dict(cfg)
     cfg_echo["train.epochs"] = tcfg.epochs
     cfg_echo["train.decay_epochs"] = list(tcfg.decay_epochs)
@@ -184,7 +183,7 @@ def cmd_eval(args, cfg: dict) -> int:
 
     reports = []
     for proto in protos:
-        report = evaluate(store, split, proto, meta=data.meta, k_max=cfg["eval.k_max"])
+        report = evaluate(store, split, proto, meta=data.meta)
         reports.append((proto, report))
 
     fields = ("protocol", "shots", "seed", "rank1", "rank5", "rank10",
@@ -204,7 +203,7 @@ def cmd_eval(args, cfg: dict) -> int:
                "diagnostics": r.diagnostics} for p, r in reports]
     (out / "eval_report.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
-    inputs = [ckpt] + [data_dir / n for n in ("train.jsonl", "test.jsonl", "meta.json")]
+    inputs = [ckpt] + [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "eval", cfg, [p.seed for p in protos], inputs,
                     ["eval.csv", "eval_report.json"], t0)
     for proto, report in reports:
@@ -269,7 +268,7 @@ def cmd_ablate(args, cfg: dict) -> int:
     data = load_dataset(data_dir)
     cells = run_ablation(data, tcfg, proto, labels=labels, seeds=seeds)
     write_ablation_csv(out / "ablation.csv", cells, tcfg.weights)
-    inputs = [data_dir / n for n in ("train.jsonl", "test.jsonl", "meta.json")]
+    inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "ablate", cfg, list(seeds), inputs, ["ablation.csv"], t0)
     by_label: dict[str, list] = {}
     for c in cells:
@@ -299,7 +298,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     except KeyError as e:
         raise ConfigError(str(e.args[0])) from e
     write_sweep_csv(out / "sweep.csv", cells, args.param)
-    inputs = [data_dir / n for n in ("train.jsonl", "test.jsonl", "meta.json")]
+    inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "sweep", cfg, list(seeds), inputs, ["sweep.csv"], t0)
     for c in cells:
         print(f"{c.label:<14} seed={c.seed} rank1={c.rank1:.3f} map={c.map:.3f}")

@@ -2,14 +2,19 @@
 
 Config files are JSON objects whose keys are dotted paths
 (e.g. {"train.epochs": 60, "weights.lambda2": 0.2}); any key can also be
-set on the command line as --train.epochs 60. Values are coerced to the
-type of the default for that key.
+set on the command line as --train.epochs 60. The keys and their defaults
+are the fields of GeneratorConfig (gen.*), TrainConfig (train.*, with its
+encoder sizes under model.*), LossWeights (weights.*) and Protocol (eval.*).
+Values are coerced to the annotated type of their field.
 """
 
 from __future__ import annotations
 
 import json
+import types
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .evaluator import Protocol
 from .losses import LossWeights
@@ -21,87 +26,75 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS: dict[str, object] = {
-    "gen.n_identities_train": 32,
-    "gen.n_identities_test": 16,
-    "gen.samples_per_identity_per_modality": 8,
-    "gen.d_id": 16,
-    "gen.d_view": 4,
-    "gen.d_conflict": 4,
-    "gen.sigma_view": 0.5,
-    "gen.sigma_noise": 0.1,
-    "gen.sigma_text": None,
-    "gen.mask_keep_prob": 0.7,
-    "gen.seed": 0,
-    "model.d_hidden": 64,
-    "model.d_embed": 32,
-    "model.init_scale": 0.1,
-    "train.epochs": 60,
-    "train.batches_per_epoch": 20,
-    "train.n_ids_per_batch": 8,
-    "train.k_per_modality": 4,
-    "train.lr_visual": 3e-4,
-    "train.lr_text": 3e-4,
-    "train.decay_factor": 0.1,
-    "train.decay_epochs": [20, 35],
-    "train.momentum": 0.9,
-    "train.eval_every": 1,
-    "train.seed": 0,
-    "weights.lambda1": 0.25,
-    "weights.lambda2": 0.2,
-    "weights.lambda3": 0.08,
-    "weights.lambda4": 0.01,
-    "weights.tau": 0.07,
-    "weights.n_fuse": 1,
-    "weights.label_aware_contrast": False,
-    "weights.cross_modal_fusion": False,
-    "weights.distill_text": True,
-    "eval.query_modality": "R",
-    "eval.gallery_modality": "V",
-    "eval.shots": "multi",
-    "eval.seed": 0,
-    "eval.k_max": 20,
-}
+_MODEL_FIELDS = ("d_hidden", "d_embed", "init_scale")
 
 
-def _coerce(key: str, raw, template) -> object:
-    """Coerce a raw (possibly string) value to the type of the default."""
-    if raw is None:
-        return None
-    if isinstance(raw, str) and raw.lower() in ("none", "null"):
-        return None
-    try:
-        if isinstance(template, bool):
-            if isinstance(raw, bool):
-                return raw
-            if str(raw).lower() in ("1", "true", "yes", "on"):
-                return True
-            if str(raw).lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(template, int) and not isinstance(template, bool):
-            v = float(raw)
-            if v != int(v):
-                raise ValueError(f"not an integer: {raw!r}")
-            return int(v)
-        if isinstance(template, float):
-            return float(raw)
-        if isinstance(template, list):
-            if isinstance(raw, (list, tuple)):
-                return [int(x) for x in raw]
-            return [int(x) for x in str(raw).split(",") if x.strip()]
+def _names(cls, exclude=()) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in exclude)
+
+
+# (prefix, dataclass, the dataclass fields under that prefix)
+_SECTIONS = (
+    ("gen", GeneratorConfig, _names(GeneratorConfig)),
+    ("model", TrainConfig, _MODEL_FIELDS),
+    ("train", TrainConfig, _names(TrainConfig, _MODEL_FIELDS + ("weights",))),
+    ("weights", LossWeights, _names(LossWeights)),
+    ("eval", Protocol, _names(Protocol)),
+)
+
+
+def _derive_table() -> tuple[dict[str, object], dict[str, object]]:
+    defaults: dict[str, object] = {}
+    annotations: dict[str, object] = {}
+    for prefix, cls, names in _SECTIONS:
+        hints = get_type_hints(cls)
+        default_of = {f.name: f.default for f in fields(cls)}
+        for name in names:
+            value = default_of[name]
+            # the table holds what a JSON config file holds: lists, not tuples
+            defaults[f"{prefix}.{name}"] = list(value) if isinstance(value, tuple) else value
+            annotations[f"{prefix}.{name}"] = hints[name]
+    return defaults, annotations
+
+
+DEFAULTS, _TYPES = _derive_table()
+
+
+def _convert(raw, typ) -> object:
+    if get_origin(typ) is types.UnionType:   # `T | None`
+        if raw is None or (isinstance(raw, str) and raw.lower() in ("none", "null")):
+            return None
+        (typ,) = [a for a in get_args(typ) if a is not type(None)]
+    if typ is bool:
+        if isinstance(raw, bool):
+            return raw
+        if str(raw).lower() in ("1", "true", "yes", "on"):
+            return True
+        if str(raw).lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if typ is int:
+        v = float(raw)
+        if v != int(v):
+            raise ValueError(f"not an integer: {raw!r}")
+        return int(v)
+    if typ is float:
+        return float(raw)
+    if get_origin(typ) is tuple:
+        if not isinstance(raw, (list, tuple)):
+            raw = [x for x in str(raw).split(",") if x.strip()]
+        return [_convert(x, get_args(typ)[0]) for x in raw]
+    if typ is str and raw is not None:
         return str(raw)
+    raise ValueError(f"not a {getattr(typ, '__name__', typ)}: {raw!r}")
+
+
+def _coerce(key: str, raw, typ) -> object:
+    """Coerce a raw (possibly string) value to a field's annotated type."""
+    try:
+        return _convert(raw, typ)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad value for {key}: {e}") from e
-
-
-_NULLABLE_FLOATS = {"gen.sigma_text"}
-
-
-def _template_for(key: str):
-    if key in _NULLABLE_FLOATS:
-        return 0.0
-    return DEFAULTS[key]
 
 
 def load_config_file(path: Path | str) -> dict[str, object]:
@@ -127,7 +120,7 @@ def resolve(file_cfg: dict | None = None, overrides: dict | None = None) -> dict
         if unknown:
             raise ConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
         for k, v in source.items():
-            cfg[k] = _coerce(k, v, _template_for(k))
+            cfg[k] = _coerce(k, v, _TYPES[k])
     return cfg
 
 
@@ -155,8 +148,10 @@ def parse_override_args(rest: list[str]) -> dict[str, object]:
 
 
 def section(cfg: dict[str, object], prefix: str) -> dict[str, object]:
+    """The keys under `prefix`, as dataclass keyword arguments."""
     plen = len(prefix) + 1
-    return {k[plen:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
+    return {k[plen:]: tuple(v) if isinstance(v, list) else v
+            for k, v in cfg.items() if k.startswith(prefix + ".")}
 
 
 def generator_config(cfg: dict[str, object]) -> GeneratorConfig:
@@ -172,19 +167,13 @@ def loss_weights(cfg: dict[str, object]) -> LossWeights:
 
 
 def train_config(cfg: dict[str, object]) -> TrainConfig:
-    t = section(cfg, "train")
-    t["decay_epochs"] = tuple(t["decay_epochs"])
-    m = section(cfg, "model")
-    tc = TrainConfig(weights=loss_weights(cfg), d_hidden=m["d_hidden"],
-                     d_embed=m["d_embed"], init_scale=m["init_scale"], **t)
+    tc = TrainConfig(weights=loss_weights(cfg), **section(cfg, "model"),
+                     **section(cfg, "train"))
     tc.validate()
     return tc
 
 
 def protocol(cfg: dict[str, object]) -> Protocol:
-    e = section(cfg, "eval")
-    p = Protocol(query_modality=e["query_modality"],
-                 gallery_modality=e["gallery_modality"],
-                 shots=e["shots"], seed=e["seed"])
+    p = Protocol(**section(cfg, "eval"))
     p.validate()
     return p

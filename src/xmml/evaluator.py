@@ -27,6 +27,7 @@ class Protocol:
     gallery_modality: str = "V"
     shots: str = "multi"   # "single": one gallery sample per identity
     seed: int = 0          # gallery subsampling seed for single-shot
+    k_max: int = 20        # length of the reported CMC curve
 
     def validate(self) -> None:
         if self.query_modality not in MODALITIES or self.gallery_modality not in MODALITIES:
@@ -37,6 +38,8 @@ class Protocol:
             raise ValueError("query and gallery modalities must differ")
         if self.shots not in ("single", "multi"):
             raise ValueError(f"shots must be 'single' or 'multi', got {self.shots!r}")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
 
 @dataclass
@@ -91,12 +94,43 @@ def cmc_map(sim: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarra
     return cmc, ap_sum / n_valid, n_excluded
 
 
-def _embed_samples(store: ParamStore, samples, modality: str):
-    x = np.stack([s.x_raw for s in samples])
-    emb, _ = model.encode_visual(store, x, modality)
-    labels = np.asarray([s.identity for s in samples], dtype=np.int64)
-    ids = np.asarray([s.sample_id for s in samples], dtype=np.int64)
-    return emb, labels, ids
+@dataclass
+class EmbeddedRows:
+    """One modality of a split, encoded once; rows sorted by sample_id."""
+
+    x: np.ndarray        # raw image features
+    emb: np.ndarray      # their embeddings
+    labels: np.ndarray   # identity of each row
+    ids: np.ndarray      # sample_id of each row
+
+    def take(self, rows: np.ndarray) -> "EmbeddedRows":
+        return EmbeddedRows(self.x[rows], self.emb[rows], self.labels[rows], self.ids[rows])
+
+
+def embed_split(store: ParamStore, split: Split) -> dict[str, EmbeddedRows]:
+    """The evaluation embedding pass: one encode per modality present."""
+    out = {}
+    for modality in MODALITIES:
+        samples = split.by_modality(modality)
+        if not samples:
+            continue
+        x = np.stack([s.x_raw for s in samples])
+        emb, _ = model.encode_visual(store, x, modality)
+        out[modality] = EmbeddedRows(
+            x=x, emb=emb,
+            labels=np.asarray([s.identity for s in samples], dtype=np.int64),
+            ids=np.asarray([s.sample_id for s in samples], dtype=np.int64))
+    return out
+
+
+def _single_shot_rows(labels: np.ndarray, seed: int) -> np.ndarray:
+    # one row per identity, drawn in identity order over rows in sample_id order
+    rng = derive_rng(seed, "single-shot")
+    chosen = []
+    for identity in np.unique(labels):
+        group = np.flatnonzero(labels == identity)
+        chosen.append(group[int(rng.integers(len(group)))])
+    return np.sort(np.asarray(chosen))
 
 
 def _cosine_matrix(q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -109,77 +143,63 @@ def _cosine_matrix(q: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def evaluate(store: ParamStore, split: Split, protocol: Protocol,
-             meta: DatasetMeta | None = None, k_max: int = 20) -> RetrievalReport:
+             meta: DatasetMeta | None = None) -> RetrievalReport:
     """Retrieval report for one protocol on a split.
 
+    Each modality is encoded once; ranking and diagnostics read those rows.
     Single-shot galleries keep one sample per identity, chosen by the
     protocol seed over samples sorted by sample_id, so the report does not
     depend on the ordering of `split.samples`. Diagnostics always include
     the modality gap; conflict sensitivity needs `meta` (mixing matrices).
     """
     protocol.validate()
-    queries = split.by_modality(protocol.query_modality)
-    gallery = split.by_modality(protocol.gallery_modality)
-    if not queries or not gallery:
+    rows = embed_split(store, split)
+    if protocol.query_modality not in rows or protocol.gallery_modality not in rows:
         raise ProtocolError(
             f"split lacks samples for protocol {protocol.query_modality}->"
             f"{protocol.gallery_modality}")
-
+    queries = rows[protocol.query_modality]
+    gallery = rows[protocol.gallery_modality]
     if protocol.shots == "single":
-        rng = derive_rng(protocol.seed, "single-shot")
-        by_identity: dict[int, list] = {}
-        for s in gallery:
-            by_identity.setdefault(s.identity, []).append(s)
-        chosen = []
-        for identity in sorted(by_identity):
-            group = sorted(by_identity[identity], key=lambda s: s.sample_id)
-            chosen.append(group[int(rng.integers(len(group)))])
-        gallery = sorted(chosen, key=lambda s: s.sample_id)
+        gallery = gallery.take(_single_shot_rows(gallery.labels, protocol.seed))
 
-    q_emb, q_labels, _ = _embed_samples(store, queries, protocol.query_modality)
-    g_emb, g_labels, g_ids = _embed_samples(store, gallery, protocol.gallery_modality)
-    sim = _cosine_matrix(q_emb, g_emb)
-    cmc, mean_ap, n_excluded = cmc_map(sim, q_labels, g_labels, g_ids, k_max)
+    sim = _cosine_matrix(queries.emb, gallery.emb)
+    cmc, mean_ap, n_excluded = cmc_map(sim, queries.labels, gallery.labels,
+                                       gallery.ids, protocol.k_max)
 
-    gap = modality_gap(store, split)
+    gap = modality_gap(rows)
     diagnostics = {"intra_mean": gap["intra_mean"], "inter_mean": gap["inter_mean"],
                    "gap_ratio": gap["gap_ratio"]}
     if meta is not None:
-        diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, split)
-    return RetrievalReport(cmc=cmc, map=mean_ap, n_queries=len(queries),
-                           n_gallery=len(gallery), n_excluded=n_excluded,
+        diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, rows)
+    return RetrievalReport(cmc=cmc, map=mean_ap, n_queries=len(queries.ids),
+                           n_gallery=len(gallery.ids), n_excluded=n_excluded,
                            diagnostics=diagnostics)
 
 
-def modality_gap(store: ParamStore, split: Split) -> dict[str, float]:
+def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
     """Mean same-identity embedding distances, within and across modalities.
 
-    gap_ratio = inter / intra. Identities present in only one modality are
-    skipped and counted in n_skipped.
+    `rows` is the output of `embed_split`. gap_ratio = inter / intra.
+    Identities present in only one modality are skipped and counted in
+    n_skipped.
     """
     inter_sum = 0.0
     inter_n = 0
     intra_sum = 0.0
     intra_n = 0
     n_skipped = 0
-    emb_cache: dict[tuple[int, str], np.ndarray] = {}
-
-    def emb_of(identity, modality):
-        key = (identity, modality)
-        if key not in emb_cache:
-            samples = split.of(identity, modality)
-            emb, _, _ = _embed_samples(store, samples, modality)
-            emb_cache[key] = emb
-        return emb_cache[key]
-
-    for identity in split.identities:
-        have_v = bool(split.of(identity, "V"))
-        have_r = bool(split.of(identity, "R"))
-        if not (have_v and have_r):
+    empty = np.zeros(0, dtype=np.int64)
+    labels_v = rows["V"].labels if "V" in rows else empty
+    labels_r = rows["R"].labels if "R" in rows else empty
+    for identity in np.unique(np.concatenate([labels_v, labels_r])):
+        in_v = labels_v == identity
+        in_r = labels_r == identity
+        if not (in_v.any() and in_r.any()):
             n_skipped += 1
             continue
-        e_v = emb_of(identity, "V")
-        e_r = emb_of(identity, "R")
+        e_v = rows["V"].emb[in_v]
+        e_r = rows["R"].emb[in_r]
         diff = e_v[:, None, :] - e_r[None, :, :]
         d = np.sqrt((diff * diff).sum(axis=2))
         inter_sum += float(d.sum())
@@ -199,15 +219,17 @@ def modality_gap(store: ParamStore, split: Split) -> dict[str, float]:
             "gap_ratio": ratio, "n_skipped": float(n_skipped)}
 
 
-def conflict_sensitivity(store: ParamStore, meta: DatasetMeta, split: Split,
+def conflict_sensitivity(store: ParamStore, meta: DatasetMeta,
+                         rows: dict[str, EmbeddedRows],
                          delta_scale: float = 1e-3) -> float:
     """Mean embedding response to small perturbations of the conflict latent.
 
-    Raw features are rebuilt through the stored mixing matrices: perturbing
-    the conflict latent by delta shifts x_raw by W_m[:, conflict] @ delta.
-    Probes cycle deterministically through the conflict basis vectors
-    (sample i probes axis i mod d_conflict), and the reported value is the
-    mean over samples of |f(x + shift) - f(x)| / |delta|.
+    `rows` is the output of `embed_split`; only the perturbed features are
+    encoded here. Raw features are rebuilt through the stored mixing
+    matrices: perturbing the conflict latent by delta shifts x_raw by
+    W_m[:, conflict] @ delta. Probes cycle deterministically through the
+    conflict basis vectors (sample i probes axis i mod d_conflict), and the
+    reported value is the mean over samples of |f(x + shift) - f(x)| / |delta|.
     """
     w_v, w_r, _ = meta.mixing_matrices()
     cols = meta.conflict_slice
@@ -216,19 +238,14 @@ def conflict_sensitivity(store: ParamStore, meta: DatasetMeta, split: Split,
 
     total = 0.0
     count = 0
-    for modality in MODALITIES:
-        samples = split.by_modality(modality)
-        if not samples:
-            continue
-        x = np.stack([s.x_raw for s in samples])
-        axes = np.arange(len(samples)) % d_conflict
+    for modality, r in rows.items():
+        axes = np.arange(len(r.x)) % d_conflict
         deltas = delta_scale * np.eye(d_conflict)[axes]
-        x_pert = x + deltas @ by_mod[modality].T
-        f0, _ = model.encode_visual(store, x, modality)
+        x_pert = r.x + deltas @ by_mod[modality].T
         f1, _ = model.encode_visual(store, x_pert, modality)
-        resp = np.linalg.norm(f1 - f0, axis=1) / delta_scale
+        resp = np.linalg.norm(f1 - r.emb, axis=1) / delta_scale
         total += float(resp.sum())
-        count += len(samples)
+        count += len(r.x)
     if count == 0:
         raise ProtocolError("split has no samples to probe")
     return total / count

@@ -340,14 +340,14 @@ class FusedSet:
 
 
 def fuse_multiview(emb: EmbeddingSet, candidates, n_fuse: int, rng_seed: int,
-                   cross_modal: bool = False, fallback: bool = True) -> FusedSet:
+                   cross_modal: bool = False) -> FusedSet:
     """Average each row with `n_fuse` sampled same-identity partner rows.
 
     `candidates[i]` lists batch row indices usable as partners for row i
     (normally same identity, excluding i). Sampling is without replacement
     when enough distinct candidates exist, with replacement otherwise, and
-    falls back to the row itself (with a warning) when the list is empty;
-    set `fallback=False` to make an empty list an error. The same sampled
+    falls back to the row itself (with a warning) when the list is empty.
+    The same sampled
     partners are applied to the image block and its paired text block.
     With `cross_modal` the partner pool includes the other modality's rows.
     """
@@ -387,8 +387,6 @@ def fuse_multiview(emb: EmbeddingSet, candidates, n_fuse: int, rng_seed: int,
             else:
                 pool = [c + offset for c in cand]
             if not pool:
-                if not fallback:
-                    raise ProtocolError(f"row {i} has no fusion candidates")
                 n_fallback += 1
                 chosen = [self_idx] * n_fuse
             elif len(pool) >= n_fuse:

@@ -204,17 +204,29 @@ def load_checkpoint(path: Path | str):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            kind = rec.pop("kind", None)
-            if kind == "encoder_config":
-                cfg = EncoderConfig(**rec)
-            elif kind == "tensor":
-                arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-                store.add(rec["name"], arr)
-            else:
-                raise ValueError(f"{path}:{line_no}: unknown record kind {kind!r}")
+            try:
+                rec = json.loads(line)
+                kind = rec.pop("kind", None)
+                if kind == "encoder_config":
+                    cfg = EncoderConfig(**rec)
+                elif kind == "tensor":
+                    arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+                    store.add(rec["name"], arr)
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except (KeyError, TypeError, ValueError) as e:
+                # bad JSON, missing fields, unknown config keys, duplicate tensors
+                raise ValueError(f"{path}:{line_no}: bad record: {e}") from e
     if cfg is None:
         raise ValueError(f"{path}: missing encoder_config record")
-    if len(store) == 0:
-        raise ValueError(f"{path}: no tensors")
+    expected = init_params(cfg)
+    want = {n: expected.value(n).shape for n in expected.names()}
+    got = {n: store.value(n).shape for n in store.names()}
+    problems = [f"missing {n}" for n in want if n not in got]
+    problems += [f"unexpected {n}" for n in got if n not in want]
+    problems += [f"{n} has shape {got[n]}, config wants {want[n]}"
+                 for n in want if n in got and got[n] != want[n]]
+    if problems:
+        raise ValueError(f"{path}: tensors do not match the encoder config: "
+                         + "; ".join(problems))
     return cfg, store

@@ -1,5 +1,5 @@
-"""Float64 numeric substrate: stable kernels, a named parameter store, and a
-central-difference gradient checker.
+"""Float64 numeric substrate: seeded RNG streams, a named parameter store,
+and a central-difference gradient checker.
 
 Everything downstream assumes 64-bit floats. 32-bit arithmetic is too noisy
 for reliable central-difference verification at h=1e-5.
@@ -16,11 +16,6 @@ __all__ = [
     "DimensionError",
     "DegenerateInputError",
     "ProtocolError",
-    "as_vector",
-    "as_matrix",
-    "softmax_stable",
-    "euclidean_distance",
-    "cosine_similarity",
     "derive_rng",
     "derive_seed",
     "ParamStore",
@@ -40,54 +35,6 @@ class DegenerateInputError(ValueError):
 
 class ProtocolError(RuntimeError):
     """A batch / sampling / evaluation precondition does not hold."""
-
-
-def as_vector(x, name: str = "x") -> np.ndarray:
-    """Coerce to a non-empty finite 1-D float64 array."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError(f"{name} must be a non-empty 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise DegenerateInputError(f"{name} contains non-finite entries")
-    return v
-
-
-def as_matrix(x, name: str = "x") -> np.ndarray:
-    """Coerce to a non-empty finite 2-D float64 array."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise DegenerateInputError(f"{name} contains non-finite entries")
-    return m
-
-
-def softmax_stable(logits) -> np.ndarray:
-    """Softmax with max subtraction; safe for logits anywhere in float range."""
-    z = as_vector(logits, "logits")
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def euclidean_distance(a, b) -> float:
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"operand dims differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def cosine_similarity(a, b) -> float:
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"operand dims differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for zero-norm input")
-    return float(a @ b / (na * nb))
 
 
 def _tag_int(tag) -> int:
@@ -147,19 +94,9 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._values)
 
-    def n_scalars(self) -> int:
-        return sum(v.size for v in self._values.values())
-
     def zero_grads(self) -> None:
         for g in self._grads.values():
             g[...] = 0.0
-
-    def clone(self) -> "ParamStore":
-        other = ParamStore()
-        for name, v in self._values.items():
-            other.add(name, v)
-            other._grads[name][...] = self._grads[name]
-        return other
 
 
 @dataclass

@@ -34,6 +34,9 @@ MODALITIES = ("V", "R")
 
 SCHEMA_VERSION = 1
 
+# the files of a dataset directory, as written by save_dataset
+DATASET_FILES = ("train.jsonl", "test.jsonl", "meta.json")
+
 
 @dataclass
 class GeneratorConfig:
@@ -314,17 +317,18 @@ def load_meta(path: Path | str) -> DatasetMeta:
 def save_dataset(out_dir: Path | str, bundle: DatasetBundle) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_split(out / "train.jsonl", bundle.train)
-    save_split(out / "test.jsonl", bundle.test)
-    save_meta(out / "meta.json", bundle.meta)
-    return ["train.jsonl", "test.jsonl", "meta.json"]
+    train, test, meta = (out / name for name in DATASET_FILES)
+    save_split(train, bundle.train)
+    save_split(test, bundle.test)
+    save_meta(meta, bundle.meta)
+    return list(DATASET_FILES)
 
 
 def load_dataset(data_dir: Path | str) -> DatasetBundle:
-    data = Path(data_dir)
-    for name in ("train.jsonl", "test.jsonl", "meta.json"):
-        if not (data / name).exists():
-            raise FileNotFoundError(f"{data / name} missing from dataset directory")
-    return DatasetBundle(train=load_split(data / "train.jsonl"),
-                         test=load_split(data / "test.jsonl"),
-                         meta=load_meta(data / "meta.json"))
+    paths = [Path(data_dir) / name for name in DATASET_FILES]
+    for path in paths:
+        if not path.exists():
+            raise FileNotFoundError(f"{path} missing from dataset directory")
+    train, test, meta = paths
+    return DatasetBundle(train=load_split(train), test=load_split(test),
+                         meta=load_meta(meta))

@@ -18,12 +18,13 @@ import numpy as np
 
 from . import evaluator, model
 from .losses import EmbeddingSet, LossBreakdown, LossWeights, fuse_multiview, total_loss
-from .numerics import ParamStore, derive_seed
+from .numerics import DegenerateInputError, ParamStore, derive_seed
 from .synthdata import Batch, DatasetBundle, sample_batch
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss went non-finite; carries a diagnostic dump of the offending batch."""
+    """Embeddings or loss went non-finite; carries a diagnostic dump of the
+    offending batch."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -122,6 +123,18 @@ class TrainResult:
     log: TrainLog
 
 
+def _divergence_diagnostics(batch: Batch, emb_blocks, breakdown: LossBreakdown | None) -> dict:
+    """What a diverged step dumps: the loss (None when the embeddings already
+    failed), the batch's rows, and the embedding scale."""
+    return {
+        "breakdown": breakdown.as_dict() if breakdown is not None else None,
+        "identities": batch.identities.tolist(),
+        "sample_ids_v": batch.sample_ids_v.tolist(),
+        "sample_ids_r": batch.sample_ids_r.tolist(),
+        "max_abs_embedding": float(max(np.abs(b).max() for b in emb_blocks)),
+    }
+
+
 def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
                lrs: dict[str, float], fuse_seed: int, state: TrainState,
                momentum: float = 0.9) -> LossBreakdown:
@@ -133,8 +146,14 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
     t_r, cache_tr = model.encode_text(store, batch.l_r)
     logits_v, cache_cv = model.classify(store, f_v)
     logits_r, cache_cr = model.classify(store, f_r)
+    emb_blocks = (f_v, f_r, t_v, t_r)
 
-    emb = EmbeddingSet(f_v=f_v, f_r=f_r, t_v=t_v, t_r=t_r, labels=batch.labels)
+    try:
+        emb = EmbeddingSet(f_v=f_v, f_r=f_r, t_v=t_v, t_r=t_r, labels=batch.labels)
+    except DegenerateInputError as e:
+        # the set's own finiteness check doubles as the embedding divergence check
+        raise TrainingDivergedError(f"non-finite embeddings: {e}",
+                                    _divergence_diagnostics(batch, emb_blocks, None)) from e
     fused = None
     if weights.lambda2 > 0 or weights.lambda3 > 0:
         fused = fuse_multiview(emb, batch.candidates, weights.n_fuse, fuse_seed,
@@ -144,14 +163,7 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
     if not np.isfinite(res.breakdown.total):
         raise TrainingDivergedError(
             f"non-finite loss {res.breakdown.total!r}",
-            diagnostics={
-                "breakdown": res.breakdown.as_dict(),
-                "identities": batch.identities.tolist(),
-                "sample_ids_v": batch.sample_ids_v.tolist(),
-                "sample_ids_r": batch.sample_ids_r.tolist(),
-                "max_abs_embedding": float(max(np.abs(b).max() for b in
-                                               (f_v, f_r, t_v, t_r))),
-            })
+            _divergence_diagnostics(batch, emb_blocks, res.breakdown))
 
     store.zero_grads()
     d_fv = res.grads.f_v + model.classify_backward(store, cache_cv, res.grad_logits_v)
@@ -172,6 +184,17 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
     return res.breakdown
 
 
+def encoder_config_for(cfg: TrainConfig, data: DatasetBundle) -> model.EncoderConfig:
+    """The encoder a run of `cfg` trains: input sizes and classes from the
+    bundle's train split, layer sizes, init scale and seed from `cfg`."""
+    first = data.train.samples[0]
+    return model.EncoderConfig(
+        d_in_visual=first.x_raw.shape[0], d_in_text=first.l_raw.shape[0],
+        n_classes=data.train.n_identities,
+        d_hidden=cfg.d_hidden, d_embed=cfg.d_embed,
+        init_scale=cfg.init_scale, seed=cfg.seed)
+
+
 _SNAPSHOT_PROTOCOL = evaluator.Protocol(query_modality="R", gallery_modality="V",
                                         shots="multi", seed=0)
 
@@ -180,13 +203,7 @@ def run_training(cfg: TrainConfig, data: DatasetBundle) -> TrainResult:
     """Full training run on the bundle's train split, snapshotting retrieval
     on the test split every `eval_every` epochs."""
     cfg.validate()
-    d_feature = data.train.samples[0].x_raw.shape[0]
-    d_text = data.train.samples[0].l_raw.shape[0]
-    enc_cfg = model.EncoderConfig(
-        d_in_visual=d_feature, d_in_text=d_text,
-        n_classes=data.train.n_identities,
-        d_hidden=cfg.d_hidden, d_embed=cfg.d_embed,
-        init_scale=cfg.init_scale, seed=cfg.seed)
+    enc_cfg = encoder_config_for(cfg, data)
     store = model.init_params(enc_cfg)
     state = TrainState.for_store(store)
 

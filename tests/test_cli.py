@@ -162,6 +162,14 @@ class TestTrain:
                      str(tmp_path / "run"), "--config", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_embeddings_exit_2(self, gen_dir, tmp_path, capsys):
+        # at this rate the visual weights overflow within a few steps, so
+        # the embeddings go non-finite before the loss does
+        assert main(["train", "--data", str(gen_dir), "--out", str(tmp_path / "run"),
+                     "--train.lr_visual", "1e6"] + TINY_TRAIN_ARGS) == 2
+        assert "runtime failure: non-finite embeddings" in capsys.readouterr().err
+
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "run")] + TINY_TRAIN_ARGS) == 1
@@ -241,6 +249,32 @@ class TestEval:
                      "--checkpoint", str(train_dir / "checkpoint.jsonl"),
                      "--out", str(tmp_path / "eval")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_checkpoint_missing_a_tensor_fails_cleanly(self, train_dir, gen_dir,
+                                                        tmp_path, capsys):
+        lines = (train_dir / "checkpoint.jsonl").read_text().splitlines(keepends=True)
+        ckpt = tmp_path / "checkpoint.jsonl"
+        ckpt.write_text("".join(l for l in lines if '"trunk1.w"' not in l))
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert "missing trunk1.w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_k_max_below_one_fails_cleanly(self, train_dir, gen_dir, tmp_path,
+                                           capsys, k_max):
+        assert main(["eval", "--data", str(gen_dir),
+                     "--checkpoint", str(train_dir / "checkpoint.jsonl"),
+                     "--out", str(tmp_path / "eval"), "--eval.k_max", k_max]) == 1
+        assert "error: k_max must be >= 1" in capsys.readouterr().err
+
+    def test_k_max_sets_the_cmc_length(self, train_dir, gen_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(gen_dir),
+                     "--checkpoint", str(train_dir / "checkpoint.jsonl"),
+                     "--out", str(out), "--eval.k_max", "3"]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        assert len(report[0]["cmc"]) == 3
 
 
 class TestGradcheck:

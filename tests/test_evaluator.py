@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import oracles
+from xmml import model
 from xmml.evaluator import (Protocol, RetrievalReport, cmc_map,
-                            conflict_sensitivity, evaluate, modality_gap)
+                            conflict_sensitivity, embed_split, evaluate,
+                            modality_gap)
 from xmml.model import EncoderConfig, init_params
 from xmml.numerics import ProtocolError, derive_rng
 from xmml.synthdata import Sample, Split
@@ -236,7 +238,7 @@ class TestModalityGap:
         d = 4
         rows = [(0, 0, "V", c * np.eye(d)[0]), (1, 0, "V", c * np.eye(d)[1]),
                 (2, 0, "R", c * np.eye(d)[2]), (3, 0, "R", c * np.eye(d)[3])]
-        gap = modality_gap(identity_map_store(d), make_split(rows))
+        gap = modality_gap(embed_split(identity_map_store(d), make_split(rows)))
         assert abs(gap["gap_ratio"] - 1.0) < 1e-9
         assert gap["intra_mean"] > 0
 
@@ -248,7 +250,7 @@ class TestModalityGap:
         xs = [rng.standard_normal(d) for _ in range(k)]
         rows = [(i, 0, "V", xs[i]) for i in range(k)]
         rows += [(k + i, 0, "R", xs[i].copy()) for i in range(k)]
-        gap = modality_gap(identity_map_store(d), make_split(rows))
+        gap = modality_gap(embed_split(identity_map_store(d), make_split(rows)))
         assert abs(gap["gap_ratio"] - (k - 1) / k) < 1e-9
 
     def test_disjoint_stem_supports_give_large_ratio(self):
@@ -262,7 +264,7 @@ class TestModalityGap:
         for i in range(3):
             rows.append((i, 0, "V", base + 1e-3 * rng.standard_normal(d)))
             rows.append((3 + i, 0, "R", base + 1e-3 * rng.standard_normal(d)))
-        gap = modality_gap(store, make_split(rows))
+        gap = modality_gap(embed_split(store, make_split(rows)))
         assert gap["gap_ratio"] > 10.0
 
     def test_single_modality_identities_are_skipped(self):
@@ -272,7 +274,7 @@ class TestModalityGap:
                 (1, 0, "V", rng.standard_normal(d)),
                 (2, 0, "R", rng.standard_normal(d)),
                 (3, 1, "V", rng.standard_normal(d))]
-        gap = modality_gap(identity_map_store(d), make_split(rows))
+        gap = modality_gap(embed_split(identity_map_store(d), make_split(rows)))
         assert gap["n_skipped"] == 1.0
 
 
@@ -283,7 +285,8 @@ class TestConflictSensitivity:
         meta = tiny_bundle.meta
         split = tiny_bundle.test
         d = meta.config.d_feature
-        measured = conflict_sensitivity(identity_map_store(d), meta, split)
+        store = identity_map_store(d)
+        measured = conflict_sensitivity(store, meta, embed_split(store, split))
 
         w_v, w_r, _ = meta.mixing_matrices()
         cols = meta.conflict_slice
@@ -306,19 +309,20 @@ class TestConflictSensitivity:
         w_v, w_r, _ = meta.mixing_matrices()
         store = linear_store(keep @ np.linalg.inv(w_v),
                              keep @ np.linalg.inv(w_r))
-        measured = conflict_sensitivity(store, meta, tiny_bundle.test)
+        measured = conflict_sensitivity(store, meta, embed_split(store, tiny_bundle.test))
         assert measured < 1e-6
 
     def test_sensitive_vs_blind_orders_correctly(self, tiny_bundle):
         d = tiny_bundle.meta.config.d_feature
-        sensitive = conflict_sensitivity(identity_map_store(d),
-                                         tiny_bundle.meta, tiny_bundle.test)
+        store = identity_map_store(d)
+        sensitive = conflict_sensitivity(store, tiny_bundle.meta,
+                                         embed_split(store, tiny_bundle.test))
         assert sensitive > 0.1
 
     def test_empty_split_rejected(self, tiny_bundle):
         with pytest.raises(ProtocolError):
-            conflict_sensitivity(identity_map_store(10), tiny_bundle.meta,
-                                 Split([]))
+            store = identity_map_store(10)
+            conflict_sensitivity(store, tiny_bundle.meta, embed_split(store, Split([])))
 
 
 # -------------------------------------------------- diagnostics via evaluate
@@ -340,3 +344,30 @@ class TestEvaluateDiagnostics:
             n_classes=default_bundle.train.n_identities, seed=0))
         report = evaluate(store, default_bundle.test, Protocol())
         assert report.diagnostics["gap_ratio"] > 1.05
+
+
+class TestEmbeddingPass:
+    @staticmethod
+    def count_encodes(monkeypatch) -> list[int]:
+        calls = []
+        encode = model.encode_visual
+
+        def counting(store, x, modality):
+            calls.append(len(x))
+            return encode(store, x, modality)
+        monkeypatch.setattr(model, "encode_visual", counting)
+        return calls
+
+    @pytest.mark.parametrize("shots", ["single", "multi"])
+    def test_each_modality_encoded_once(self, default_bundle, monkeypatch, shots):
+        store = init_params(EncoderConfig(
+            d_in_visual=24, d_in_text=24,
+            n_classes=default_bundle.train.n_identities, seed=0))
+        calls = self.count_encodes(monkeypatch)
+        evaluate(store, default_bundle.test, Protocol(shots=shots))
+        assert len(calls) == 2
+        calls.clear()
+        evaluate(store, default_bundle.test, Protocol(shots=shots),
+                 meta=default_bundle.meta)
+        # the two extra calls encode the conflict-perturbed features
+        assert len(calls) == 4

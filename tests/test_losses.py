@@ -290,11 +290,6 @@ class TestFuseMultiview:
                 break
         assert seen_other
 
-    def test_empty_candidates_without_fallback_rejected(self):
-        emb = random_embedding_set(2, 3, seed=6, n_labels=2)
-        with pytest.raises(ProtocolError):
-            fuse_multiview(emb, [[], []], n_fuse=1, rng_seed=0, fallback=False)
-
     def test_empty_candidates_with_fallback_is_identity(self):
         emb = random_embedding_set(2, 3, seed=6, n_labels=2)
         fused = fuse_multiview(emb, [[], []], n_fuse=1, rng_seed=0)

@@ -3,6 +3,8 @@ encoder and classifier, checkpoint round-trips, and gradient plumbing."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,21 @@ class TestCheckpoint:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "none.jsonl")
+
+    @pytest.mark.parametrize("extra", [
+        '{"kind": "tensor", "name": "cls.b", "shape": [3], "data": [0, 0, 0]}',
+        '{"kind": "encoder_config", "d_in_visual": 6, "d_extra": 1}',
+        '{"kind": "tensor", "name": "cls.b"}',
+        '{"kind": "bogus"}', '[1]', '{"kind": "tensor",'])
+    def test_malformed_record_rejected(self, tmp_path, extra):
+        path = tmp_path / "ckpt.jsonl"
+        save_checkpoint(path, CFG, fresh_store())
+        path.write_text(path.read_text() + extra + "\n")
+        with pytest.raises(ValueError, match=":16: bad record"):
+            load_checkpoint(path)
+
+    def test_tensor_shapes_checked_against_config(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        save_checkpoint(path, replace(CFG, d_embed=5), fresh_store())
+        with pytest.raises(ValueError, match="trunk2.w has shape"):
+            load_checkpoint(path)

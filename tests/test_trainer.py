@@ -142,6 +142,21 @@ class TestTrainStep:
         assert "identities" in diag
         assert len(diag["sample_ids_v"]) == batch.n
 
+    def test_nonfinite_embeddings_abort_with_diagnostics(self, tiny_bundle):
+        store, state, batch, w = _setup(tiny_bundle)
+        # the visual trunk overflows, so f_v and f_r are non-finite before
+        # any loss is computed
+        store.value("trunk1.w")[...] *= 1e200
+        store.value("trunk2.w")[...] *= 1e200
+        lrs = {"visual": 1e-3, "classifier": 1e-3, "text": 1e-3}
+        with pytest.raises(TrainingDivergedError, match="non-finite embeddings") as exc_info:
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_step(store, batch, w, lrs, fuse_seed=0, state=state)
+        diag = exc_info.value.diagnostics
+        assert diag["breakdown"] is None
+        assert len(diag["sample_ids_v"]) == batch.n
+        assert not np.isfinite(diag["max_abs_embedding"])
+
     def test_breakdown_recomposition_holds_per_step(self, tiny_bundle):
         store, state, batch, w = _setup(tiny_bundle)
         lrs = {"visual": 1e-3, "classifier": 1e-3, "text": 1e-3}
