@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import model
 from .evaluator import Protocol, embed_split, evaluate, modality_gap
-from .losses import LossWeights, weights_with
+from .losses import LossWeights
 from .synthdata import DatasetBundle
 from .trainer import TrainConfig, TrainResult, encoder_config_for, run_training
 
@@ -65,10 +65,6 @@ def grid_overrides(label: str) -> dict[str, object]:
                    f"known: {', '.join(ABLATION_LABELS)}")
 
 
-def effective_weights(base: LossWeights, overrides: dict[str, object]) -> LossWeights:
-    return weights_with(base, **overrides)
-
-
 @dataclass
 class CellResult:
     label: str
@@ -85,7 +81,7 @@ class CellResult:
     overrides: dict[str, object] = field(default_factory=dict)
 
     def component_flags(self, base: LossWeights) -> dict[str, int]:
-        w = effective_weights(base, self.overrides)
+        w = replace(base, **self.overrides)
         return {"align": int(w.lambda2 > 0),
                 "fusion": int(w.n_fuse > 0 and (w.lambda2 > 0 or w.lambda3 > 0)),
                 "parity": int(w.lambda4 > 0)}
@@ -107,14 +103,14 @@ def _epoch_mean_total(result: TrainResult, epoch: int) -> float:
 
 def run_cell(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
              label: str, weight_overrides: dict[str, object] | None = None,
-             seed: int | None = None, snapshot_every_epoch: bool = False) -> CellResult:
-    """Train one objective configuration and evaluate it on the test split."""
+             seed: int | None = None) -> CellResult:
+    """Train one objective configuration and evaluate it on the test split;
+    training snapshots retrieval only after its last epoch."""
     overrides = dict(weight_overrides or {})
-    cfg = replace(train_cfg, weights=effective_weights(train_cfg.weights, overrides))
+    cfg = replace(train_cfg, weights=replace(train_cfg.weights, **overrides),
+                  eval_every=train_cfg.epochs)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    if not snapshot_every_epoch:
-        cfg = replace(cfg, eval_every=cfg.epochs)
     result = run_training(cfg, data)
     report = evaluate(result.store, data.test, protocol, meta=data.meta)
     return CellResult(

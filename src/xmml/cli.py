@@ -20,15 +20,14 @@ from pathlib import Path
 
 from . import __version__, model
 from .bench import (ABLATION_LABELS, grid_overrides, run_ablation, run_sweep,
-                    write_ablation_csv, write_sweep_csv)
-from .config import (ConfigError, generator_config, load_config_file,
+                    summarize, write_ablation_csv, write_sweep_csv)
+from .config import (LONG_SCHEDULE, ConfigError, generator_config, load_config_file,
                      parse_override_args, protocol, resolve, train_config)
 from .evaluator import Protocol, evaluate
 from .gradcheck import DEFAULT_SIZES, LOSS_NAMES, run_all
 from .numerics import ProtocolError
 from .synthdata import DATASET_FILES, generate_dataset, load_dataset, save_dataset
-from .trainer import (TrainingDivergedError, run_training, save_train_log,
-                      with_long_schedule)
+from .trainer import TrainingDivergedError, run_training, save_train_log
 
 MANIFEST_SCHEMA = "xmml-manifest v1"
 EVAL_CSV_HEADER = "# xmml-eval-csv v1"
@@ -106,6 +105,16 @@ def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(sizes)
 
 
+def _train_config(args, cfg: dict):
+    """The run's TrainConfig. --seed and --long-schedule are written into
+    `cfg` first, so the manifest echoes the values actually used."""
+    if args.seed is not None:
+        cfg["train.seed"] = args.seed
+    if args.long_schedule:
+        cfg.update(LONG_SCHEDULE)
+    return train_config(cfg)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -126,21 +135,14 @@ def cmd_gen(args, cfg: dict) -> int:
 def cmd_train(args, cfg: dict) -> int:
     out = _prepare_out(args)
     t0 = time.perf_counter()
-    if args.seed is not None:
-        cfg["train.seed"] = args.seed
-    tcfg = train_config(cfg)
-    if args.long_schedule:
-        tcfg = with_long_schedule(tcfg)
+    tcfg = _train_config(args, cfg)
     data_dir = Path(args.data)
     data = load_dataset(data_dir)
     result = run_training(tcfg, data)
     model.save_checkpoint(out / "checkpoint.jsonl", result.encoder_config, result.store)
     save_train_log(out / "train_log.jsonl", result.log)
     inputs = [data_dir / n for n in DATASET_FILES]
-    cfg_echo = dict(cfg)
-    cfg_echo["train.epochs"] = tcfg.epochs
-    cfg_echo["train.decay_epochs"] = list(tcfg.decay_epochs)
-    _write_manifest(out, "train", cfg_echo, [tcfg.seed], inputs,
+    _write_manifest(out, "train", cfg, [tcfg.seed], inputs,
                     ["checkpoint.jsonl", "train_log.jsonl"], t0)
     last = result.log.evals[-1]
     first_loss = result.log.steps[0].breakdown.total
@@ -251,11 +253,7 @@ def cmd_gradcheck(args, cfg: dict) -> int:
 def cmd_ablate(args, cfg: dict) -> int:
     out = _prepare_out(args)
     t0 = time.perf_counter()
-    if args.seed is not None:
-        cfg["train.seed"] = args.seed
-    tcfg = train_config(cfg)
-    if args.long_schedule:
-        tcfg = with_long_schedule(tcfg)
+    tcfg = _train_config(args, cfg)
     proto = protocol(cfg)
     seeds = _parse_seed_list(args.seeds)
     labels = tuple(args.labels.split(",")) if args.labels else ABLATION_LABELS
@@ -270,24 +268,16 @@ def cmd_ablate(args, cfg: dict) -> int:
     write_ablation_csv(out / "ablation.csv", cells, tcfg.weights)
     inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "ablate", cfg, list(seeds), inputs, ["ablation.csv"], t0)
-    by_label: dict[str, list] = {}
-    for c in cells:
-        by_label.setdefault(c.label, []).append(c)
-    for label, group in by_label.items():
-        r1 = sum(c.rank1 for c in group) / len(group)
-        mp = sum(c.map for c in group) / len(group)
-        print(f"{label:<14} rank1={r1:.3f} map={mp:.3f} ({len(group)} seeds)")
+    for label, m in summarize(cells).items():
+        print(f"{label:<14} rank1={m['rank1']:.3f} map={m['map']:.3f} "
+              f"({int(m['n_seeds'])} seeds)")
     return 0
 
 
 def cmd_sweep(args, cfg: dict) -> int:
     out = _prepare_out(args)
     t0 = time.perf_counter()
-    if args.seed is not None:
-        cfg["train.seed"] = args.seed
-    tcfg = train_config(cfg)
-    if args.long_schedule:
-        tcfg = with_long_schedule(tcfg)
+    tcfg = _train_config(args, cfg)
     proto = protocol(cfg)
     seeds = _parse_seed_list(args.seeds)
     values = _parse_value_list(args.values)

@@ -59,6 +59,9 @@ def _derive_table() -> tuple[dict[str, object], dict[str, object]]:
 
 DEFAULTS, _TYPES = _derive_table()
 
+# --long-schedule: 120 epochs, rate drops at epochs 40 and 70
+LONG_SCHEDULE = {"train.epochs": 120, "train.decay_epochs": [40, 70]}
+
 
 def _convert(raw, typ) -> object:
     if get_origin(typ) is types.UnionType:   # `T | None`

@@ -6,7 +6,8 @@ differentiated into a ParamStore, and wires the loss into
 fused views (matching their stop-gradient semantics), while the fused
 contrastive term re-applies the sampled averaging pattern to the perturbed
 embeddings, so the numeric derivative sees exactly the function the
-analytic gradients describe.
+analytic gradients describe. The `model` family runs the training step's
+own `model.forward`/`model.backward`, so it checks the wiring that trains.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ def _write_emb_grads(store: ParamStore, grads) -> None:
         store.grad(name)[...] = getattr(grads, name)
 
 
+# embedding-only families: (emb, live fused views, frozen teacher, weights,
+# contrast labels) -> (value, EmbeddingGrads). The loss functions are looked
+# up by module-level name at call time.
+_EMB_FAMILIES = {
+    "contrast_single": lambda emb, live, teacher, w, cl: contrastive_single(emb, w.tau, cl),
+    "contrast_fused": lambda emb, live, teacher, w, cl: contrastive_fused(live, w.tau, cl),
+    "distill": lambda emb, live, teacher, w, cl: distill_loss(
+        emb, teacher, include_text=w.distill_text),
+    "parity": lambda emb, live, teacher, w, cl: distance_parity_loss(emb),
+}
+
+
 def build_case(name: str, n: int, d: int, seed: int,
                weights: LossWeights | None = None):
     """Returns (loss_fn, value_fn, store) for one named check.
@@ -97,64 +110,34 @@ def build_case(name: str, n: int, d: int, seed: int,
             return val
         return loss_fn, None, store
 
-    if name in ("contrast_single", "contrast_fused", "distill", "parity", "total"):
+    if name in _EMB_FAMILIES or name == "total":
         store = ParamStore()
         for block in _EMB_BLOCKS:
             store.add(block, blocks[block])
-        base_emb = _emb_from_store(store, labels)
-        candidates = _candidates_for(labels)
-        fused0 = fuse_multiview(base_emb, candidates, w.n_fuse,
-                                derive_seed(seed, "gradcheck-fuse", n, d),
+        fused0 = fuse_multiview(_emb_from_store(store, labels), _candidates_for(labels),
+                                w.n_fuse, derive_seed(seed, "gradcheck-fuse", n, d),
                                 cross_modal=w.cross_modal_fusion)
         contrast_labels = labels if w.label_aware_contrast else None
-
-        if name == "contrast_single":
-            def loss_fn(s):
-                val, grads = contrastive_single(_emb_from_store(s, labels), w.tau,
-                                                contrast_labels)
-                _write_emb_grads(s, grads)
-                return val
-            return loss_fn, None, store
-
-        if name == "contrast_fused":
-            def loss_fn(s):
-                live = FusedSet.from_mix(_emb_from_store(s, labels),
-                                         fused0.mix_v, fused0.mix_r, fused0.n_fuse)
-                val, grads = contrastive_fused(live, w.tau, contrast_labels)
-                _write_emb_grads(s, grads)
-                return val
-            return loss_fn, None, store
-
-        if name == "distill":
-            # teacher frozen at the base point: stop-gradient semantics
-            def loss_fn(s):
-                val, grads = distill_loss(_emb_from_store(s, labels), fused0,
-                                          include_text=w.distill_text)
-                _write_emb_grads(s, grads)
-                return val
-            return loss_fn, None, store
-
-        if name == "parity":
-            def loss_fn(s):
-                val, grads = distance_parity_loss(_emb_from_store(s, labels))
-                _write_emb_grads(s, grads)
-                return val
-            return loss_fn, None, store
-
-        # "total": logits are parameters too; fused views re-applied live,
-        # distillation teacher frozen at the base point
-        store.add("logits_v", logits_v)
-        store.add("logits_r", logits_r)
+        if name == "total":
+            # logits are parameters too
+            store.add("logits_v", logits_v)
+            store.add("logits_r", logits_r)
 
         def loss_fn(s):
+            # fused views re-applied live, distillation teacher frozen at the
+            # base point (stop-gradient semantics)
             emb = _emb_from_store(s, labels)
             live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r, fused0.n_fuse)
-            res = total_loss(emb, live, s.value("logits_v"), s.value("logits_r"),
-                             w, kd_teacher=fused0)
-            _write_emb_grads(s, res.grads)
-            s.grad("logits_v")[...] = res.grad_logits_v
-            s.grad("logits_r")[...] = res.grad_logits_r
-            return res.breakdown.total
+            if name == "total":
+                res = total_loss(emb, live, s.value("logits_v"), s.value("logits_r"),
+                                 w, kd_teacher=fused0)
+                s.grad("logits_v")[...] = res.grad_logits_v
+                s.grad("logits_r")[...] = res.grad_logits_r
+                val, grads = res.breakdown.total, res.grads
+            else:
+                val, grads = _EMB_FAMILIES[name](emb, live, fused0, w, contrast_labels)
+            _write_emb_grads(s, grads)
+            return val
         return loss_fn, None, store
 
     if name == "model":
@@ -170,19 +153,9 @@ def build_case(name: str, n: int, d: int, seed: int,
 _KINK_MARGIN = 1e-3
 
 
-def _min_preactivation(store: ParamStore, x_v, x_r, l_v, l_r) -> float:
-    mins = []
-    for x, modality in ((x_v, "V"), (x_r, "R")):
-        _, cache = model.encode_visual(store, x, modality)
-        mins.extend(np.abs(a).min() for a in cache.pre[:-1])
-    for l in (l_v, l_r):
-        _, cache = model.encode_text(store, l)
-        mins.extend(np.abs(a).min() for a in cache.pre[:-1])
-    return float(min(mins))
-
-
 def _build_model_case(n: int, seed: int, w: LossWeights):
-    """Full pipeline: encoders + classifier + combined objective."""
+    """Full pipeline: the training step's own model.forward/model.backward
+    around the combined objective."""
     d_in = 6
     labels = _labels_for(n)
     n_classes = max(2, int(labels.max()) + 1)
@@ -193,49 +166,30 @@ def _build_model_case(n: int, seed: int, w: LossWeights):
     store = model.init_params(enc_cfg)
     for attempt in range(64):
         rng = derive_rng(seed, "gradcheck-model-data", n, attempt)
-        x_v = rng.standard_normal((n, d_in))
-        x_r = rng.standard_normal((n, d_in))
-        l_v = rng.standard_normal((n, d_in))
-        l_r = rng.standard_normal((n, d_in))
-        if _min_preactivation(store, x_v, x_r, l_v, l_r) > _KINK_MARGIN:
+        inputs = tuple(rng.standard_normal((n, d_in)) for _ in range(4))  # x_v, x_r, l_v, l_r
+        blocks0, _, caches = model.forward(store, *inputs)
+        # caches[:4] are the encoders'; every pre-activation but the last feeds a relu
+        if min(np.abs(a).min() for c in caches[:4] for a in c.pre[:-1]) > _KINK_MARGIN:
             break
-    candidates = _candidates_for(labels)
-
-    def forward(s):
-        f_v, c_fv = model.encode_visual(s, x_v, "V")
-        f_r, c_fr = model.encode_visual(s, x_r, "R")
-        t_v, c_tv = model.encode_text(s, l_v)
-        t_r, c_tr = model.encode_text(s, l_r)
-        logits_v, c_cv = model.classify(s, f_v)
-        logits_r, c_cr = model.classify(s, f_r)
-        emb = EmbeddingSet(f_v=f_v, f_r=f_r, t_v=t_v, t_r=t_r, labels=labels)
-        return emb, logits_v, logits_r, (c_fv, c_fr, c_tv, c_tr, c_cv, c_cr)
-
-    emb0, _, _, _ = forward(store)
-    fused0 = fuse_multiview(emb0, candidates, w.n_fuse,
-                            derive_seed(seed, "gradcheck-model-fuse", n),
+    fused0 = fuse_multiview(EmbeddingSet(*blocks0, labels=labels), _candidates_for(labels),
+                            w.n_fuse, derive_seed(seed, "gradcheck-model-fuse", n),
                             cross_modal=w.cross_modal_fusion)
-    teacher0 = fused0
+
+    def objective(s):
+        blocks, (logits_v, logits_r), caches = model.forward(s, *inputs)
+        emb = EmbeddingSet(*blocks, labels=labels)
+        live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r, fused0.n_fuse)
+        return total_loss(emb, live, logits_v, logits_r, w, kd_teacher=fused0), caches
 
     def loss_fn(s):
-        emb, logits_v, logits_r, caches = forward(s)
-        live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r, fused0.n_fuse)
-        res = total_loss(emb, live, logits_v, logits_r, w, kd_teacher=teacher0)
-        c_fv, c_fr, c_tv, c_tr, c_cv, c_cr = caches
-        s.zero_grads()
-        d_fv = res.grads.f_v + model.classify_backward(s, c_cv, res.grad_logits_v)
-        d_fr = res.grads.f_r + model.classify_backward(s, c_cr, res.grad_logits_r)
-        model.encode_visual_backward(s, c_fv, d_fv)
-        model.encode_visual_backward(s, c_fr, d_fr)
-        model.encode_text_backward(s, c_tv, res.grads.t_v)
-        model.encode_text_backward(s, c_tr, res.grads.t_r)
+        res, caches = objective(s)
+        g = res.grads
+        model.backward(s, caches, (g.f_v, g.f_r, g.t_v, g.t_r),
+                       (res.grad_logits_v, res.grad_logits_r))
         return res.breakdown.total
 
     def value_fn(s):
-        emb, logits_v, logits_r, _ = forward(s)
-        live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r, fused0.n_fuse)
-        res = total_loss(emb, live, logits_v, logits_r, w, kd_teacher=teacher0)
-        return res.breakdown.total
+        return objective(s)[0].breakdown.total
 
     return loss_fn, value_fn, store
 

@@ -21,7 +21,7 @@ autodiff tape anywhere.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -540,8 +540,3 @@ def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
                               distill=l_kd, parity=l_par, total=total)
     return TotalLoss(breakdown=breakdown, grads=grads,
                      grad_logits_v=g_logits_v, grad_logits_r=g_logits_r)
-
-
-def weights_with(base: LossWeights, **overrides) -> LossWeights:
-    """Copy of `base` with fields replaced; ablation grids lean on this."""
-    return replace(base, **overrides)

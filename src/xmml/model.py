@@ -4,8 +4,10 @@ Each modality gets its own affine stem; both stems feed one shared trunk
 (affine, relu, affine), so modality-specific correction happens early and
 the embedding geometry is shared. Text features from both modalities pass
 through a single text encoder, and one affine classifier scores all
-embeddings. Forward passes return caches; backward passes accumulate
-gradients into the ParamStore.
+embeddings. Every input is a 2-D batch, one row per sample. Forward passes
+return caches; backward passes accumulate gradients into the ParamStore.
+`forward`/`backward` are the one batch pass through all branches, shared by
+training and the model gradient check.
 """
 
 from __future__ import annotations
@@ -85,24 +87,19 @@ class MlpCache:
     layers: tuple[str, ...]
     inputs: list[np.ndarray]   # input to each affine layer
     pre: list[np.ndarray]      # pre-activation output of each affine layer
-    squeeze: bool
 
 
-def _as_batch(x, d_expected: int, what: str):
+def _as_batch(x, d_expected: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
     if arr.ndim != 2:
-        raise DimensionError(f"{what} must be 1-D or 2-D, got shape {arr.shape}")
+        raise DimensionError(f"{what} must be a 2-D batch, got shape {arr.shape}")
     if arr.shape[1] != d_expected:
         raise DimensionError(
             f"{what} has dim {arr.shape[1]}, encoder expects {d_expected}")
-    return arr, squeeze
+    return arr
 
 
-def _mlp_forward(store: ParamStore, layers: tuple[str, ...], x: np.ndarray,
-                 squeeze: bool):
+def _mlp_forward(store: ParamStore, layers: tuple[str, ...], x: np.ndarray):
     # relu between layers, none after the last
     inputs, pre = [], []
     h = x
@@ -111,13 +108,11 @@ def _mlp_forward(store: ParamStore, layers: tuple[str, ...], x: np.ndarray,
         a = h @ store.value(f"{name}.w").T + store.value(f"{name}.b")
         pre.append(a)
         h = np.maximum(a, 0.0) if i < len(layers) - 1 else a
-    return h, MlpCache(layers=layers, inputs=inputs, pre=pre, squeeze=squeeze)
+    return h, MlpCache(layers=layers, inputs=inputs, pre=pre)
 
 
 def _mlp_backward(store: ParamStore, cache: MlpCache, d_out: np.ndarray) -> np.ndarray:
     g = np.asarray(d_out, dtype=np.float64)
-    if cache.squeeze and g.ndim == 1:
-        g = g[None, :]
     for i in range(len(cache.layers) - 1, -1, -1):
         name = cache.layers[i]
         x = cache.inputs[i]
@@ -126,17 +121,16 @@ def _mlp_backward(store: ParamStore, cache: MlpCache, d_out: np.ndarray) -> np.n
         g = g @ store.value(f"{name}.w")
         if i > 0:
             g = g * (cache.pre[i - 1] > 0)
-    return g[0] if cache.squeeze else g
+    return g
 
 
 def encode_visual(store: ParamStore, x, modality: str):
-    """Embed raw image features of one modality; returns (f, cache)."""
+    """Embed a batch of raw image features of one modality; returns (f, cache)."""
     if modality not in STEM_BY_MODALITY:
         raise ValueError(f"unknown modality tag {modality!r}")
     stem = STEM_BY_MODALITY[modality]
-    arr, squeeze = _as_batch(x, store.value(f"{stem}.w").shape[1], "visual input")
-    out, cache = _mlp_forward(store, (stem,) + _VISUAL_LAYERS, arr, squeeze)
-    return (out[0] if squeeze else out), cache
+    arr = _as_batch(x, store.value(f"{stem}.w").shape[1], "visual input")
+    return _mlp_forward(store, (stem,) + _VISUAL_LAYERS, arr)
 
 
 def encode_visual_backward(store: ParamStore, cache: MlpCache, d_f) -> np.ndarray:
@@ -144,37 +138,58 @@ def encode_visual_backward(store: ParamStore, cache: MlpCache, d_f) -> np.ndarra
 
 
 def encode_text(store: ParamStore, l):
-    """Embed raw text features (shared across modalities); returns (t, cache)."""
-    arr, squeeze = _as_batch(l, store.value("text1.w").shape[1], "text input")
-    out, cache = _mlp_forward(store, _TEXT_LAYERS, arr, squeeze)
-    return (out[0] if squeeze else out), cache
+    """Embed a batch of raw text features (shared across modalities);
+    returns (t, cache)."""
+    arr = _as_batch(l, store.value("text1.w").shape[1], "text input")
+    return _mlp_forward(store, _TEXT_LAYERS, arr)
 
 
 def encode_text_backward(store: ParamStore, cache: MlpCache, d_t) -> np.ndarray:
     return _mlp_backward(store, cache, d_t)
 
 
-@dataclass
-class ClassifierCache:
-    f: np.ndarray
-    squeeze: bool
-
-
 def classify(store: ParamStore, f):
-    """Identity logits for embeddings; shared head for every branch."""
-    arr, squeeze = _as_batch(f, store.value("cls.w").shape[1], "embedding")
-    logits = arr @ store.value("cls.w").T + store.value("cls.b")
-    return (logits[0] if squeeze else logits), ClassifierCache(f=arr, squeeze=squeeze)
+    """Identity logits for a batch of embeddings; shared head for every
+    branch. The cache is the embedding batch itself."""
+    arr = _as_batch(f, store.value("cls.w").shape[1], "embedding")
+    return arr @ store.value("cls.w").T + store.value("cls.b"), arr
 
 
-def classify_backward(store: ParamStore, cache: ClassifierCache, d_logits) -> np.ndarray:
+def classify_backward(store: ParamStore, f: np.ndarray, d_logits) -> np.ndarray:
     g = np.asarray(d_logits, dtype=np.float64)
-    if cache.squeeze and g.ndim == 1:
-        g = g[None, :]
-    store.grad("cls.w")[...] += g.T @ cache.f
+    store.grad("cls.w")[...] += g.T @ f
     store.grad("cls.b")[...] += g.sum(axis=0)
-    d_f = g @ store.value("cls.w")
-    return d_f[0] if cache.squeeze else d_f
+    return g @ store.value("cls.w")
+
+
+def forward(store: ParamStore, x_v, x_r, l_v, l_r):
+    """One batch through all four branches and the classifier.
+
+    Returns ((f_v, f_r, t_v, t_r), (logits_v, logits_r), caches); the first
+    four caches are the encoders' MlpCaches in embedding order.
+    """
+    f_v, c_fv = encode_visual(store, x_v, "V")
+    f_r, c_fr = encode_visual(store, x_r, "R")
+    t_v, c_tv = encode_text(store, l_v)
+    t_r, c_tr = encode_text(store, l_r)
+    logits_v, c_cv = classify(store, f_v)
+    logits_r, c_cr = classify(store, f_r)
+    return (f_v, f_r, t_v, t_r), (logits_v, logits_r), (c_fv, c_fr, c_tv, c_tr, c_cv, c_cr)
+
+
+def backward(store: ParamStore, caches, d_emb, d_logits) -> None:
+    """Zero the grads, then backpropagate the loss gradients w.r.t. the
+    embeddings (d_f_v, d_f_r, d_t_v, d_t_r) and the logits (v, r) of one
+    `forward` into every parameter."""
+    c_fv, c_fr, c_tv, c_tr, c_cv, c_cr = caches
+    d_fv, d_fr, d_tv, d_tr = d_emb
+    store.zero_grads()
+    d_fv = d_fv + classify_backward(store, c_cv, d_logits[0])
+    d_fr = d_fr + classify_backward(store, c_cr, d_logits[1])
+    encode_visual_backward(store, c_fv, d_fv)
+    encode_visual_backward(store, c_fr, d_fr)
+    encode_text_backward(store, c_tv, d_tv)
+    encode_text_backward(store, c_tr, d_tr)
 
 
 # ------------------------------------------------------------- checkpoints

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +64,6 @@ class TrainConfig:
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValueError(f"decay_epochs must be strictly increasing, got {self.decay_epochs}")
         self.weights.validate()
-
-
-def with_long_schedule(cfg: TrainConfig) -> TrainConfig:
-    """The long schedule: 120 epochs, rate drops at epochs 40 and 70."""
-    return replace(cfg, epochs=120, decay_epochs=(40, 70))
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> dict[str, float]:
@@ -140,16 +135,11 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
                momentum: float = 0.9) -> LossBreakdown:
     """One forward/backward/update on a prepared batch. Returns the loss
     breakdown measured before the parameter update."""
-    f_v, cache_fv = model.encode_visual(store, batch.x_v, "V")
-    f_r, cache_fr = model.encode_visual(store, batch.x_r, "R")
-    t_v, cache_tv = model.encode_text(store, batch.l_v)
-    t_r, cache_tr = model.encode_text(store, batch.l_r)
-    logits_v, cache_cv = model.classify(store, f_v)
-    logits_r, cache_cr = model.classify(store, f_r)
-    emb_blocks = (f_v, f_r, t_v, t_r)
+    emb_blocks, (logits_v, logits_r), caches = model.forward(
+        store, batch.x_v, batch.x_r, batch.l_v, batch.l_r)
 
     try:
-        emb = EmbeddingSet(f_v=f_v, f_r=f_r, t_v=t_v, t_r=t_r, labels=batch.labels)
+        emb = EmbeddingSet(*emb_blocks, labels=batch.labels)
     except DegenerateInputError as e:
         # the set's own finiteness check doubles as the embedding divergence check
         raise TrainingDivergedError(f"non-finite embeddings: {e}",
@@ -165,13 +155,9 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
             f"non-finite loss {res.breakdown.total!r}",
             _divergence_diagnostics(batch, emb_blocks, res.breakdown))
 
-    store.zero_grads()
-    d_fv = res.grads.f_v + model.classify_backward(store, cache_cv, res.grad_logits_v)
-    d_fr = res.grads.f_r + model.classify_backward(store, cache_cr, res.grad_logits_r)
-    model.encode_visual_backward(store, cache_fv, d_fv)
-    model.encode_visual_backward(store, cache_fr, d_fr)
-    model.encode_text_backward(store, cache_tv, res.grads.t_v)
-    model.encode_text_backward(store, cache_tr, res.grads.t_r)
+    g = res.grads
+    model.backward(store, caches, (g.f_v, g.f_r, g.t_v, g.t_r),
+                   (res.grad_logits_v, res.grad_logits_r))
 
     for group, names in model.param_groups().items():
         lr = lrs[group]
@@ -209,22 +195,30 @@ def run_training(cfg: TrainConfig, data: DatasetBundle) -> TrainResult:
 
     log = TrainLog(seed=cfg.seed, config_echo=_config_echo(cfg))
     t0 = time.perf_counter()
-    for epoch in range(cfg.epochs):
-        lrs = lr_at(epoch, cfg)
-        for step in range(cfg.batches_per_epoch):
-            batch = sample_batch(data.train, cfg.n_ids_per_batch,
-                                 cfg.k_per_modality,
-                                 derive_seed(cfg.seed, "batch", epoch, step))
-            breakdown = train_step(store, batch, cfg.weights, lrs,
-                                   derive_seed(cfg.seed, "fuse", epoch, step),
-                                   state, momentum=cfg.momentum)
-            log.steps.append(StepRecord(epoch=epoch, step=step, breakdown=breakdown))
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            report = evaluator.evaluate(store, data.test, _SNAPSHOT_PROTOCOL)
-            log.evals.append(EvalRecord(
-                epoch=epoch, rank1=report.rank(1), rank5=report.rank(5),
-                rank10=report.rank(10), map=report.map,
-                gap_ratio=report.diagnostics["gap_ratio"]))
+    # a divergence is reported by the checks below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            lrs = lr_at(epoch, cfg)
+            for step in range(cfg.batches_per_epoch):
+                batch = sample_batch(data.train, cfg.n_ids_per_batch,
+                                     cfg.k_per_modality,
+                                     derive_seed(cfg.seed, "batch", epoch, step))
+                breakdown = train_step(store, batch, cfg.weights, lrs,
+                                       derive_seed(cfg.seed, "fuse", epoch, step),
+                                       state, momentum=cfg.momentum)
+                log.steps.append(StepRecord(epoch=epoch, step=step, breakdown=breakdown))
+            if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+                report = evaluator.evaluate(store, data.test, _SNAPSHOT_PROTOCOL)
+                gap_ratio = report.diagnostics["gap_ratio"]
+                if np.isnan(gap_ratio):
+                    # finite embeddings whose squared distances overflow;
+                    # inf (every identity collapsed to a point) is kept
+                    raise TrainingDivergedError(
+                        f"retrieval snapshot at epoch {epoch} has gap_ratio nan",
+                        {"epoch": epoch, **report.diagnostics})
+                log.evals.append(EvalRecord(
+                    epoch=epoch, rank1=report.rank(1), rank5=report.rank(5),
+                    rank10=report.rank(10), map=report.map, gap_ratio=gap_ratio))
     log.wall_clock_sec = time.perf_counter() - t0
     return TrainResult(store=store, encoder_config=enc_cfg, log=log)
 

@@ -4,6 +4,7 @@ small end-to-end sweep/ablation cells on the tiny dataset."""
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from xmml.bench import (ABLATION_CSV_FIELDS, ABLATION_LABELS, BENCHMARK_LABELS,
                         BENCHMARK_SEEDS, BENCHMARK_TRAIN_OVERRIDES,
                         SWEEP_CSV_FIELDS, SWEEP_PARAMS, CellResult,
                         benchmark_train_config, direction_margins,
-                        effective_weights, grid_overrides, run_ablation,
-                        run_cell, run_sweep, summarize, untrained_gap_ratio,
+                        grid_overrides, run_ablation, run_cell, run_sweep,
+                        summarize, untrained_gap_ratio,
                         write_ablation_csv, write_sweep_csv)
 from xmml.evaluator import Protocol
 from xmml.losses import LossWeights
@@ -47,14 +48,14 @@ class TestGrid:
 
     def test_baseline_disables_everything_beyond_identity_triplet(self):
         ov = grid_overrides("baseline")
-        w = effective_weights(LossWeights(), ov)
+        w = replace(LossWeights(), **ov)
         assert w.lambda2 == 0 and w.lambda3 == 0 and w.lambda4 == 0
         assert w.n_fuse == 0
         assert w.lambda1 == LossWeights().lambda1
 
     def test_full_keeps_defaults(self):
         assert grid_overrides("full") == {}
-        w = effective_weights(LossWeights(), {})
+        w = replace(LossWeights(), **grid_overrides("full"))
         assert w == LossWeights()
 
     def test_unknown_label_raises_with_choices(self):
@@ -63,7 +64,7 @@ class TestGrid:
 
     def test_overrides_do_not_mutate_base(self):
         base = LossWeights()
-        effective_weights(base, {"lambda2": 0.0})
+        replace(base, lambda2=0.0)
         assert base.lambda2 == LossWeights().lambda2
 
     @pytest.mark.parametrize("label,flags", [

@@ -170,6 +170,17 @@ class TestTrain:
                      "--train.lr_visual", "1e6"] + TINY_TRAIN_ARGS) == 2
         assert "runtime failure: non-finite embeddings" in capsys.readouterr().err
 
+    def test_nan_gap_ratio_exits_2_without_warnings(self, gen_dir, tmp_path, capsys,
+                                                    recwarn):
+        # loss and embeddings stay finite, but the snapshot's squared
+        # distances overflow, so the gap ratio is inf / inf
+        assert main(["train", "--data", str(gen_dir), "--out", str(tmp_path / "run"),
+                     "--train.lr_visual", "30"] + TINY_TRAIN_ARGS) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure: retrieval snapshot at epoch 1 has gap_ratio nan" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "run")] + TINY_TRAIN_ARGS) == 1
@@ -316,6 +327,17 @@ class TestAblateSweep:
         assert rows[0]["align"] == "0" and rows[1]["align"] == "1"
         text = capsys.readouterr().out
         assert "baseline" in text and "full" in text
+
+    def test_ablate_long_schedule_echoes_effective_values(self, gen_dir, tmp_path):
+        out = tmp_path / "ab"
+        assert main(["ablate", "--data", str(gen_dir), "--out", str(out),
+                     "--labels", "baseline", "--seeds", "0", "--long-schedule",
+                     "--train.batches_per_epoch", "1",
+                     "--train.n_ids_per_batch", "3", "--train.k_per_modality", "2",
+                     "--model.d_hidden", "16", "--model.d_embed", "8"]) == 0
+        m = manifest(out)
+        assert m["config"]["train.epochs"] == 120
+        assert m["config"]["train.decay_epochs"] == [40, 70]
 
     def test_ablate_unknown_label_fails_cleanly(self, gen_dir, tmp_path, capsys):
         assert main(["ablate", "--data", str(gen_dir),

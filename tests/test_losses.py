@@ -4,6 +4,7 @@ structural invariants, and agreement with independent scalar oracles."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from xmml.losses import (EmbeddingSet, FusedSet, LossWeights,
                          contrastive_fused, contrastive_pair_loss,
                          contrastive_single, distance_parity_loss,
                          distill_loss, fuse_multiview, identity_loss,
-                         total_loss, weighted_triplet_loss, weights_with)
+                         total_loss, weighted_triplet_loss)
 from xmml.numerics import (DegenerateInputError, DimensionError, ProtocolError)
 
 LN2 = math.log(2.0)
@@ -564,7 +565,7 @@ class TestTotalLoss:
                 bad.validate()
 
     def test_weights_with_replaces_fields(self):
-        w = weights_with(LossWeights(), lambda2=0.0, n_fuse=3)
+        w = replace(LossWeights(), lambda2=0.0, n_fuse=3)
         assert w.lambda2 == 0.0
         assert w.n_fuse == 3
         assert w.lambda1 == LossWeights().lambda1

@@ -56,8 +56,8 @@ class TestForward:
         store = fresh_store()
         for name in store.names():
             store.value(name)[...] = 0.0
-        f, _ = encode_visual(store, np.ones(6), "V")
-        t, _ = encode_text(store, np.ones(6))
+        f, _ = encode_visual(store, np.ones((1, 6)), "V")
+        t, _ = encode_text(store, np.ones((1, 6)))
         assert np.abs(f).max() == 0.0
         assert np.abs(t).max() == 0.0
 
@@ -65,14 +65,14 @@ class TestForward:
         store = fresh_store()
         store.value("stem_r.w")[...] = store.value("stem_v.w")
         store.value("stem_r.b")[...] = store.value("stem_v.b")
-        x = np.random.default_rng(0).standard_normal(6)
+        x = np.random.default_rng(0).standard_normal((1, 6))
         f_v, _ = encode_visual(store, x, "V")
         f_r, _ = encode_visual(store, x, "R")
         assert np.array_equal(f_v, f_r)
 
     def test_stems_independent(self):
         store = fresh_store()
-        x = np.random.default_rng(1).standard_normal(6)
+        x = np.random.default_rng(1).standard_normal((1, 6))
         f_r_before, _ = encode_visual(store, x, "R")
         store.value("stem_v.w")[...] += 0.5
         f_r_after, _ = encode_visual(store, x, "R")
@@ -84,7 +84,7 @@ class TestForward:
 
     def test_trunk_shared_between_modalities(self):
         store = fresh_store()
-        x = np.random.default_rng(2).standard_normal(6)
+        x = np.random.default_rng(2).standard_normal((1, 6))
         f_r_before, _ = encode_visual(store, x, "R")
         store.value("trunk2.w")[...] *= 2.0
         f_r_after, _ = encode_visual(store, x, "R")
@@ -92,7 +92,7 @@ class TestForward:
 
     def test_text_encoder_has_no_modality_branch(self):
         store = fresh_store()
-        l = np.random.default_rng(3).standard_normal(6)
+        l = np.random.default_rng(3).standard_normal((1, 6))
         a, _ = encode_text(store, l)
         b, _ = encode_text(store, l.copy())
         assert np.array_equal(a, b)
@@ -102,15 +102,17 @@ class TestForward:
         x = np.random.default_rng(4).standard_normal((3, 6))
         batch, _ = encode_visual(store, x, "V")
         for i in range(3):
-            row, _ = encode_visual(store, x[i], "V")
-            assert np.allclose(batch[i], row, atol=1e-12)
+            row, _ = encode_visual(store, x[i:i + 1], "V")
+            assert np.allclose(batch[i], row[0], atol=1e-12)
 
     def test_dimension_mismatch_names_dims(self):
         store = fresh_store()
         with pytest.raises(DimensionError, match="6"):
-            encode_visual(store, np.ones(5), "V")
+            encode_visual(store, np.ones((1, 5)), "V")
         with pytest.raises(DimensionError):
-            encode_text(store, np.ones(7))
+            encode_text(store, np.ones((1, 7)))
+        with pytest.raises(DimensionError, match="2-D batch"):
+            encode_visual(store, np.ones(6), "V")
 
     def test_unknown_modality_rejected(self):
         with pytest.raises(ValueError):
@@ -180,19 +182,19 @@ class TestGradients:
 
     def test_backward_input_gradient_matches_finite_difference(self):
         store = fresh_store()
-        x0 = np.random.default_rng(9).standard_normal(6)
+        x0 = np.random.default_rng(9).standard_normal((1, 6))
         f, cache = encode_visual(store, x0, "V")
         store.zero_grads()
         d_x = encode_visual_backward(store, cache, 2.0 * f)
         h = 1e-6
         for i in range(6):
             xp, xm = x0.copy(), x0.copy()
-            xp[i] += h
-            xm[i] -= h
+            xp[0, i] += h
+            xm[0, i] -= h
             fp, _ = encode_visual(store, xp, "V")
             fm, _ = encode_visual(store, xm, "V")
             num = ((fp * fp).sum() - (fm * fm).sum()) / (2 * h)
-            assert abs(num - d_x[i]) < 1e-5 * max(1.0, abs(num))
+            assert abs(num - d_x[0, i]) < 1e-5 * max(1.0, abs(num))
 
 
 class TestCheckpoint:

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES
+from xmml import gradcheck, model
+from xmml.config import LONG_SCHEDULE, resolve, train_config
 from xmml.model import init_params
 from xmml.losses import LossWeights
 from xmml.synthdata import sample_batch
 from xmml.trainer import (TrainConfig, TrainState, TrainingDivergedError,
                           load_train_log_records, lr_at, run_training,
-                          save_train_log, train_step, with_long_schedule)
+                          save_train_log, train_step)
 
 TINY_TRAIN = TrainConfig(epochs=2, batches_per_epoch=2, n_ids_per_batch=3,
                          k_per_modality=2, seed=0)
@@ -34,7 +36,7 @@ class TestSchedule:
         assert lr_at(59, cfg)["visual"] == pytest.approx(3e-6)
 
     def test_long_schedule_decays_at_40_and_70(self):
-        cfg = with_long_schedule(TrainConfig())
+        cfg = train_config(resolve(overrides=LONG_SCHEDULE))
         assert cfg.epochs == 120
         assert cfg.decay_epochs == (40, 70)
         assert lr_at(39, cfg)["visual"] == pytest.approx(3e-4)
@@ -166,6 +168,31 @@ class TestTrainStep:
                           + w.lambda2 * (b.contrast_single + b.contrast_fused)
                           + w.lambda3 * b.distill + w.lambda4 * b.parity)
             assert abs(b.total - recomposed) < 1e-10
+
+    def test_train_step_and_model_gradcheck_share_the_backward(self, tiny_bundle,
+                                                               monkeypatch):
+        calls = []
+
+        def backward_without_r_classifier(store, caches, d_emb, d_logits):
+            # model.backward with the R branch's classify_backward term dropped
+            calls.append(d_logits)
+            c_fv, c_fr, c_tv, c_tr, c_cv, _ = caches
+            d_fv, d_fr, d_tv, d_tr = d_emb
+            store.zero_grads()
+            d_fv = d_fv + model.classify_backward(store, c_cv, d_logits[0])
+            model.encode_visual_backward(store, c_fv, d_fv)
+            model.encode_visual_backward(store, c_fr, d_fr)
+            model.encode_text_backward(store, c_tv, d_tv)
+            model.encode_text_backward(store, c_tr, d_tr)
+
+        monkeypatch.setattr(model, "backward", backward_without_r_classifier)
+        summary, _ = gradcheck.check_loss("model", n_batches=2)
+        assert summary.n_failed > 0
+        calls.clear()
+        store, state, batch, w = _setup(tiny_bundle)
+        lrs = {"visual": 1e-3, "classifier": 1e-3, "text": 1e-3}
+        train_step(store, batch, w, lrs, fuse_seed=0, state=state)
+        assert len(calls) == 1
 
 
 # ------------------------------------------------------------ run_training
