@@ -38,11 +38,6 @@ def _labels_for(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64) % n_ids
 
 
-def _candidates_for(labels: np.ndarray) -> list[list[int]]:
-    return [[j for j in range(len(labels)) if j != i and labels[j] == labels[i]]
-            for i in range(len(labels))]
-
-
 def _random_case(n: int, d: int, seed: int, n_classes: int):
     rng = derive_rng(seed, "gradcheck-case", n, d)
     labels = _labels_for(n)
@@ -114,8 +109,8 @@ def build_case(name: str, n: int, d: int, seed: int,
         store = ParamStore()
         for block in _EMB_BLOCKS:
             store.add(block, blocks[block])
-        fused0 = fuse_multiview(_emb_from_store(store, labels), _candidates_for(labels),
-                                w.n_fuse, derive_seed(seed, "gradcheck-fuse", n, d),
+        fused0 = fuse_multiview(_emb_from_store(store, labels), w.n_fuse,
+                                derive_seed(seed, "gradcheck-fuse", n, d),
                                 cross_modal=w.cross_modal_fusion)
         contrast_labels = labels if w.label_aware_contrast else None
         if name == "total":
@@ -127,7 +122,7 @@ def build_case(name: str, n: int, d: int, seed: int,
             # fused views re-applied live, distillation teacher frozen at the
             # base point (stop-gradient semantics)
             emb = _emb_from_store(s, labels)
-            live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r, fused0.n_fuse)
+            live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
             if name == "total":
                 res = total_loss(emb, live, s.value("logits_v"), s.value("logits_r"),
                                  w, kd_teacher=fused0)
@@ -171,14 +166,14 @@ def _build_model_case(n: int, seed: int, w: LossWeights):
         # caches[:4] are the encoders'; every pre-activation but the last feeds a relu
         if min(np.abs(a).min() for c in caches[:4] for a in c.pre[:-1]) > _KINK_MARGIN:
             break
-    fused0 = fuse_multiview(EmbeddingSet(*blocks0, labels=labels), _candidates_for(labels),
-                            w.n_fuse, derive_seed(seed, "gradcheck-model-fuse", n),
+    fused0 = fuse_multiview(EmbeddingSet(*blocks0, labels=labels), w.n_fuse,
+                            derive_seed(seed, "gradcheck-model-fuse", n),
                             cross_modal=w.cross_modal_fusion)
 
     def objective(s):
         blocks, (logits_v, logits_r), caches = model.forward(s, *inputs)
         emb = EmbeddingSet(*blocks, labels=labels)
-        live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r, fused0.n_fuse)
+        live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
         return total_loss(emb, live, logits_v, logits_r, w, kd_teacher=fused0), caches
 
     def loss_fn(s):
@@ -222,6 +217,12 @@ def check_loss(name: str, n_batches: int = 50, sizes=DEFAULT_SIZES,
                weights: LossWeights | None = None,
                corrupt: bool = False) -> tuple[CheckSummary, list[FdReport]]:
     """Run `n_batches` seeded random batches of one named check."""
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+    for n, d in sizes:
+        # N >= 2 gives every anchor of the triplet a negative
+        if n < 2 or d < 1:
+            raise ValueError(f"batch size {n}x{d} needs N >= 2 and d >= 1")
     reports = []
     n_failed = 0
     max_rel = 0.0

@@ -20,15 +20,12 @@ autodiff tape anywhere.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .numerics import DegenerateInputError, DimensionError, ProtocolError, derive_rng
-
-log = logging.getLogger(__name__)
 
 
 def _logsumexp(s: np.ndarray, axis: int) -> np.ndarray:
@@ -310,102 +307,73 @@ class FusedSet:
 
     `mix_v` and `mix_r` are N x 2N row-averaging matrices over the stacked
     blocks [*_v; *_r], so fm_v = mix_v @ vstack(f_v, f_r) and likewise for
-    texts; gradients flow back through the transpose. Partner lists record
-    the sampled stack indices per row (possibly with repeats).
+    texts; gradients flow back through the transpose. They are the only
+    record of which partners were drawn.
     """
 
     fm_v: np.ndarray
     fm_r: np.ndarray
     tm_v: np.ndarray
     tm_r: np.ndarray
-    n_fuse: int
     mix_v: np.ndarray
     mix_r: np.ndarray
-    partners_v: list[list[int]] = field(default_factory=list)
-    partners_r: list[list[int]] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return self.fm_v.shape[0]
 
     @classmethod
-    def from_mix(cls, emb: EmbeddingSet, mix_v: np.ndarray, mix_r: np.ndarray,
-                 n_fuse: int) -> "FusedSet":
+    def from_mix(cls, emb: EmbeddingSet, mix_v: np.ndarray,
+                 mix_r: np.ndarray) -> "FusedSet":
         """Re-apply a fixed averaging pattern to (possibly new) embeddings."""
         stack_f = np.vstack([emb.f_v, emb.f_r])
         stack_t = np.vstack([emb.t_v, emb.t_r])
         return cls(fm_v=mix_v @ stack_f, fm_r=mix_r @ stack_f,
                    tm_v=mix_v @ stack_t, tm_r=mix_r @ stack_t,
-                   n_fuse=n_fuse, mix_v=mix_v, mix_r=mix_r)
+                   mix_v=mix_v, mix_r=mix_r)
 
 
-def fuse_multiview(emb: EmbeddingSet, candidates, n_fuse: int, rng_seed: int,
+def fuse_multiview(emb: EmbeddingSet, n_fuse: int, rng_seed: int,
                    cross_modal: bool = False) -> FusedSet:
     """Average each row with `n_fuse` sampled same-identity partner rows.
 
-    `candidates[i]` lists batch row indices usable as partners for row i
-    (normally same identity, excluding i). Sampling is without replacement
-    when enough distinct candidates exist, with replacement otherwise, and
-    falls back to the row itself (with a warning) when the list is empty.
-    The same sampled
-    partners are applied to the image block and its paired text block.
-    With `cross_modal` the partner pool includes the other modality's rows.
+    Row i's partner pool is the other rows with label `emb.labels[i]`, in
+    ascending order; with `cross_modal` it also holds those rows of the
+    other modality. Sampling is without replacement when the pool has
+    `n_fuse` distinct rows, with replacement otherwise. A row whose label
+    has no other row in the batch is fused with itself, i.e. left as is.
+    The same sampled partners are applied to the image block and its
+    paired text block.
     """
     n = emb.n
     if n_fuse < 0:
         raise ValueError(f"n_fuse must be >= 0, got {n_fuse}")
-    if len(candidates) != n:
-        raise DimensionError(f"need {n} candidate lists, got {len(candidates)}")
-    for i, cand in enumerate(candidates):
-        for c in cand:
-            if not 0 <= int(c) < n:
-                raise IndexError(f"candidate {c} for row {i} outside batch of {n}")
 
-    if n_fuse == 0:
-        mix_v = np.hstack([np.eye(n), np.zeros((n, n))])
-        mix_r = np.hstack([np.zeros((n, n)), np.eye(n)])
-        return FusedSet(fm_v=emb.f_v.copy(), fm_r=emb.f_r.copy(),
-                        tm_v=emb.t_v.copy(), tm_r=emb.t_r.copy(),
-                        n_fuse=0, mix_v=mix_v, mix_r=mix_r,
-                        partners_v=[[] for _ in range(n)],
-                        partners_r=[[] for _ in range(n)])
+    labels = emb.labels.tolist()
+    rows_of: dict[int, list[int]] = {}
+    for j, y in enumerate(labels):
+        rows_of.setdefault(y, []).append(j)
 
     rng = derive_rng(rng_seed, "fuse")
     w = 1.0 / (n_fuse + 1)
     mix_v = np.zeros((n, 2 * n))
     mix_r = np.zeros((n, 2 * n))
-    partners_v: list[list[int]] = []
-    partners_r: list[list[int]] = []
-    n_fallback = 0
-
-    for i in range(n):
-        cand = [int(c) for c in candidates[i]]
-        for mix, offset, record in ((mix_v, 0, partners_v), (mix_r, n, partners_r)):
+    for i, y in enumerate(labels):
+        same = [j for j in rows_of[y] if j != i]
+        for mix, offset in ((mix_v, 0), (mix_r, n)):
             self_idx = offset + i
             if cross_modal:
-                pool = [c for c in cand] + [c + n for c in cand]
+                pool = same + [j + n for j in same]
             else:
-                pool = [c + offset for c in cand]
-            if not pool:
-                n_fallback += 1
+                pool = [j + offset for j in same]
+            if pool:
+                chosen = rng.choice(pool, size=n_fuse, replace=len(pool) < n_fuse)
+            else:
                 chosen = [self_idx] * n_fuse
-            elif len(pool) >= n_fuse:
-                chosen = [int(c) for c in rng.choice(pool, size=n_fuse, replace=False)]
-            else:
-                chosen = [int(c) for c in rng.choice(pool, size=n_fuse, replace=True)]
             mix[i, self_idx] += w
             for c in chosen:
                 mix[i, c] += w
-            record.append(chosen)
-
-    if n_fallback:
-        log.warning("fuse_multiview: %d row/modality slots had no candidates, "
-                    "fused with themselves", n_fallback)
-
-    fused = FusedSet.from_mix(emb, mix_v, mix_r, n_fuse)
-    fused.partners_v = partners_v
-    fused.partners_r = partners_r
-    return fused
+    return FusedSet.from_mix(emb, mix_v, mix_r)
 
 
 def contrastive_fused(fused: FusedSet, tau: float, labels=None):

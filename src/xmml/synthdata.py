@@ -23,7 +23,7 @@ cross-modality queries badly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -155,8 +155,8 @@ class DatasetBundle:
 class Batch:
     """Identity-balanced batch; row i pairs one V sample and one R sample.
 
-    `candidates[i]` lists the other rows sharing row i's identity (self
-    excluded), usable as fusion partners in either modality.
+    Rows of one identity share a label; `losses.fuse_multiview` draws each
+    row's fusion partners from the other rows with its label.
     """
 
     x_v: np.ndarray
@@ -167,7 +167,6 @@ class Batch:
     identities: np.ndarray
     sample_ids_v: np.ndarray
     sample_ids_r: np.ndarray
-    candidates: list[list[int]] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -253,16 +252,12 @@ def sample_batch(split: Split, n_ids: int, k_per_modality: int, rng_seed: int) -
             sid_v.append(sv.sample_id)
             sid_r.append(sr.sample_id)
 
-    idents_arr = np.asarray(idents, dtype=np.int64)
-    candidates = [[j for j in range(len(idents)) if j != i and idents[j] == idents[i]]
-                  for i in range(len(idents))]
     return Batch(x_v=np.asarray(rows_x_v), x_r=np.asarray(rows_x_r),
                  l_v=np.asarray(rows_l_v), l_r=np.asarray(rows_l_r),
                  labels=np.asarray(labels, dtype=np.int64),
-                 identities=idents_arr,
+                 identities=np.asarray(idents, dtype=np.int64),
                  sample_ids_v=np.asarray(sid_v, dtype=np.int64),
-                 sample_ids_r=np.asarray(sid_r, dtype=np.int64),
-                 candidates=candidates)
+                 sample_ids_r=np.asarray(sid_r, dtype=np.int64))
 
 
 # ---------------------------------------------------------------- file I/O

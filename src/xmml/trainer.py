@@ -64,6 +64,14 @@ class TrainConfig:
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValueError(f"decay_epochs must be strictly increasing, got {self.decay_epochs}")
         self.weights.validate()
+        w = self.weights
+        # the triplet needs a negative per anchor; fusion needs a partner per row
+        if w.lambda1 > 0 and self.n_ids_per_batch < 2:
+            raise ValueError(f"n_ids_per_batch must be >= 2 when lambda1 > 0, "
+                             f"got {self.n_ids_per_batch}")
+        if w.n_fuse > 0 and (w.lambda2 > 0 or w.lambda3 > 0) and self.k_per_modality < 2:
+            raise ValueError(f"k_per_modality must be >= 2 when n_fuse > 0 and "
+                             f"lambda2 or lambda3 > 0, got {self.k_per_modality}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> dict[str, float]:
@@ -146,7 +154,7 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
                                     _divergence_diagnostics(batch, emb_blocks, None)) from e
     fused = None
     if weights.lambda2 > 0 or weights.lambda3 > 0:
-        fused = fuse_multiview(emb, batch.candidates, weights.n_fuse, fuse_seed,
+        fused = fuse_multiview(emb, weights.n_fuse, fuse_seed,
                                cross_modal=weights.cross_modal_fusion)
     res = total_loss(emb, fused, logits_v, logits_r, weights)
 

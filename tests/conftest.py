@@ -1,8 +1,7 @@
-"""Shared fixtures: tiny datasets, random embedding batches, quiet logs."""
+"""Shared fixtures: tiny datasets and random embedding batches."""
 
 from __future__ import annotations
 
-import logging
 import sys
 from pathlib import Path
 
@@ -16,10 +15,6 @@ from xmml.numerics import derive_rng
 from xmml.synthdata import GeneratorConfig, generate_dataset
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-# the self-fusion fallback warning is expected noise in deliberately tiny cases
-logging.getLogger("xmml.losses").setLevel(logging.ERROR)
-
 
 TINY_GEN = GeneratorConfig(
     n_identities_train=4, n_identities_test=3,

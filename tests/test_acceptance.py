@@ -74,8 +74,7 @@ def test_02_analytic_zero_and_identity_cases():
                        t_v=rng.standard_normal((n, d)),
                        t_r=rng.standard_normal((n, d)),
                        labels=np.arange(n) // 2)
-    candidates = [[(j + 1) % n] for j in range(n)]
-    fused = fuse_multiview(emb, candidates, n_fuse=0, rng_seed=0)
+    fused = fuse_multiview(emb, n_fuse=0, rng_seed=0)
     loss_fused, _ = contrastive_fused(fused, tau=0.07)
     loss_plain, _ = contrastive_single(emb, tau=0.07)
     assert abs(loss_fused - loss_plain) <= tol

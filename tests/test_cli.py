@@ -181,6 +181,19 @@ class TestTrain:
         assert "RuntimeWarning" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--train.k_per_modality", "k_per_modality must be >= 2"),
+        ("--train.n_ids_per_batch", "n_ids_per_batch must be >= 2"),
+    ])
+    def test_degenerate_batch_shape_is_a_config_error(self, gen_dir, tmp_path, capsys,
+                                                      flag, message):
+        # one row per identity fuses nothing; one identity has no negatives
+        assert main(["train", "--data", str(gen_dir), "--out", str(tmp_path / "run")]
+                    + TINY_TRAIN_ARGS + [flag, "1"]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert not (tmp_path / "run" / "checkpoint.jsonl").exists()
+
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "run")] + TINY_TRAIN_ARGS) == 1
@@ -309,6 +322,17 @@ class TestGradcheck:
         assert main(["gradcheck", "--out", str(tmp_path / "gc"),
                      "--losses", "identity,nonsense"]) == 1
         assert "unknown loss name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--batches", "0"], ["--batches", "-3"], ["--sizes", "1x4"],
+        ["--sizes", "4x0"],
+    ])
+    def test_check_that_checks_nothing_fails_cleanly(self, tmp_path, capsys, args):
+        assert main(["gradcheck", "--out", str(tmp_path / "gc"),
+                     "--losses", "identity,triplet"] + args) == 1
+        out, err = capsys.readouterr()
+        assert "error:" in err
+        assert " ok" not in out
 
     def test_out_root_env_var_sets_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XMML_OUT_ROOT", str(tmp_path / "root"))

@@ -19,18 +19,16 @@ from xmml.losses import (EmbeddingSet, FusedSet, LossWeights,
                          distill_loss, fuse_multiview, identity_loss,
                          total_loss, weighted_triplet_loss)
 from xmml.numerics import (DegenerateInputError, DimensionError, ProtocolError)
+from xmml.synthdata import sample_batch
 
 LN2 = math.log(2.0)
 
 
-def fuse_all_candidates(emb: EmbeddingSet, seed: int = 0) -> FusedSet:
-    """Fusion with singleton candidate lists: deterministic regardless of rng."""
-    n = emb.n
-    labels = emb.labels
-    candidates = [[j for j in range(n) if j != i and labels[j] == labels[i]]
-                  for i in range(n)]
-    assert all(len(c) == 1 for c in candidates), "fixture wants paired identities"
-    return fuse_multiview(emb, candidates, n_fuse=1, rng_seed=seed)
+def fuse_paired(emb: EmbeddingSet, seed: int = 0) -> FusedSet:
+    """Fusion over paired identities: one partner per row, deterministic
+    regardless of rng."""
+    assert (np.bincount(emb.labels) == 2).all(), "fixture wants paired identities"
+    return fuse_multiview(emb, n_fuse=1, rng_seed=seed)
 
 
 # ----------------------------------------------------------- identity loss
@@ -233,17 +231,26 @@ class TestContrastiveSingle:
 
 # ------------------------------------------------------------- view fusion
 
+def partners(mix: np.ndarray, i: int, self_col: int) -> list[int]:
+    """Stack columns row i of a mix matrix averages in besides its own."""
+    return [int(c) for c in np.flatnonzero(mix[i]) if c != self_col]
+
+
 class TestFuseMultiview:
     def test_zero_partners_is_identity(self, emb_4x3):
-        fused = fuse_multiview(emb_4x3, [[] for _ in range(4)], n_fuse=0, rng_seed=0)
+        fused = fuse_multiview(emb_4x3, n_fuse=0, rng_seed=0)
         assert np.array_equal(fused.fm_v, emb_4x3.f_v)
         assert np.array_equal(fused.fm_r, emb_4x3.f_r)
         assert np.array_equal(fused.tm_v, emb_4x3.t_v)
         assert np.array_equal(fused.tm_r, emb_4x3.t_r)
 
     def test_self_partner_is_identity(self):
-        emb = random_embedding_set(2, 3, seed=2, n_labels=1)
-        fused = fuse_multiview(emb, [[0], [1]], n_fuse=1, rng_seed=0)
+        # no row shares a label: every draw falls back to the row itself,
+        # also with the other modality in the pool
+        emb = random_embedding_set(2, 3, seed=2, n_labels=2)
+        fused = fuse_multiview(emb, n_fuse=3, rng_seed=0, cross_modal=True)
+        assert np.array_equal(fused.mix_v, np.hstack([np.eye(2), np.zeros((2, 2))]))
+        assert np.array_equal(fused.mix_r, np.hstack([np.zeros((2, 2)), np.eye(2)]))
         assert np.allclose(fused.fm_v, emb.f_v, atol=1e-12)
         assert np.allclose(fused.tm_r, emb.t_r, atol=1e-12)
 
@@ -253,28 +260,28 @@ class TestFuseMultiview:
                            t_v=[[1.0, 0.0], [0.0, 1.0]],
                            t_r=[[1.0, 0.0], [0.0, 1.0]],
                            labels=[0, 0])
-        fused = fuse_multiview(emb, [[1], [0]], n_fuse=1, rng_seed=0)
+        fused = fuse_multiview(emb, n_fuse=1, rng_seed=0)
         assert np.allclose(fused.fm_v, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_partner_choice_is_deterministic(self):
+        # two candidates per row, one drawn: the seed decides which
         emb = random_embedding_set(6, 4, seed=3, n_labels=2)
-        cands = [[j for j in range(6) if j != i and j % 2 == i % 2]
-                 for i in range(6)]
-        a = fuse_multiview(emb, cands, n_fuse=2, rng_seed=9)
-        b = fuse_multiview(emb, cands, n_fuse=2, rng_seed=9)
-        c = fuse_multiview(emb, cands, n_fuse=2, rng_seed=10)
-        assert a.partners_v == b.partners_v
+        a = fuse_multiview(emb, n_fuse=1, rng_seed=9)
+        b = fuse_multiview(emb, n_fuse=1, rng_seed=9)
+        c = fuse_multiview(emb, n_fuse=1, rng_seed=10)
+        assert np.array_equal(a.mix_v, b.mix_v)
+        assert np.array_equal(a.mix_r, b.mix_r)
         assert np.array_equal(a.fm_v, b.fm_v)
-        assert a.partners_v != c.partners_v
+        assert not np.array_equal(a.mix_v, c.mix_v)
 
     def test_image_and_text_share_sampled_partners(self):
         emb = random_embedding_set(6, 4, seed=4, n_labels=2)
-        cands = [[j for j in range(6) if j != i and j % 2 == i % 2]
-                 for i in range(6)]
-        fused = fuse_multiview(emb, cands, n_fuse=1, rng_seed=5)
+        fused = fuse_multiview(emb, n_fuse=1, rng_seed=5)
         stack_f = np.vstack([emb.f_v, emb.f_r])
         stack_t = np.vstack([emb.t_v, emb.t_r])
-        for i, chosen in enumerate(fused.partners_v):
+        for i in range(emb.n):
+            chosen = partners(fused.mix_v, i, i)
+            assert len(chosen) == 1
             want_f = (emb.f_v[i] + stack_f[chosen].sum(axis=0)) / (1 + len(chosen))
             want_t = (emb.t_v[i] + stack_t[chosen].sum(axis=0)) / (1 + len(chosen))
             assert np.allclose(fused.fm_v[i], want_f, atol=1e-12)
@@ -284,44 +291,59 @@ class TestFuseMultiview:
         emb = random_embedding_set(2, 3, seed=5, n_labels=1)
         seen_other = False
         for seed in range(20):
-            fused = fuse_multiview(emb, [[1], [0]], n_fuse=1, rng_seed=seed,
-                                   cross_modal=True)
-            if any(c >= 2 for chosen in fused.partners_v for c in chosen):
+            fused = fuse_multiview(emb, n_fuse=1, rng_seed=seed, cross_modal=True)
+            if any(c >= 2 for i in range(2) for c in partners(fused.mix_v, i, i)):
                 seen_other = True
                 break
         assert seen_other
 
+    def test_partners_share_identity_and_exclude_self(self, tiny_bundle):
+        # a PK batch as training draws it: 3 identities, 2 rows each
+        batch = sample_batch(tiny_bundle.train, n_ids=3, k_per_modality=2, rng_seed=1)
+        n = batch.n
+        emb = replace(random_embedding_set(n, 3, seed=1), labels=batch.labels)
+        for n_fuse in (1, 3):
+            for cross_modal in (False, True):
+                fused = fuse_multiview(emb, n_fuse=n_fuse, rng_seed=2,
+                                       cross_modal=cross_modal)
+                for mix, offset in ((fused.mix_v, 0), (fused.mix_r, n)):
+                    assert np.allclose(mix.sum(axis=1), 1.0)
+                    for i in range(n):
+                        chosen = partners(mix, i, offset + i)
+                        assert chosen, f"row {i} drew no partner"
+                        for c in chosen:
+                            assert c % n != i
+                            assert batch.labels[c % n] == batch.labels[i]
+                            if not cross_modal:
+                                assert c // n == offset // n
+
     def test_empty_candidates_with_fallback_is_identity(self):
         emb = random_embedding_set(2, 3, seed=6, n_labels=2)
-        fused = fuse_multiview(emb, [[], []], n_fuse=1, rng_seed=0)
+        fused = fuse_multiview(emb, n_fuse=1, rng_seed=0)
         assert np.allclose(fused.fm_v, emb.f_v, atol=1e-12)
 
     def test_candidate_bookkeeping_errors(self):
         emb = random_embedding_set(2, 3, seed=6, n_labels=1)
-        with pytest.raises(DimensionError):
-            fuse_multiview(emb, [[1]], n_fuse=1, rng_seed=0)
-        with pytest.raises(IndexError):
-            fuse_multiview(emb, [[5], [0]], n_fuse=1, rng_seed=0)
         with pytest.raises(ValueError):
-            fuse_multiview(emb, [[1], [0]], n_fuse=-1, rng_seed=0)
+            fuse_multiview(emb, n_fuse=-1, rng_seed=0)
 
 
 class TestContrastiveFused:
     def test_zero_partner_fusion_reproduces_single_view_loss(self, emb_4x3):
-        fused = fuse_multiview(emb_4x3, [[] for _ in range(4)], n_fuse=0, rng_seed=0)
+        fused = fuse_multiview(emb_4x3, n_fuse=0, rng_seed=0)
         l_fused, _ = contrastive_fused(fused, tau=0.07)
         l_single, _ = contrastive_single(emb_4x3, tau=0.07)
         assert l_fused == l_single
 
     def test_single_row_is_zero(self):
         emb = random_embedding_set(1, 4, seed=0, n_labels=1)
-        fused = fuse_multiview(emb, [[]], n_fuse=0, rng_seed=0)
+        fused = fuse_multiview(emb, n_fuse=0, rng_seed=0)
         loss, _ = contrastive_fused(fused, tau=0.07)
         assert loss == 0.0
 
     def test_paired_identity_matches_hand_averaged_oracle(self):
         emb = random_embedding_set(2, 3, seed=8, n_labels=1)
-        fused = fuse_all_candidates(emb)
+        fused = fuse_paired(emb)
         loss, _ = contrastive_fused(fused, tau=0.07)
         fm_v = (emb.f_v + emb.f_v[[1, 0]]) / 2
         tm_v = (emb.t_v + emb.t_v[[1, 0]]) / 2
@@ -333,7 +355,7 @@ class TestContrastiveFused:
 
     def test_gradients_flow_back_through_averaging(self):
         emb = random_embedding_set(2, 3, seed=9, n_labels=1)
-        fused = fuse_all_candidates(emb)
+        fused = fuse_paired(emb)
         _, grads = contrastive_fused(fused, tau=0.07)
         assert np.abs(grads.f_v).max() > 0.0
         assert np.abs(grads.t_r).max() > 0.0
@@ -341,17 +363,17 @@ class TestContrastiveFused:
 
 # ------------------------------------------------------------ distillation
 
-def make_fused(fm_v, fm_r, tm_v, tm_r, n_fuse=1) -> FusedSet:
+def make_fused(fm_v, fm_r, tm_v, tm_r) -> FusedSet:
     n = np.asarray(fm_v).shape[0]
     dummy = np.zeros((n, 2 * n))
     return FusedSet(fm_v=np.asarray(fm_v, float), fm_r=np.asarray(fm_r, float),
                     tm_v=np.asarray(tm_v, float), tm_r=np.asarray(tm_r, float),
-                    n_fuse=n_fuse, mix_v=dummy, mix_r=dummy)
+                    mix_v=dummy, mix_r=dummy)
 
 
 class TestDistill:
     def test_fused_equal_source_gives_zero(self, emb_4x3):
-        fused = fuse_multiview(emb_4x3, [[] for _ in range(4)], n_fuse=0, rng_seed=0)
+        fused = fuse_multiview(emb_4x3, n_fuse=0, rng_seed=0)
         loss, grads = distill_loss(emb_4x3, fused)
         assert loss == 0.0
         assert np.abs(grads.f_v).max() == 0.0
@@ -483,7 +505,7 @@ class TestTotalLoss:
     def test_breakdown_fields_match_component_calls_bitwise(self):
         emb = paired_embedding_set(2, 3, seed=31)
         lv, lr = self._logits(4, 2, 1)
-        fused = fuse_all_candidates(emb)
+        fused = fuse_paired(emb)
         w = LossWeights()
         res = total_loss(emb, fused, lv, lr, w)
 
@@ -505,7 +527,7 @@ class TestTotalLoss:
     def test_recomposition_identity(self):
         emb = paired_embedding_set(3, 4, seed=32)
         lv, lr = self._logits(6, 3, 2)
-        fused = fuse_all_candidates(emb)
+        fused = fuse_paired(emb)
         w = LossWeights()
         res = total_loss(emb, fused, lv, lr, w)
         b = res.breakdown
@@ -525,7 +547,7 @@ class TestTotalLoss:
     def test_gradient_is_weighted_sum_of_component_gradients(self):
         emb = paired_embedding_set(2, 3, seed=34)
         lv, lr = self._logits(4, 2, 4)
-        fused = fuse_all_candidates(emb)
+        fused = fuse_paired(emb)
         w = LossWeights()
         res = total_loss(emb, fused, lv, lr, w)
 
@@ -546,7 +568,7 @@ class TestTotalLoss:
     def test_permutation_equivariance_of_scalar(self):
         emb = paired_embedding_set(3, 4, seed=35)
         lv, lr = self._logits(6, 3, 5)
-        fused = fuse_all_candidates(emb)
+        fused = fuse_paired(emb)
         w = LossWeights()
         base = total_loss(emb, fused, lv, lr, w).breakdown.total
 
@@ -554,7 +576,7 @@ class TestTotalLoss:
         p_emb = EmbeddingSet(f_v=emb.f_v[perm], f_r=emb.f_r[perm],
                              t_v=emb.t_v[perm], t_r=emb.t_r[perm],
                              labels=emb.labels[perm])
-        p_fused = fuse_all_candidates(p_emb)
+        p_fused = fuse_paired(p_emb)
         permuted = total_loss(p_emb, p_fused, lv[perm], lr[perm], w).breakdown.total
         assert abs(base - permuted) < 1e-10
 

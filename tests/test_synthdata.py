@@ -216,21 +216,11 @@ class TestSampleBatch:
         assert len(set(batch.labels)) == 8
         assert np.bincount(batch.labels).max() == 4
 
-    def test_candidates_share_identity_and_exclude_self(self, tiny_bundle):
-        batch = sample_batch(tiny_bundle.train, n_ids=3, k_per_modality=2,
-                             rng_seed=1)
-        for i, cand in enumerate(batch.candidates):
-            assert i not in cand
-            for j in cand:
-                assert batch.identities[j] == batch.identities[i]
-            # every other same-identity row is present
-            assert len(cand) == 1
-
     def test_degenerate_single_row_batch(self, tiny_bundle):
         batch = sample_batch(tiny_bundle.train, n_ids=1, k_per_modality=1,
                              rng_seed=2)
         assert batch.n == 1
-        assert batch.candidates == [[]]
+        assert batch.labels.shape == batch.identities.shape == (1,)
 
     def test_deterministic_given_seed(self, tiny_bundle):
         a = sample_batch(tiny_bundle.train, 3, 2, rng_seed=5)

@@ -64,10 +64,20 @@ class TestConfigValidation:
         {"epochs": 0}, {"lr_visual": -1.0}, {"momentum": 1.0},
         {"decay_factor": 0.0}, {"decay_epochs": (35, 20)},
         {"decay_epochs": (20, 20)},
+        # no negatives for the triplet; no partners for fusion
+        {"n_ids_per_batch": 1}, {"k_per_modality": 1},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             dataclasses.replace(TrainConfig(), **kwargs).validate()
+
+    def test_degenerate_batch_shapes_allowed_when_no_term_needs_them(self):
+        base = TrainConfig()
+        no_triplet = dataclasses.replace(base.weights, lambda1=0.0)
+        dataclasses.replace(base, n_ids_per_batch=1, weights=no_triplet).validate()
+        for unfused in (dataclasses.replace(base.weights, n_fuse=0),
+                        dataclasses.replace(base.weights, lambda2=0.0, lambda3=0.0)):
+            dataclasses.replace(base, k_per_modality=1, weights=unfused).validate()
 
 
 # -------------------------------------------------------------- train_step
