@@ -64,6 +64,8 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seeds: list[int],
 
 
 def _prepare_out(args) -> Path:
+    """Create the output directory. Commands call this just before their
+    first write, so a run that fails validation or the work leaves none."""
     out = Path(args.out) if args.out else _default_out(args.command)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -119,12 +121,12 @@ def _train_config(args, cfg: dict):
 # commands
 
 def cmd_gen(args, cfg: dict) -> int:
-    out = _prepare_out(args)
     t0 = time.perf_counter()
     if args.seed is not None:
         cfg["gen.seed"] = args.seed
     gcfg = generator_config(cfg)
     bundle = generate_dataset(gcfg)
+    out = _prepare_out(args)
     outputs = save_dataset(out, bundle)
     _write_manifest(out, "gen", cfg, [gcfg.seed], [], outputs, t0)
     print(f"wrote {out}: train={len(bundle.train.samples)} samples, "
@@ -133,12 +135,12 @@ def cmd_gen(args, cfg: dict) -> int:
 
 
 def cmd_train(args, cfg: dict) -> int:
-    out = _prepare_out(args)
     t0 = time.perf_counter()
     tcfg = _train_config(args, cfg)
     data_dir = Path(args.data)
     data = load_dataset(data_dir)
     result = run_training(tcfg, data)
+    out = _prepare_out(args)
     model.save_checkpoint(out / "checkpoint.jsonl", result.encoder_config, result.store)
     save_train_log(out / "train_log.jsonl", result.log)
     inputs = [data_dir / n for n in DATASET_FILES]
@@ -166,7 +168,6 @@ def _eval_csv_row(proto: Protocol, report) -> dict:
 def cmd_eval(args, cfg: dict) -> int:
     import csv
 
-    out = _prepare_out(args)
     t0 = time.perf_counter()
     if args.seed is not None:
         cfg["eval.seed"] = args.seed
@@ -190,6 +191,7 @@ def cmd_eval(args, cfg: dict) -> int:
 
     fields = ("protocol", "shots", "seed", "rank1", "rank5", "rank10",
               "map", "gap_ratio", "conflict_sensitivity")
+    out = _prepare_out(args)
     with (out / "eval.csv").open("w", newline="") as fh:
         fh.write(EVAL_CSV_HEADER + "\n")
         writer = csv.DictWriter(fh, fieldnames=fields)
@@ -214,7 +216,6 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
-    out = _prepare_out(args)
     t0 = time.perf_counter()
     names = tuple(args.losses.split(",")) if args.losses else LOSS_NAMES
     unknown = [n for n in names if n not in LOSS_NAMES]
@@ -239,6 +240,7 @@ def cmd_gradcheck(args, cfg: dict) -> int:
                      "max_rel_err": s.max_rel_err, "n_failed": s.n_failed})
         if s.n_failed:
             failed.append(s.name)
+    out = _prepare_out(args)
     (out / "gradcheck_report.json").write_text(
         json.dumps({"h": args.h, "tol": args.tol, "seed": seed,
                     "results": rows}, indent=2, sort_keys=True) + "\n")
@@ -251,7 +253,6 @@ def cmd_gradcheck(args, cfg: dict) -> int:
 
 
 def cmd_ablate(args, cfg: dict) -> int:
-    out = _prepare_out(args)
     t0 = time.perf_counter()
     tcfg = _train_config(args, cfg)
     proto = protocol(cfg)
@@ -265,6 +266,7 @@ def cmd_ablate(args, cfg: dict) -> int:
     data_dir = Path(args.data)
     data = load_dataset(data_dir)
     cells = run_ablation(data, tcfg, proto, labels=labels, seeds=seeds)
+    out = _prepare_out(args)
     write_ablation_csv(out / "ablation.csv", cells, tcfg.weights)
     inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "ablate", cfg, list(seeds), inputs, ["ablation.csv"], t0)
@@ -275,7 +277,6 @@ def cmd_ablate(args, cfg: dict) -> int:
 
 
 def cmd_sweep(args, cfg: dict) -> int:
-    out = _prepare_out(args)
     t0 = time.perf_counter()
     tcfg = _train_config(args, cfg)
     proto = protocol(cfg)
@@ -287,6 +288,7 @@ def cmd_sweep(args, cfg: dict) -> int:
         cells = run_sweep(data, tcfg, proto, args.param, values, seeds=seeds)
     except KeyError as e:
         raise ConfigError(str(e.args[0])) from e
+    out = _prepare_out(args)
     write_sweep_csv(out / "sweep.csv", cells, args.param)
     inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "sweep", cfg, list(seeds), inputs, ["sweep.csv"], t0)

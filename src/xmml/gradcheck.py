@@ -8,6 +8,9 @@ contrastive term re-applies the sampled averaging pattern to the perturbed
 embeddings, so the numeric derivative sees exactly the function the
 analytic gradients describe. The `model` family runs the training step's
 own `model.forward`/`model.backward`, so it checks the wiring that trains.
+Every case is one `evaluate(store, need_grad)` closure: the analytic
+gradient comes from it with `need_grad=True`, and the perturbed evaluations
+call it value-only, through the same expressions.
 """
 
 from __future__ import annotations
@@ -58,15 +61,22 @@ def _write_emb_grads(store: ParamStore, grads) -> None:
         store.grad(name)[...] = getattr(grads, name)
 
 
+def _loss_and_value_fns(evaluate):
+    """(loss_fn, value_fn) from one `evaluate(store, need_grad)` closure."""
+    return (lambda s: evaluate(s, True)), (lambda s: evaluate(s, False))
+
+
 # embedding-only families: (emb, live fused views, frozen teacher, weights,
-# contrast labels) -> (value, EmbeddingGrads). The loss functions are looked
-# up by module-level name at call time.
+# contrast labels, need_grad) -> (value, EmbeddingGrads or None). The loss
+# functions are looked up by module-level name at call time.
 _EMB_FAMILIES = {
-    "contrast_single": lambda emb, live, teacher, w, cl: contrastive_single(emb, w.tau, cl),
-    "contrast_fused": lambda emb, live, teacher, w, cl: contrastive_fused(live, w.tau, cl),
-    "distill": lambda emb, live, teacher, w, cl: distill_loss(
-        emb, teacher, include_text=w.distill_text),
-    "parity": lambda emb, live, teacher, w, cl: distance_parity_loss(emb),
+    "contrast_single": lambda emb, live, teacher, w, cl, ng: contrastive_single(
+        emb, w.tau, cl, need_grad=ng),
+    "contrast_fused": lambda emb, live, teacher, w, cl, ng: contrastive_fused(
+        live, w.tau, cl, need_grad=ng),
+    "distill": lambda emb, live, teacher, w, cl, ng: distill_loss(
+        emb, teacher, include_text=w.distill_text, need_grad=ng),
+    "parity": lambda emb, live, teacher, w, cl, ng: distance_parity_loss(emb, need_grad=ng),
 }
 
 
@@ -75,7 +85,8 @@ def build_case(name: str, n: int, d: int, seed: int,
     """Returns (loss_fn, value_fn, store) for one named check.
 
     `loss_fn(store)` computes the scalar and rewrites the analytic gradients;
-    `value_fn` is value-only where that saves real work (None otherwise).
+    `value_fn(store)` computes the same scalar, bit for bit, without any
+    gradient arithmetic and without touching the gradient buffers.
     """
     w = weights if weights is not None else LossWeights()
     n_classes = max(2, int(_labels_for(n).max()) + 1)
@@ -86,12 +97,14 @@ def build_case(name: str, n: int, d: int, seed: int,
         store.add("logits_v", logits_v)
         store.add("logits_r", logits_r)
 
-        def loss_fn(s):
-            val, gv, gr = identity_loss(s.value("logits_v"), s.value("logits_r"), labels)
-            s.grad("logits_v")[...] = gv
-            s.grad("logits_r")[...] = gr
+        def evaluate(s, need_grad):
+            val, gv, gr = identity_loss(s.value("logits_v"), s.value("logits_r"), labels,
+                                        need_grad=need_grad)
+            if need_grad:
+                s.grad("logits_v")[...] = gv
+                s.grad("logits_r")[...] = gr
             return val
-        return loss_fn, None, store
+        return (*_loss_and_value_fns(evaluate), store)
 
     if name == "triplet":
         store = ParamStore()
@@ -99,11 +112,13 @@ def build_case(name: str, n: int, d: int, seed: int,
         store.add("stack", rng.standard_normal((2 * n, d)))
         stack_labels = np.concatenate([labels, labels])
 
-        def loss_fn(s):
-            val, g = weighted_triplet_loss(s.value("stack"), stack_labels)
-            s.grad("stack")[...] = g
+        def evaluate(s, need_grad):
+            val, g = weighted_triplet_loss(s.value("stack"), stack_labels,
+                                           need_grad=need_grad)
+            if need_grad:
+                s.grad("stack")[...] = g
             return val
-        return loss_fn, None, store
+        return (*_loss_and_value_fns(evaluate), store)
 
     if name in _EMB_FAMILIES or name == "total":
         store = ParamStore()
@@ -118,22 +133,25 @@ def build_case(name: str, n: int, d: int, seed: int,
             store.add("logits_v", logits_v)
             store.add("logits_r", logits_r)
 
-        def loss_fn(s):
+        def evaluate(s, need_grad):
             # fused views re-applied live, distillation teacher frozen at the
             # base point (stop-gradient semantics)
             emb = _emb_from_store(s, labels)
             live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
             if name == "total":
                 res = total_loss(emb, live, s.value("logits_v"), s.value("logits_r"),
-                                 w, kd_teacher=fused0)
-                s.grad("logits_v")[...] = res.grad_logits_v
-                s.grad("logits_r")[...] = res.grad_logits_r
+                                 w, kd_teacher=fused0, need_grad=need_grad)
+                if need_grad:
+                    s.grad("logits_v")[...] = res.grad_logits_v
+                    s.grad("logits_r")[...] = res.grad_logits_r
                 val, grads = res.breakdown.total, res.grads
             else:
-                val, grads = _EMB_FAMILIES[name](emb, live, fused0, w, contrast_labels)
-            _write_emb_grads(s, grads)
+                val, grads = _EMB_FAMILIES[name](emb, live, fused0, w, contrast_labels,
+                                                 need_grad)
+            if need_grad:
+                _write_emb_grads(s, grads)
             return val
-        return loss_fn, None, store
+        return (*_loss_and_value_fns(evaluate), store)
 
     if name == "model":
         return _build_model_case(n, seed, w)
@@ -170,23 +188,19 @@ def _build_model_case(n: int, seed: int, w: LossWeights):
                             derive_seed(seed, "gradcheck-model-fuse", n),
                             cross_modal=w.cross_modal_fusion)
 
-    def objective(s):
+    def evaluate(s, need_grad):
         blocks, (logits_v, logits_r), caches = model.forward(s, *inputs)
         emb = EmbeddingSet(*blocks, labels=labels)
         live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
-        return total_loss(emb, live, logits_v, logits_r, w, kd_teacher=fused0), caches
-
-    def loss_fn(s):
-        res, caches = objective(s)
-        g = res.grads
-        model.backward(s, caches, (g.f_v, g.f_r, g.t_v, g.t_r),
-                       (res.grad_logits_v, res.grad_logits_r))
+        res = total_loss(emb, live, logits_v, logits_r, w, kd_teacher=fused0,
+                         need_grad=need_grad)
+        if need_grad:
+            g = res.grads
+            model.backward(s, caches, (g.f_v, g.f_r, g.t_v, g.t_r),
+                           (res.grad_logits_v, res.grad_logits_r))
         return res.breakdown.total
 
-    def value_fn(s):
-        return objective(s)[0].breakdown.total
-
-    return loss_fn, value_fn, store
+    return (*_loss_and_value_fns(evaluate), store)
 
 
 @dataclass

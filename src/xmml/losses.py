@@ -15,7 +15,10 @@ these the suite provides
 
 Every op returns (scalar, analytic gradients). The gradients are derived by
 hand and verified with central differences in the test suite; there is no
-autodiff tape anywhere.
+autodiff tape anywhere. With `need_grad=False` an op computes its scalar with
+the same expressions, returns before any gradient arithmetic, and hands back
+None in each gradient slot; the gradient check uses this for its perturbed
+evaluations.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class LossBreakdown:
         }
 
 
-def identity_loss(logits_v, logits_r, labels):
+def identity_loss(logits_v, logits_r, labels, need_grad: bool = True):
     """Mean cross-entropy of both modality branches against shared labels.
 
     Returns (loss, grad_logits_v, grad_logits_r); each gradient is
@@ -164,18 +167,19 @@ def identity_loss(logits_v, logits_r, labels):
         raise IndexError(f"label {bad} out of range for {c} classes")
 
     loss = 0.0
-    grads = []
+    grads = [None, None]
     rows = np.arange(n)
-    for lg in (lv, lr):
+    for k, lg in enumerate((lv, lr)):
         logp = lg - _logsumexp(lg, axis=1)
         loss += -logp[rows, y].mean()
-        g = np.exp(logp)
-        g[rows, y] -= 1.0
-        grads.append(g / n)
+        if need_grad:
+            g = np.exp(logp)
+            g[rows, y] -= 1.0
+            grads[k] = g / n
     return float(loss), grads[0], grads[1]
 
 
-def weighted_triplet_loss(stack, labels):
+def weighted_triplet_loss(stack, labels, need_grad: bool = True):
     """Softplus triplet objective with softmax-weighted positives/negatives.
 
     For each anchor in the stacked batch, positive distances are combined
@@ -222,6 +226,8 @@ def weighted_triplet_loss(stack, labels):
 
     a = sp - sn
     loss = float(np.logaddexp(0.0, a).mean())
+    if not need_grad:
+        return loss, None
 
     # dL/da_i = sigmoid(a_i) / n; the weighted sums differentiate to
     #   d(sp_i)/d(dist_im) = wp_im (1 + dist_im - sp_i)        for positives
@@ -252,7 +258,7 @@ def _denormalize_grad(g_hat: np.ndarray, x_hat: np.ndarray, norms: np.ndarray):
     return (g_hat - inner * x_hat) / norms[:, None]
 
 
-def contrastive_pair_loss(f, t, tau: float, labels=None):
+def contrastive_pair_loss(f, t, tau: float, labels=None, need_grad: bool = True):
     """Bidirectional softmax contrastive loss between two row-aligned sides.
 
     Scores are cosine similarities divided by `tau`; row i of `f` matches
@@ -286,6 +292,8 @@ def contrastive_pair_loss(f, t, tau: float, labels=None):
     log_a = s - _logsumexp(s, axis=1)
     log_b = s - _logsumexp(s, axis=0)
     loss = float(-(q_row * log_a).sum() / n - (q_col * log_b).sum() / n)
+    if not need_grad:
+        return loss, None, None
 
     g_s = (np.exp(log_a) - q_row + np.exp(log_b) - q_col) / n
     g_c = g_s / tau
@@ -294,10 +302,13 @@ def contrastive_pair_loss(f, t, tau: float, labels=None):
     return loss, grad_f, grad_t
 
 
-def contrastive_single(emb: EmbeddingSet, tau: float, labels=None):
+def contrastive_single(emb: EmbeddingSet, tau: float, labels=None,
+                       need_grad: bool = True):
     """One-to-one image-text contrastive term, summed over both modalities."""
-    l_v, gf_v, gt_v = contrastive_pair_loss(emb.f_v, emb.t_v, tau, labels)
-    l_r, gf_r, gt_r = contrastive_pair_loss(emb.f_r, emb.t_r, tau, labels)
+    l_v, gf_v, gt_v = contrastive_pair_loss(emb.f_v, emb.t_v, tau, labels, need_grad)
+    l_r, gf_r, gt_r = contrastive_pair_loss(emb.f_r, emb.t_r, tau, labels, need_grad)
+    if not need_grad:
+        return l_v + l_r, None
     return l_v + l_r, EmbeddingGrads(f_v=gf_v, f_r=gf_r, t_v=gt_v, t_r=gt_r)
 
 
@@ -376,14 +387,17 @@ def fuse_multiview(emb: EmbeddingSet, n_fuse: int, rng_seed: int,
     return FusedSet.from_mix(emb, mix_v, mix_r)
 
 
-def contrastive_fused(fused: FusedSet, tau: float, labels=None):
+def contrastive_fused(fused: FusedSet, tau: float, labels=None,
+                      need_grad: bool = True):
     """Contrastive term on fused views; gradients flow through the averaging.
 
     Returns (loss, grads w.r.t. the original single-view blocks).
     """
     n = fused.n
-    l_v, gf_v, gt_v = contrastive_pair_loss(fused.fm_v, fused.tm_v, tau, labels)
-    l_r, gf_r, gt_r = contrastive_pair_loss(fused.fm_r, fused.tm_r, tau, labels)
+    l_v, gf_v, gt_v = contrastive_pair_loss(fused.fm_v, fused.tm_v, tau, labels, need_grad)
+    l_r, gf_r, gt_r = contrastive_pair_loss(fused.fm_r, fused.tm_r, tau, labels, need_grad)
+    if not need_grad:
+        return l_v + l_r, None
     g_stack_f = fused.mix_v.T @ gf_v + fused.mix_r.T @ gf_r
     g_stack_t = fused.mix_v.T @ gt_v + fused.mix_r.T @ gt_r
     grads = EmbeddingGrads(f_v=g_stack_f[:n], f_r=g_stack_f[n:],
@@ -391,7 +405,8 @@ def contrastive_fused(fused: FusedSet, tau: float, labels=None):
     return l_v + l_r, grads
 
 
-def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True):
+def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True,
+                 need_grad: bool = True):
     """Mean squared pull of each single-view block toward its fused version.
 
     The fused side is a teacher: it is treated as a constant, so gradients
@@ -405,22 +420,22 @@ def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True):
         pairs += [("t_v", emb.t_v, fused.tm_v), ("t_r", emb.t_r, fused.tm_r)]
 
     loss = 0.0
-    grads = EmbeddingGrads.zeros(emb)
+    grads = EmbeddingGrads.zeros(emb) if need_grad else None
     for name, single, teacher in pairs:
         resid = teacher - single
         loss += float((resid * resid).sum() / n)
-        setattr(grads, name, getattr(grads, name) + (2.0 / n) * (single - teacher))
+        if need_grad:
+            setattr(grads, name, getattr(grads, name) + (2.0 / n) * (single - teacher))
     return loss, grads
 
 
-def _row_norms_and_units(diff: np.ndarray):
-    d = np.linalg.norm(diff, axis=1)
+def _units(diff: np.ndarray, d: np.ndarray) -> np.ndarray:
     units = np.zeros_like(diff)
     np.divide(diff, d[:, None], out=units, where=d[:, None] > _DIST_EPS)
-    return d, units
+    return units
 
 
-def distance_parity_loss(emb: EmbeddingSet):
+def distance_parity_loss(emb: EmbeddingSet, need_grad: bool = True):
     """Penalty on the gap between within- and cross-modality image-text distances.
 
     Per row: (|f_v - t_v| - |f_v - t_r|)^2 + (|f_r - t_r| - |f_r - t_v|)^2,
@@ -428,15 +443,17 @@ def distance_parity_loss(emb: EmbeddingSet):
     subgradient for that distance.
     """
     n = emb.n
-    d_vv, u_vv = _row_norms_and_units(emb.f_v - emb.t_v)
-    d_vr, u_vr = _row_norms_and_units(emb.f_v - emb.t_r)
-    d_rr, u_rr = _row_norms_and_units(emb.f_r - emb.t_r)
-    d_rv, u_rv = _row_norms_and_units(emb.f_r - emb.t_v)
+    diffs = (emb.f_v - emb.t_v, emb.f_v - emb.t_r, emb.f_r - emb.t_r, emb.f_r - emb.t_v)
+    dists = [np.linalg.norm(diff, axis=1) for diff in diffs]
+    d_vv, d_vr, d_rr, d_rv = dists
 
     gap_v = d_vv - d_vr
     gap_r = d_rr - d_rv
     loss = float((gap_v * gap_v).mean() + (gap_r * gap_r).mean())
+    if not need_grad:
+        return loss, None
 
+    u_vv, u_vr, u_rr, u_rv = (_units(diff, d) for diff, d in zip(diffs, dists))
     c_v = (2.0 / n) * gap_v[:, None]
     c_r = (2.0 / n) * gap_r[:, None]
     grads = EmbeddingGrads(
@@ -451,54 +468,65 @@ def distance_parity_loss(emb: EmbeddingSet):
 @dataclass
 class TotalLoss:
     breakdown: LossBreakdown
-    grads: EmbeddingGrads
-    grad_logits_v: np.ndarray
-    grad_logits_r: np.ndarray
+    grads: EmbeddingGrads | None
+    grad_logits_v: np.ndarray | None
+    grad_logits_r: np.ndarray | None
 
 
 def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
-               weights: LossWeights, kd_teacher: FusedSet | None = None) -> TotalLoss:
+               weights: LossWeights, kd_teacher: FusedSet | None = None,
+               need_grad: bool = True) -> TotalLoss:
     """Weighted combination of all terms, with aggregated analytic gradients.
 
     Components with a zero coefficient are skipped (their breakdown entry is
     0.0). `fused` may be None only when neither the fused contrastive nor
     the distillation term is active. `kd_teacher` optionally pins the
     distillation teacher to a snapshot distinct from `fused`; by default the
-    teacher is `fused` itself (values only, never gradients).
+    teacher is `fused` itself (values only, never gradients). With
+    `need_grad=False` every term is evaluated value-only: the breakdown is
+    the same to the bit, and `grads` and `grad_logits_*` are None.
     """
     weights.validate()
     n = emb.n
 
-    l_id, g_logits_v, g_logits_r = identity_loss(logits_v, logits_r, emb.labels)
-    grads = EmbeddingGrads.zeros(emb)
+    l_id, g_logits_v, g_logits_r = identity_loss(logits_v, logits_r, emb.labels,
+                                                 need_grad=need_grad)
+    grads = EmbeddingGrads.zeros(emb) if need_grad else None
     l_wrt = l_single = l_fused = l_kd = l_par = 0.0
 
     if weights.lambda1 > 0:
         stack = np.vstack([emb.f_v, emb.f_r])
         stack_labels = np.concatenate([emb.labels, emb.labels])
-        l_wrt, g_stack = weighted_triplet_loss(stack, stack_labels)
-        grads.f_v += weights.lambda1 * g_stack[:n]
-        grads.f_r += weights.lambda1 * g_stack[n:]
+        l_wrt, g_stack = weighted_triplet_loss(stack, stack_labels, need_grad=need_grad)
+        if need_grad:
+            grads.f_v += weights.lambda1 * g_stack[:n]
+            grads.f_r += weights.lambda1 * g_stack[n:]
 
     if weights.lambda2 > 0:
         contrast_labels = emb.labels if weights.label_aware_contrast else None
-        l_single, g_single = contrastive_single(emb, weights.tau, contrast_labels)
-        grads.add_scaled(g_single, weights.lambda2)
+        l_single, g_single = contrastive_single(emb, weights.tau, contrast_labels,
+                                                need_grad=need_grad)
         if fused is None:
             raise ProtocolError("fused views required when lambda2 > 0")
-        l_fused, g_fused = contrastive_fused(fused, weights.tau, contrast_labels)
-        grads.add_scaled(g_fused, weights.lambda2)
+        l_fused, g_fused = contrastive_fused(fused, weights.tau, contrast_labels,
+                                             need_grad=need_grad)
+        if need_grad:
+            grads.add_scaled(g_single, weights.lambda2)
+            grads.add_scaled(g_fused, weights.lambda2)
 
     if weights.lambda3 > 0:
         teacher = kd_teacher if kd_teacher is not None else fused
         if teacher is None:
             raise ProtocolError("fused views required when lambda3 > 0")
-        l_kd, g_kd = distill_loss(emb, teacher, include_text=weights.distill_text)
-        grads.add_scaled(g_kd, weights.lambda3)
+        l_kd, g_kd = distill_loss(emb, teacher, include_text=weights.distill_text,
+                                  need_grad=need_grad)
+        if need_grad:
+            grads.add_scaled(g_kd, weights.lambda3)
 
     if weights.lambda4 > 0:
-        l_par, g_par = distance_parity_loss(emb)
-        grads.add_scaled(g_par, weights.lambda4)
+        l_par, g_par = distance_parity_loss(emb, need_grad=need_grad)
+        if need_grad:
+            grads.add_scaled(g_par, weights.lambda4)
 
     total = (l_id + weights.lambda1 * l_wrt
              + weights.lambda2 * (l_single + l_fused)

@@ -192,7 +192,7 @@ class TestTrain:
                     + TINY_TRAIN_ARGS + [flag, "1"]) == 1
         err = capsys.readouterr().err
         assert message in err
-        assert not (tmp_path / "run" / "checkpoint.jsonl").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nowhere"),
@@ -291,6 +291,7 @@ class TestEval:
                      "--checkpoint", str(train_dir / "checkpoint.jsonl"),
                      "--out", str(tmp_path / "eval"), "--eval.k_max", k_max]) == 1
         assert "error: k_max must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_k_max_sets_the_cmc_length(self, train_dir, gen_dir, tmp_path):
         out = tmp_path / "eval"
@@ -333,6 +334,7 @@ class TestGradcheck:
         out, err = capsys.readouterr()
         assert "error:" in err
         assert " ok" not in out
+        assert not (tmp_path / "gc").exists()
 
     def test_out_root_env_var_sets_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XMML_OUT_ROOT", str(tmp_path / "root"))

@@ -1,14 +1,21 @@
-"""Gradient-check harness: every loss switch is covered, and the cases that
-fuse rows with themselves on purpose stay quiet."""
+"""Gradient-check harness: every loss switch is covered, the value-only
+path used for the perturbed evaluations is the loss to the bit, a wrong
+gradient is caught in every family, and the cases that fuse rows with
+themselves on purpose stay quiet."""
 
 from __future__ import annotations
 
 import logging
 
+import numpy as np
 import pytest
 
 from xmml import gradcheck
-from xmml.losses import LossWeights
+from xmml.losses import (EmbeddingSet, LossWeights, contrastive_fused,
+                         contrastive_pair_loss, contrastive_single,
+                         distance_parity_loss, distill_loss, fuse_multiview,
+                         identity_loss, total_loss, weighted_triplet_loss)
+from xmml.numerics import derive_rng
 
 # each switch of the combined objective on its own, then all of them at once
 SWITCHES = {
@@ -37,3 +44,66 @@ def test_self_fusing_n2_cases_log_nothing(caplog):
         summaries = gradcheck.run_all(n_batches=1)
     assert all(s.ok for s in summaries)
     assert not [r for r in caplog.records if r.name == "xmml.losses"]
+
+
+def _terms(w: LossWeights):
+    """Each loss term at one random batch under `w`: name -> (fn, args, kwargs)."""
+    n, d = 8, 4
+    rng = derive_rng(0, "value-path", n, d)
+    labels = np.arange(n) % (n // 2)
+    emb = EmbeddingSet(*(rng.standard_normal((n, d)) for _ in range(4)), labels=labels)
+    fused = fuse_multiview(emb, w.n_fuse, 7, cross_modal=w.cross_modal_fusion)
+    lv, lr = rng.standard_normal((n, n // 2)), rng.standard_normal((n, n // 2))
+    cl = labels if w.label_aware_contrast else None
+    return {
+        "identity": (identity_loss, (lv, lr, labels), {}),
+        "triplet": (weighted_triplet_loss,
+                    (np.vstack([emb.f_v, emb.f_r]), np.concatenate([labels, labels])), {}),
+        "contrast_pair": (contrastive_pair_loss, (emb.f_v, emb.t_v, w.tau, cl), {}),
+        "contrast_single": (contrastive_single, (emb, w.tau, cl), {}),
+        "contrast_fused": (contrastive_fused, (fused, w.tau, cl), {}),
+        "distill": (distill_loss, (emb, fused), {"include_text": w.distill_text}),
+        "parity": (distance_parity_loss, (emb,), {}),
+        "total": (total_loss, (emb, fused, lv, lr, w), {}),
+    }
+
+
+@pytest.mark.parametrize("switch", SWITCHES)
+def test_value_only_terms_equal_the_full_terms_exactly(switch):
+    for name, (fn, args, kwargs) in _terms(SWITCHES[switch]).items():
+        full = fn(*args, **kwargs, need_grad=True)
+        value = fn(*args, **kwargs, need_grad=False)
+        if name == "total":
+            assert value.breakdown.as_dict() == full.breakdown.as_dict()
+            assert value.grads is None
+            assert value.grad_logits_v is None and value.grad_logits_r is None
+            assert full.grads is not None
+        else:
+            assert value[0] == full[0], name
+            assert all(g is None for g in value[1:]), name
+            assert all(g is not None for g in full[1:]), name
+
+
+@pytest.mark.parametrize("switch", SWITCHES)
+@pytest.mark.parametrize("name", gradcheck.LOSS_NAMES)
+def test_value_fn_is_the_loss_to_the_bit(name, switch):
+    loss_fn, value_fn, store = gradcheck.build_case(name, 4, 4, seed=3,
+                                                    weights=SWITCHES[switch])
+    assert value_fn is not None
+    for perturbed in (False, True):
+        if perturbed:
+            for param in store.names():
+                store.value(param).reshape(-1)[0] += 1e-5
+        store.zero_grads()
+        value = value_fn(store)
+        # value-only: the gradient buffers are left alone
+        assert all(not store.grad(param).any() for param in store.names())
+        assert value == loss_fn(store)
+
+
+@pytest.mark.parametrize("name", gradcheck.LOSS_NAMES)
+def test_corrupted_gradient_is_caught_in_every_family(name):
+    summary, _ = gradcheck.check_loss(name, n_batches=1, corrupt=True)
+    assert summary.n_failed == 1
+    clean, _ = gradcheck.check_loss(name, n_batches=1)
+    assert clean.n_failed == 0
