@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, model
 from .bench import (ABLATION_LABELS, grid_overrides, run_ablation, run_sweep,
                     summarize, write_ablation_csv, write_sweep_csv)
@@ -48,7 +50,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, seeds: list[int],
-                    inputs: list[Path], outputs: list[str], t0: float) -> None:
+                    inputs: list[Path], outputs: list[str], t0: float,
+                    timings: dict[str, float] | None = None) -> None:
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "tool_version": __version__,
@@ -59,6 +62,9 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seeds: list[int],
         "outputs": sorted(outputs),
         "wall_clock_sec": round(time.perf_counter() - t0, 3),
     }
+    if timings is not None:
+        # phase wall times live here, outside the byte-identical artifacts
+        manifest["phase_sec"] = {k: round(v, 4) for k, v in timings.items()}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -185,9 +191,12 @@ def cmd_eval(args, cfg: dict) -> int:
         protos.append(protocol(cfg_one))
 
     reports = []
-    for proto in protos:
-        report = evaluate(store, split, proto, meta=data.meta)
-        reports.append((proto, report))
+    timings: dict[str, float] = {}
+    # a non-finite similarity is reported by cmc_map, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for proto in protos:
+            report = evaluate(store, split, proto, meta=data.meta, timings=timings)
+            reports.append((proto, report))
 
     fields = ("protocol", "shots", "seed", "rank1", "rank5", "rank10",
               "map", "gap_ratio", "conflict_sensitivity")
@@ -209,7 +218,7 @@ def cmd_eval(args, cfg: dict) -> int:
 
     inputs = [ckpt] + [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "eval", cfg, [p.seed for p in protos], inputs,
-                    ["eval.csv", "eval_report.json"], t0)
+                    ["eval.csv", "eval_report.json"], t0, timings)
     for proto, report in reports:
         print(f"rank1={report.rank(1):.3f} map={report.map:.3f}")
     return 0

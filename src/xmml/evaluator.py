@@ -3,13 +3,17 @@
 Queries come from one modality, the gallery from the other; only the image
 encoder is used at evaluation time. Ranking is by cosine similarity,
 descending, with ties broken by gallery sample_id ascending so reports are
-deterministic. AP for a query is the mean of precision-at-hit over its
+deterministic. Ranks are counted, not sorted: a relevant item's rank is the
+number of gallery items with a higher similarity plus those with an equal
+one and a smaller sample_id, which no sort's stability can change. AP for a query is the mean of precision-at-hit over its
 relevant gallery items; queries whose identity is absent from the gallery
 are excluded and counted.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,42 +60,81 @@ class RetrievalReport:
         return float(self.cmc[k - 1])
 
 
+# booleans in one comparison temporary: chunk rows x relevant items x gallery
+_CHUNK_CELLS = 1 << 21
+
+
 def cmc_map(sim: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray,
             gallery_ids: np.ndarray, k_max: int):
     """Core ranking metrics from a query x gallery similarity matrix.
 
-    Returns (cmc, mean_ap, n_excluded). Arithmetic is kept order-stable
-    (sequential sums) so an independent scalar re-implementation of the same
-    definition produces exactly equal floats.
+    Returns (cmc, mean_ap, n_excluded). No gallery row is sorted: the rank
+    of a relevant gallery item h is #(sim > s_h) + #(sim == s_h and
+    gallery_id < id_h), counted over chunks of query rows in place. AP adds
+    precision at each hit in ascending rank order, then the per-query APs
+    are added in query order (sequential sums), so an independent scalar
+    re-implementation that sorts produces exactly equal floats. A NaN or
+    infinite similarity has no rank and raises ProtocolError.
     """
     n_q, n_g = sim.shape
     if gallery_labels.shape != (n_g,) or query_labels.shape != (n_q,):
         raise ProtocolError("label shapes do not match the similarity matrix")
     k_max = min(k_max, n_g)
-    first_hit_counts = np.zeros(k_max, dtype=np.int64)
-    ap_sum = 0.0
-    n_valid = 0
-    n_excluded = 0
-    for qi in range(n_q):
-        # descending similarity, ties by gallery sample_id ascending
-        order = np.lexsort((gallery_ids, -sim[qi]))
-        rel = gallery_labels[order] == query_labels[qi]
-        hits = np.flatnonzero(rel)
-        if hits.size == 0:
-            n_excluded += 1
-            continue
-        n_valid += 1
-        if hits[0] < k_max:
-            first_hit_counts[hits[0]] += 1
-        cum = np.cumsum(rel)
-        ap = 0.0
-        for h in hits:
-            ap += cum[h] / (h + 1)
-        ap_sum += ap / hits.size
+    cols_of: dict[int, list[int]] = {}
+    for col, label in enumerate(gallery_labels.tolist()):
+        cols_of.setdefault(label, []).append(col)
+    rel_lists = [cols_of.get(label, []) for label in query_labels.tolist()]
+    n_rel = np.array([len(c) for c in rel_lists], dtype=np.int64)
+    n_valid = int(np.count_nonzero(n_rel))
     if n_valid == 0:
         raise ProtocolError("every query was excluded: no identity overlaps the gallery")
+    # row i: the columns of query i's relevant items, padded with column 0
+    width = int(n_rel.max())
+    is_rel = np.arange(width) < n_rel[:, None]
+    rel_cols = np.zeros((n_q, width), dtype=np.int64)
+    rel_cols[is_rel] = [col for cols in rel_lists for col in cols]
+
+    step = max(1, _CHUNK_CELLS // (width * n_g))
+    first_hit_counts = np.zeros(k_max, dtype=np.int64)
+    ap_sum = 0.0
+    for q0 in range(0, n_q, step):
+        block = sim[q0:q0 + step]
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ProtocolError(f"similarity row of query {q0 + int(np.argmin(finite))} "
+                                f"holds NaN or inf")
+        hits = is_rel[q0:q0 + step]
+        ranks = _ranks(block, rel_cols[q0:q0 + step], hits, gallery_ids)
+        n_hits = n_rel[q0:q0 + step]
+        ap = np.zeros(len(block))
+        for j in range(width):
+            np.add(ap, (j + 1) / (ranks[:, j] + 1), out=ap, where=hits[:, j])
+        valid = n_hits > 0
+        first = ranks[valid, 0]
+        first_hit_counts += np.bincount(first[first < k_max], minlength=k_max)
+        for query_ap in (ap[valid] / n_hits[valid]).tolist():
+            ap_sum += query_ap
     cmc = np.cumsum(first_hit_counts) / n_valid
-    return cmc, ap_sum / n_valid, n_excluded
+    return cmc, ap_sum / n_valid, n_q - n_valid
+
+
+def _ranks(block: np.ndarray, cols: np.ndarray, hits: np.ndarray,
+           gallery_ids: np.ndarray) -> np.ndarray:
+    """0-based ranks of the relevant items `cols` of each row, ascending.
+
+    Entries where `hits` is False are padding and rank last (the gallery
+    size). Ranking is similarity descending, ties by sample_id ascending.
+    """
+    n_g = block.shape[1]
+    s = np.where(hits, np.take_along_axis(block, cols, axis=1), np.inf)[:, :, None]
+    ahead = (block[:, None, :] > s).sum(axis=2, dtype=np.int32)
+    # each relevant item equals itself; any further equal entry is a tie
+    if np.count_nonzero(block[:, None, :] == s) > np.count_nonzero(hits):
+        ids = gallery_ids[cols][:, :, None]
+        ahead += ((block[:, None, :] == s) & (gallery_ids < ids)).sum(axis=2, dtype=np.int32)
+    ranks = np.where(hits, ahead, n_g)
+    ranks.sort(axis=1)
+    return ranks
 
 
 @dataclass
@@ -142,8 +185,18 @@ def _cosine_matrix(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return q_hat @ g_hat.T
 
 
+@contextmanager
+def _timed(timings: dict[str, float] | None, phase: str):
+    """Adds the block's wall time to timings[phase]; a no-op without timings."""
+    t0 = time.perf_counter()
+    yield
+    if timings is not None:
+        timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
+
+
 def evaluate(store: ParamStore, split: Split, protocol: Protocol,
-             meta: DatasetMeta | None = None) -> RetrievalReport:
+             meta: DatasetMeta | None = None,
+             timings: dict[str, float] | None = None) -> RetrievalReport:
     """Retrieval report for one protocol on a split.
 
     Each modality is encoded once; ranking and diagnostics read those rows.
@@ -151,9 +204,12 @@ def evaluate(store: ParamStore, split: Split, protocol: Protocol,
     protocol seed over samples sorted by sample_id, so the report does not
     depend on the ordering of `split.samples`. Diagnostics always include
     the modality gap; conflict sensitivity needs `meta` (mixing matrices).
+    With `timings`, the wall time of the phases embed, cmc_map,
+    modality_gap and conflict_sensitivity is added to it, in seconds.
     """
     protocol.validate()
-    rows = embed_split(store, split)
+    with _timed(timings, "embed"):
+        rows = embed_split(store, split)
     if protocol.query_modality not in rows or protocol.gallery_modality not in rows:
         raise ProtocolError(
             f"split lacks samples for protocol {protocol.query_modality}->"
@@ -164,14 +220,17 @@ def evaluate(store: ParamStore, split: Split, protocol: Protocol,
         gallery = gallery.take(_single_shot_rows(gallery.labels, protocol.seed))
 
     sim = _cosine_matrix(queries.emb, gallery.emb)
-    cmc, mean_ap, n_excluded = cmc_map(sim, queries.labels, gallery.labels,
-                                       gallery.ids, protocol.k_max)
+    with _timed(timings, "cmc_map"):
+        cmc, mean_ap, n_excluded = cmc_map(sim, queries.labels, gallery.labels,
+                                           gallery.ids, protocol.k_max)
 
-    gap = modality_gap(rows)
+    with _timed(timings, "modality_gap"):
+        gap = modality_gap(rows)
     diagnostics = {"intra_mean": gap["intra_mean"], "inter_mean": gap["inter_mean"],
                    "gap_ratio": gap["gap_ratio"]}
     if meta is not None:
-        diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, rows)
+        with _timed(timings, "conflict_sensitivity"):
+            diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, rows)
     return RetrievalReport(cmc=cmc, map=mean_ap, n_queries=len(queries.ids),
                            n_gallery=len(gallery.ids), n_excluded=n_excluded,
                            diagnostics=diagnostics)

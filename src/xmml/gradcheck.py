@@ -80,6 +80,10 @@ _EMB_FAMILIES = {
 }
 
 
+# the families whose loss reads the live fused views
+_READS_LIVE_VIEWS = ("contrast_fused", "total")
+
+
 def build_case(name: str, n: int, d: int, seed: int,
                weights: LossWeights | None = None):
     """Returns (loss_fn, value_fn, store) for one named check.
@@ -134,10 +138,12 @@ def build_case(name: str, n: int, d: int, seed: int,
             store.add("logits_r", logits_r)
 
         def evaluate(s, need_grad):
-            # fused views re-applied live, distillation teacher frozen at the
-            # base point (stop-gradient semantics)
+            # fused views re-applied live where the family reads them,
+            # distillation teacher frozen at the base point (stop-gradient
+            # semantics)
             emb = _emb_from_store(s, labels)
-            live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
+            live = (FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
+                    if name in _READS_LIVE_VIEWS else None)
             if name == "total":
                 res = total_loss(emb, live, s.value("logits_v"), s.value("logits_r"),
                                  w, kd_teacher=fused0, need_grad=need_grad)

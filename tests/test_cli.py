@@ -301,6 +301,32 @@ class TestEval:
         report = json.loads((out / "eval_report.json").read_text())
         assert len(report[0]["cmc"]) == 3
 
+    def test_manifest_holds_phase_times(self, train_dir, gen_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(gen_dir),
+                     "--checkpoint", str(train_dir / "checkpoint.jsonl"),
+                     "--out", str(out), "--eval.shots", "both"]) == 0
+        phases = manifest(out)["phase_sec"]
+        assert set(phases) == {"embed", "cmc_map", "modality_gap", "conflict_sensitivity"}
+        assert all(seconds >= 0.0 for seconds in phases.values())
+
+    def test_non_finite_embeddings_exit_2_without_warnings(self, train_dir, gen_dir,
+                                                           tmp_path, capsys, recwarn):
+        # finite weights whose activations overflow: the embeddings and so
+        # the similarities hold inf and NaN
+        cfg, store = model.load_checkpoint(train_dir / "checkpoint.jsonl")
+        for name in store.names():
+            store.value(name)[...] *= 1e120
+        ckpt = tmp_path / "checkpoint.jsonl"
+        model.save_checkpoint(ckpt, cfg, store)
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime failure: similarity row")
+        assert err[0].endswith("holds NaN or inf")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "eval").exists()
+
 
 class TestGradcheck:
     def test_subset_passes_and_writes_report(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from xmml import model
+from xmml import evaluator, model
 from xmml.evaluator import (Protocol, RetrievalReport, cmc_map,
                             conflict_sensitivity, embed_split, evaluate,
                             modality_gap)
@@ -128,6 +128,114 @@ class TestRankingOracle:
         assert report.rank(1) == 0.25
         assert report.rank(3) == 1.0
         assert report.rank(50) == 1.0
+
+
+def assert_equals_oracle(sim, q_labels, g_labels, g_ids, k_max):
+    cmc, mean_ap, n_excl = cmc_map(sim, q_labels, g_labels, g_ids, k_max)
+    ocmc, omap, oexcl = oracles.cmc_map_oracle(sim, q_labels, g_labels, g_ids, k_max)
+    assert n_excl == oexcl
+    assert mean_ap == omap
+    assert np.array_equal(cmc, np.asarray(ocmc))
+
+
+def first_hit_ranks(sim, q_labels, g_labels, g_ids) -> list[int]:
+    """Oracle rank of each query's first relevant item (-1 when excluded)."""
+    out = []
+    for qi in range(len(sim)):
+        order = oracles.rank_gallery(sim[qi], g_ids)
+        hits = [pos for pos, j in enumerate(order) if g_labels[j] == q_labels[qi]]
+        out.append(hits[0] if hits else -1)
+    return out
+
+
+class TestCountingRanks:
+    """Chunked rank counting against the sorting oracle, exactly (`==`)."""
+
+    @staticmethod
+    def chunk_rows(monkeypatch, rows: int, width: int, n_g: int) -> None:
+        # cmc_map takes max(1, cells // (width * n_g)) query rows per chunk
+        monkeypatch.setattr(evaluator, "_CHUNK_CELLS", rows * width * n_g)
+
+    @staticmethod
+    def instance(seed: int, n_q: int = 23, n_g: int = 40, n_labels: int = 5):
+        rng = derive_rng(seed, "counting-ranks")
+        sim = rng.standard_normal((n_q, n_g))
+        q_labels = rng.integers(0, n_labels, size=n_q)
+        g_labels = rng.integers(0, n_labels, size=n_g)
+        g_ids = 7 * rng.permutation(5 * n_g)[:n_g] + 3   # unsorted, with gaps
+        return sim, q_labels, g_labels, g_ids
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 8, 23, 64])
+    def test_query_chunks_with_a_partial_final_chunk(self, monkeypatch, rows):
+        for seed in range(5):
+            sim, q_labels, g_labels, g_ids = self.instance(seed)
+            width = max(int(np.count_nonzero(g_labels == y)) for y in q_labels)
+            self.chunk_rows(monkeypatch, rows, width, len(g_labels))
+            assert_equals_oracle(sim, q_labels, g_labels, g_ids, k_max=10)
+
+    def test_excluded_queries_inside_a_chunk(self, monkeypatch):
+        sim, q_labels, g_labels, g_ids = self.instance(10, n_q=12, n_labels=4)
+        assert set(q_labels) <= set(g_labels)
+        q_labels[[1, 5, 6, 10]] = 9          # identity absent from the gallery
+        width = max(int(np.count_nonzero(g_labels == y)) for y in q_labels)
+        self.chunk_rows(monkeypatch, 4, width, len(g_labels))
+        cmc, mean_ap, n_excl = cmc_map(sim, q_labels, g_labels, g_ids, 10)
+        assert n_excl == 4
+        assert_equals_oracle(sim, q_labels, g_labels, g_ids, k_max=10)
+
+    def test_tie_heavy_similarities_with_signed_zeros(self, monkeypatch):
+        for seed in range(20):
+            sim, q_labels, g_labels, g_ids = self.instance(20 + seed)
+            # one decimal leaves about 40 distinct values; zeros take both signs
+            sim = np.round(sim, 1)
+            zeros = sim == 0.0
+            sim[zeros] = np.where(np.arange(zeros.sum()) % 2 == 0, 0.0, -0.0)
+            assert np.signbit(sim[zeros]).any() and not np.signbit(sim[zeros]).all()
+            self.chunk_rows(monkeypatch, 3, len(g_labels), len(g_labels))
+            assert_equals_oracle(sim, q_labels, g_labels, g_ids, k_max=15)
+
+    def test_ties_follow_ids_not_columns(self):
+        # every similarity ties; the ids run against the column order
+        sim = np.zeros((2, 5))
+        sim[1] = -0.0
+        g_ids = np.array([40, 30, 20, 10, 0])
+        g_labels = np.array([1, 0, 0, 1, 0])
+        # label 1 sits at ids 40 and 10, ranks 4 and 1 (columns 0 and 3)
+        cmc, mean_ap, _ = cmc_map(sim, np.array([1, 1]), g_labels, g_ids, k_max=5)
+        assert list(cmc) == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert mean_ap == (1 / 2 + 2 / 5) / 2
+        assert_equals_oracle(sim, np.array([1, 1]), g_labels, g_ids, k_max=5)
+
+    def test_many_relevant_items_keep_the_summation_order(self):
+        # one identity owns 20 gallery items, others 1-3: AP sums of 20 terms
+        # differ in the low bits between sequential and pairwise summation
+        for seed in range(30):
+            rng = derive_rng(seed, "many-relevant")
+            g_labels = np.concatenate([np.zeros(20, dtype=np.int64),
+                                       rng.integers(1, 8, size=15)])
+            rng.shuffle(g_labels)
+            q_labels = np.concatenate([[0, 0, 0], rng.integers(0, 8, size=9)])
+            sim = rng.standard_normal((12, len(g_labels)))
+            g_ids = rng.permutation(1000)[:len(g_labels)]
+            assert_equals_oracle(sim, q_labels, g_labels, g_ids, k_max=35)
+
+    def test_k_max_below_some_first_hits(self, monkeypatch):
+        sim, q_labels, g_labels, g_ids = self.instance(40)
+        first = first_hit_ranks(sim, q_labels, g_labels, g_ids)
+        k_max = 2
+        assert any(r >= k_max for r in first) and any(0 <= r < k_max for r in first)
+        self.chunk_rows(monkeypatch, 4, len(g_labels), len(g_labels))
+        cmc, _, _ = cmc_map(sim, q_labels, g_labels, g_ids, k_max)
+        assert len(cmc) == k_max and cmc[-1] < 1.0
+        assert_equals_oracle(sim, q_labels, g_labels, g_ids, k_max)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_similarity_rejected(self, monkeypatch, bad):
+        sim, q_labels, g_labels, g_ids = self.instance(50)
+        sim[13, 2] = bad
+        self.chunk_rows(monkeypatch, 4, len(g_labels), len(g_labels))
+        with pytest.raises(ProtocolError, match="query 13 holds NaN or inf"):
+            cmc_map(sim, q_labels, g_labels, g_ids, 10)
 
 
 class TestProtocolValidation:
@@ -326,6 +434,34 @@ class TestConflictSensitivity:
 
 
 # -------------------------------------------------- diagnostics via evaluate
+
+class TestPhaseTimings:
+    PHASES = {"embed", "cmc_map", "modality_gap", "conflict_sensitivity"}
+
+    def test_phases_timed_without_changing_the_report(self, tiny_bundle):
+        store = init_params(EncoderConfig(
+            d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
+        timings: dict[str, float] = {}
+        timed = evaluate(store, tiny_bundle.test, Protocol(), meta=tiny_bundle.meta,
+                         timings=timings)
+        assert set(timings) == self.PHASES
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        plain = evaluate(store, tiny_bundle.test, Protocol(), meta=tiny_bundle.meta)
+        assert np.array_equal(timed.cmc, plain.cmc)
+        assert timed.map == plain.map
+        assert timed.diagnostics == plain.diagnostics
+
+    def test_timings_accumulate_over_calls(self, tiny_bundle):
+        store = init_params(EncoderConfig(
+            d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
+        timings: dict[str, float] = {}
+        evaluate(store, tiny_bundle.test, Protocol(), timings=timings)
+        # conflict sensitivity runs only with meta
+        assert set(timings) == self.PHASES - {"conflict_sensitivity"}
+        first = dict(timings)
+        evaluate(store, tiny_bundle.test, Protocol(shots="single"), timings=timings)
+        assert all(timings[phase] >= first[phase] for phase in first)
+
 
 class TestEvaluateDiagnostics:
     def test_gap_always_present_conflict_only_with_meta(self, tiny_bundle):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from xmml import gradcheck
-from xmml.losses import (EmbeddingSet, LossWeights, contrastive_fused,
+from xmml.losses import (EmbeddingSet, FusedSet, LossWeights, contrastive_fused,
                          contrastive_pair_loss, contrastive_single,
                          distance_parity_loss, distill_loss, fuse_multiview,
                          identity_loss, total_loss, weighted_triplet_loss)
@@ -107,3 +107,20 @@ def test_corrupted_gradient_is_caught_in_every_family(name):
     assert summary.n_failed == 1
     clean, _ = gradcheck.check_loss(name, n_batches=1)
     assert clean.n_failed == 0
+
+
+@pytest.mark.parametrize("name", ["contrast_single", "contrast_fused", "distill",
+                                  "parity", "total", "model"])
+def test_live_fused_views_built_only_where_read(monkeypatch, name):
+    loss_fn, value_fn, store = gradcheck.build_case(name, 4, 4, seed=0)
+    calls = []
+    from_mix = FusedSet.from_mix.__func__
+
+    def counting(cls, *args):
+        calls.append(name)
+        return from_mix(cls, *args)
+    monkeypatch.setattr(FusedSet, "from_mix", classmethod(counting))
+    loss_fn(store)
+    value_fn(store)
+    reads_live = name in ("contrast_fused", "total", "model")
+    assert len(calls) == (2 if reads_live else 0)
