@@ -4,9 +4,9 @@
     python3 scripts/bench_pairs.py --parent fe8b032 --change 1fff965 \\
         --workloads gradcheck_suite --pairs 3 --seconds 10 --out /tmp/bench.json
 
-Each revision is checked out with `git worktree add` into a temporary
-directory (removed at the end); without --change the change side is the
-checkout this script lives in, working-tree files included. Pair k runs
+Each revision's committed files are exported with `git archive` into a
+temporary directory (removed at the end); without --change the change side
+is the checkout this script lives in, working-tree files included. Pair k runs
 `perfbench/run.py --seed <seed0 + k> --trace 0` of each side's own checkout
 once per side, the parent first in even pairs and the change first in odd
 ones, so slow spells of the host hit both sides alike.
@@ -36,6 +36,14 @@ WORKLOADS = ("train_full", "gradcheck_suite", "eval_large")
 def _git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _export(rev: str, dest: Path) -> None:
+    """The files of commit `rev`, written under `dest`."""
+    dest.mkdir(parents=True)
+    tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -117,7 +125,7 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--seed0", type=int, default=601, help="seed of pair 0")
     p.add_argument("--out", required=True, help="output JSON, e.g. BENCH_6.json")
-    p.add_argument("--workdir", help="directory for the worktrees (default: a temp dir)")
+    p.add_argument("--workdir", help="directory for the exports (default: a temp dir)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -135,8 +143,8 @@ def main(argv=None) -> int:
                 sides[side]["dirty"] = bool(_git("status", "--porcelain"))
                 continue
             checkouts[side] = tmp / side
-            _git("worktree", "add", "--detach", str(checkouts[side]), rev)
-            sides[side]["commit"] = _git("rev-parse", "HEAD", cwd=checkouts[side])
+            _export(rev, checkouts[side])
+            sides[side]["commit"] = _git("rev-parse", f"{rev}^{{commit}}")
 
         report = {"schema": "xmml-bench-pairs v1", "sides": sides,
                   "settings": {"pairs": args.pairs, "seconds": args.seconds,
@@ -157,9 +165,6 @@ def main(argv=None) -> int:
             report["workloads"][workload] = {**summarize(runs, better), "runs": runs}
         Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     finally:
-        for side, checkout in checkouts.items():
-            if checkout != ROOT:
-                _git("worktree", "remove", "--force", str(checkout))
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import model
-from .evaluator import Protocol, embed_split, evaluate, modality_gap
+from .evaluator import REPORTED_METRICS, Protocol, embed_split, evaluate, modality_gap
 from .losses import LossWeights
 from .synthdata import DatasetBundle
 from .trainer import TrainConfig, TrainResult, encoder_config_for, run_training
@@ -69,12 +69,7 @@ def grid_overrides(label: str) -> dict[str, object]:
 class CellResult:
     label: str
     seed: int
-    rank1: float
-    rank5: float
-    rank10: float
-    map: float
-    gap_ratio: float
-    conflict_sensitivity: float
+    metrics: dict[str, float]   # the evaluator's REPORTED_METRICS, in order
     first_epoch_loss: float
     last_epoch_loss: float
     wall_clock_sec: float
@@ -88,10 +83,7 @@ class CellResult:
 
     def as_row(self, base: LossWeights) -> dict[str, object]:
         flags = self.component_flags(base)
-        return {"method": self.label, **flags, "seed": self.seed,
-                "rank1": self.rank1, "rank5": self.rank5, "rank10": self.rank10,
-                "map": self.map, "gap_ratio": self.gap_ratio,
-                "conflict_sensitivity": self.conflict_sensitivity,
+        return {"method": self.label, **flags, "seed": self.seed, **self.metrics,
                 "first_epoch_loss": self.first_epoch_loss,
                 "last_epoch_loss": self.last_epoch_loss}
 
@@ -112,13 +104,9 @@ def run_cell(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     result = run_training(cfg, data)
-    report = evaluate(result.store, data.test, protocol, meta=data.meta)
+    report, = evaluate(result.store, data.test, [protocol], meta=data.meta)
     return CellResult(
-        label=label, seed=cfg.seed,
-        rank1=report.rank(1), rank5=report.rank(5), rank10=report.rank(10),
-        map=report.map,
-        gap_ratio=report.diagnostics["gap_ratio"],
-        conflict_sensitivity=report.diagnostics["conflict_sensitivity"],
+        label=label, seed=cfg.seed, metrics=report.metrics(),
         first_epoch_loss=_epoch_mean_total(result, 0),
         last_epoch_loss=_epoch_mean_total(result, cfg.epochs - 1),
         wall_clock_sec=result.log.wall_clock_sec,
@@ -159,12 +147,7 @@ def summarize(cells: list[CellResult]) -> dict[str, dict[str, float]]:
     for label, group in by_label.items():
         out[label] = {
             "n_seeds": float(len(group)),
-            "rank1": _mean([c.rank1 for c in group]),
-            "rank5": _mean([c.rank5 for c in group]),
-            "rank10": _mean([c.rank10 for c in group]),
-            "map": _mean([c.map for c in group]),
-            "gap_ratio": _mean([c.gap_ratio for c in group]),
-            "conflict_sensitivity": _mean([c.conflict_sensitivity for c in group]),
+            **{name: _mean([c.metrics[name] for c in group]) for name in REPORTED_METRICS},
             "last_epoch_loss": _mean([c.last_epoch_loss for c in group]),
         }
     return out
@@ -209,10 +192,8 @@ def run_direction_benchmark(data: DatasetBundle, train_cfg: TrainConfig,
             "wall_clock_sec": sum(c.wall_clock_sec for c in cells)}
 
 
-ABLATION_CSV_FIELDS = ("method", "align", "fusion", "parity", "seed",
-                       "rank1", "rank5", "rank10", "map", "gap_ratio",
-                       "conflict_sensitivity", "first_epoch_loss",
-                       "last_epoch_loss")
+ABLATION_CSV_FIELDS = (("method", "align", "fusion", "parity", "seed") + REPORTED_METRICS
+                       + ("first_epoch_loss", "last_epoch_loss"))
 
 
 def write_ablation_csv(path: Path | str, cells: list[CellResult],
@@ -225,9 +206,7 @@ def write_ablation_csv(path: Path | str, cells: list[CellResult],
             writer.writerow(c.as_row(base))
 
 
-SWEEP_CSV_FIELDS = ("param", "value", "seed", "rank1", "rank5", "rank10",
-                    "map", "gap_ratio", "conflict_sensitivity",
-                    "last_epoch_loss")
+SWEEP_CSV_FIELDS = ("param", "value", "seed") + REPORTED_METRICS + ("last_epoch_loss",)
 
 # public sweep names -> LossWeights field
 SWEEP_PARAMS = {"lambda1": "lambda1", "lambda2": "lambda2",
@@ -257,11 +236,7 @@ def write_sweep_csv(path: Path | str, cells: list[CellResult], param: str) -> No
         fh.write("# xmml-sweep-csv v1\n")
         writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_FIELDS)
         writer.writeheader()
+        target = SWEEP_PARAMS[param]
         for c in cells:
-            target = SWEEP_PARAMS[param]
-            writer.writerow({"param": param, "value": c.overrides[target],
-                             "seed": c.seed, "rank1": c.rank1, "rank5": c.rank5,
-                             "rank10": c.rank10, "map": c.map,
-                             "gap_ratio": c.gap_ratio,
-                             "conflict_sensitivity": c.conflict_sensitivity,
-                             "last_epoch_loss": c.last_epoch_loss})
+            writer.writerow({"param": param, "value": c.overrides[target], "seed": c.seed,
+                             **c.metrics, "last_epoch_loss": c.last_epoch_loss})

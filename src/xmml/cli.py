@@ -25,7 +25,7 @@ from .bench import (ABLATION_LABELS, grid_overrides, run_ablation, run_sweep,
                     summarize, write_ablation_csv, write_sweep_csv)
 from .config import (LONG_SCHEDULE, ConfigError, generator_config, load_config_file,
                      parse_override_args, protocol, resolve, train_config)
-from .evaluator import Protocol, evaluate
+from .evaluator import REPORTED_METRICS, Protocol, evaluate
 from .gradcheck import DEFAULT_SIZES, LOSS_NAMES, run_all
 from .numerics import ProtocolError
 from .synthdata import DATASET_FILES, generate_dataset, load_dataset, save_dataset
@@ -33,6 +33,7 @@ from .trainer import TrainingDivergedError, run_training, save_train_log
 
 MANIFEST_SCHEMA = "xmml-manifest v1"
 EVAL_CSV_HEADER = "# xmml-eval-csv v1"
+EVAL_CSV_FIELDS = ("protocol", "shots", "seed") + REPORTED_METRICS
 
 
 def _default_out(command: str) -> Path:
@@ -156,19 +157,24 @@ def cmd_train(args, cfg: dict) -> int:
     first_loss = result.log.steps[0].breakdown.total
     last_loss = result.log.steps[-1].breakdown.total
     print(f"trained {tcfg.epochs} epochs: loss {first_loss:.4f} -> {last_loss:.4f}")
-    print(f"final rank1={last.rank1:.3f} map={last.map:.3f} "
-          f"gap_ratio={last.gap_ratio:.3f}")
+    print(f"final rank1={last['rank1']:.3f} map={last['map']:.3f} "
+          f"gap_ratio={last['gap_ratio']:.3f}")
     return 0
 
 
-def _eval_csv_row(proto: Protocol, report) -> dict:
-    diag = report.diagnostics
+def _protocol_fields(proto: Protocol) -> dict:
     return {"protocol": f"{proto.query_modality}>{proto.gallery_modality}",
-            "shots": proto.shots, "seed": proto.seed,
-            "rank1": report.rank(1), "rank5": report.rank(5),
-            "rank10": report.rank(10), "map": report.map,
-            "gap_ratio": diag.get("gap_ratio"),
-            "conflict_sensitivity": diag.get("conflict_sensitivity")}
+            "shots": proto.shots, "seed": proto.seed}
+
+
+def _first_non_finite(diagnostics: dict[str, float]) -> str | None:
+    """Name of the first diagnostic that is NaN or infinite. A gap_ratio of
+    inf is defined when no identity has two samples of one modality."""
+    for name, value in diagnostics.items():
+        if not np.isfinite(value) and not (name == "gap_ratio"
+                                           and diagnostics["intra_mean"] == 0.0):
+            return name
+    return None
 
 
 def cmd_eval(args, cfg: dict) -> int:
@@ -184,43 +190,37 @@ def cmd_eval(args, cfg: dict) -> int:
     enc_cfg, store = model.load_checkpoint(ckpt)
 
     shot_modes = ("single", "multi") if cfg["eval.shots"] == "both" else (cfg["eval.shots"],)
-    protos = []
-    for shots in shot_modes:
-        cfg_one = dict(cfg)
-        cfg_one["eval.shots"] = shots
-        protos.append(protocol(cfg_one))
+    protos = [protocol({**cfg, "eval.shots": shots}) for shots in shot_modes]
 
-    reports = []
     timings: dict[str, float] = {}
     # a non-finite similarity is reported by cmc_map, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for proto in protos:
-            report = evaluate(store, split, proto, meta=data.meta, timings=timings)
-            reports.append((proto, report))
+        reports = evaluate(store, split, protos, meta=data.meta, timings=timings)
+    diagnostics = reports[0].diagnostics
+    bad = _first_non_finite(diagnostics)
+    if bad is not None:
+        raise ProtocolError(f"diagnostic {bad} is {diagnostics[bad]}")
 
-    fields = ("protocol", "shots", "seed", "rank1", "rank5", "rank10",
-              "map", "gap_ratio", "conflict_sensitivity")
     out = _prepare_out(args)
     with (out / "eval.csv").open("w", newline="") as fh:
         fh.write(EVAL_CSV_HEADER + "\n")
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=EVAL_CSV_FIELDS)
         writer.writeheader()
-        for proto, report in reports:
-            writer.writerow(_eval_csv_row(proto, report))
+        for r in reports:
+            writer.writerow({**_protocol_fields(r.protocol), **r.metrics()})
 
-    record = [{"protocol": f"{p.query_modality}>{p.gallery_modality}",
-               "shots": p.shots, "seed": p.seed,
+    record = [{**_protocol_fields(r.protocol),
                "cmc": [float(c) for c in r.cmc], "map": r.map,
                "n_queries": r.n_queries, "n_gallery": r.n_gallery,
                "n_excluded": r.n_excluded,
-               "diagnostics": r.diagnostics} for p, r in reports]
+               "diagnostics": r.diagnostics} for r in reports]
     (out / "eval_report.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     inputs = [ckpt] + [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "eval", cfg, [p.seed for p in protos], inputs,
                     ["eval.csv", "eval_report.json"], t0, timings)
-    for proto, report in reports:
-        print(f"rank1={report.rank(1):.3f} map={report.map:.3f}")
+    for r in reports:
+        print(f"rank1={r.rank(1):.3f} map={r.map:.3f}")
     return 0
 
 
@@ -302,7 +302,8 @@ def cmd_sweep(args, cfg: dict) -> int:
     inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "sweep", cfg, list(seeds), inputs, ["sweep.csv"], t0)
     for c in cells:
-        print(f"{c.label:<14} seed={c.seed} rank1={c.rank1:.3f} map={c.map:.3f}")
+        print(f"{c.label:<14} seed={c.seed} rank1={c.metrics['rank1']:.3f} "
+              f"map={c.metrics['map']:.3f}")
     return 0
 
 

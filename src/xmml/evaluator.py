@@ -8,6 +8,10 @@ number of gallery items with a higher similarity plus those with an equal
 one and a smaller sample_id, which no sort's stability can change. AP for a
 query is the mean of precision-at-hit over its relevant gallery items;
 queries whose identity is absent from the gallery are excluded and counted.
+
+One `evaluate` call embeds the split and measures the gallery-independent
+diagnostics once, then ranks each protocol in turn. `REPORTED_METRICS`
+names the numbers every artifact reports, in the order they are written.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +28,9 @@ from .numerics import ParamStore, ProtocolError, derive_rng
 from .synthdata import DatasetMeta, Split
 
 MODALITIES = ("V", "R")
+
+# the numbers eval.csv, train-log snapshots, ablation and sweep CSVs report
+REPORTED_METRICS = ("rank1", "rank5", "rank10", "map", "gap_ratio", "conflict_sensitivity")
 
 
 @dataclass
@@ -48,6 +56,7 @@ class Protocol:
 
 @dataclass
 class RetrievalReport:
+    protocol: Protocol
     cmc: np.ndarray         # cmc[k-1] = fraction of queries with a hit in top k
     map: float
     n_queries: int
@@ -58,6 +67,12 @@ class RetrievalReport:
     def rank(self, k: int) -> float:
         k = min(k, len(self.cmc))
         return float(self.cmc[k - 1])
+
+    def metrics(self) -> dict[str, float]:
+        """The REPORTED_METRICS in order; conflict_sensitivity only when measured."""
+        values = {"rank1": self.rank(1), "rank5": self.rank(5), "rank10": self.rank(10),
+                  "map": self.map, **self.diagnostics}
+        return {name: values[name] for name in REPORTED_METRICS if name in values}
 
 
 # booleans in one comparison temporary (chunk rows x relevant items x
@@ -195,26 +210,44 @@ def _timed(timings: dict[str, float] | None, phase: str):
         timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
 
 
-def evaluate(store: ParamStore, split: Split, protocol: Protocol,
+def evaluate(store: ParamStore, split: Split, protocols: Sequence[Protocol],
              meta: DatasetMeta | None = None,
-             timings: dict[str, float] | None = None) -> RetrievalReport:
-    """Retrieval report for one protocol on a split.
+             timings: dict[str, float] | None = None) -> list[RetrievalReport]:
+    """One retrieval report per protocol on a split, in order.
 
-    Each modality is encoded once; ranking and diagnostics read those rows.
-    Single-shot galleries keep one sample per identity, chosen by the
-    protocol seed over samples sorted by sample_id, so the report does not
-    depend on the ordering of `split.samples`. Diagnostics always include
-    the modality gap; conflict sensitivity needs `meta` (mixing matrices).
-    With `timings`, the wall time of the phases embed, cmc_map,
-    modality_gap and conflict_sensitivity is added to it, in seconds.
+    The split is embedded once (one encode per modality), and the
+    diagnostics, which do not depend on the gallery, are measured once and
+    shared by every report. Each protocol's similarity matrix is ranked and
+    dropped before the next one is built. Single-shot galleries keep one
+    sample per identity, chosen by the protocol seed over samples sorted by
+    sample_id, so a report does not depend on the ordering of
+    `split.samples`. Diagnostics always include the modality gap; conflict
+    sensitivity needs `meta` (mixing matrices). With `timings`, the wall
+    time of the phases embed, cmc_map (over all protocols), modality_gap
+    and conflict_sensitivity is added to it, in seconds.
     """
-    protocol.validate()
+    for protocol in protocols:
+        protocol.validate()
     with _timed(timings, "embed"):
         rows = embed_split(store, split)
-    if protocol.query_modality not in rows or protocol.gallery_modality not in rows:
-        raise ProtocolError(
-            f"split lacks samples for protocol {protocol.query_modality}->"
-            f"{protocol.gallery_modality}")
+    for protocol in protocols:
+        if protocol.query_modality not in rows or protocol.gallery_modality not in rows:
+            raise ProtocolError(
+                f"split lacks samples for protocol {protocol.query_modality}->"
+                f"{protocol.gallery_modality}")
+
+    with _timed(timings, "modality_gap"):
+        gap = modality_gap(rows)
+    diagnostics = {name: gap[name] for name in ("intra_mean", "inter_mean", "gap_ratio")}
+    if meta is not None:
+        with _timed(timings, "conflict_sensitivity"):
+            diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, rows)
+    return [_rank(rows, protocol, diagnostics, timings) for protocol in protocols]
+
+
+def _rank(rows: dict[str, EmbeddedRows], protocol: Protocol, diagnostics: dict[str, float],
+          timings: dict[str, float] | None) -> RetrievalReport:
+    """One protocol's report; its similarity matrix lives only inside this call."""
     queries = rows[protocol.query_modality]
     gallery = rows[protocol.gallery_modality]
     if protocol.shots == "single":
@@ -224,17 +257,9 @@ def evaluate(store: ParamStore, split: Split, protocol: Protocol,
     with _timed(timings, "cmc_map"):
         cmc, mean_ap, n_excluded = cmc_map(sim, queries.labels, gallery.labels,
                                            gallery.ids, protocol.k_max)
-
-    with _timed(timings, "modality_gap"):
-        gap = modality_gap(rows)
-    diagnostics = {"intra_mean": gap["intra_mean"], "inter_mean": gap["inter_mean"],
-                   "gap_ratio": gap["gap_ratio"]}
-    if meta is not None:
-        with _timed(timings, "conflict_sensitivity"):
-            diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, rows)
-    return RetrievalReport(cmc=cmc, map=mean_ap, n_queries=len(queries.ids),
-                           n_gallery=len(gallery.ids), n_excluded=n_excluded,
-                           diagnostics=diagnostics)
+    return RetrievalReport(protocol=protocol, cmc=cmc, map=mean_ap,
+                           n_queries=len(queries.ids), n_gallery=len(gallery.ids),
+                           n_excluded=n_excluded, diagnostics=dict(diagnostics))
 
 
 def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:

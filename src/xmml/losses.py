@@ -23,7 +23,7 @@ evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -135,15 +135,7 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "identity": self.identity,
-            "triplet": self.triplet,
-            "contrast_single": self.contrast_single,
-            "contrast_fused": self.contrast_fused,
-            "distill": self.distill,
-            "parity": self.parity,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def identity_loss(logits_v, logits_r, labels, need_grad: bool = True):

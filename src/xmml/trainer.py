@@ -101,21 +101,11 @@ class StepRecord:
 
 
 @dataclass
-class EvalRecord:
-    epoch: int
-    rank1: float
-    rank5: float
-    rank10: float
-    map: float
-    gap_ratio: float
-
-
-@dataclass
 class TrainLog:
     seed: int
     config_echo: dict
     steps: list[StepRecord] = field(default_factory=list)
-    evals: list[EvalRecord] = field(default_factory=list)
+    evals: list[dict] = field(default_factory=list)   # {"epoch": e, **report.metrics()}
     wall_clock_sec: float = 0.0   # reported via the run manifest, not serialized
 
 
@@ -216,17 +206,14 @@ def run_training(cfg: TrainConfig, data: DatasetBundle) -> TrainResult:
                                        state, momentum=cfg.momentum)
                 log.steps.append(StepRecord(epoch=epoch, step=step, breakdown=breakdown))
             if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-                report = evaluator.evaluate(store, data.test, _SNAPSHOT_PROTOCOL)
-                gap_ratio = report.diagnostics["gap_ratio"]
-                if np.isnan(gap_ratio):
+                report, = evaluator.evaluate(store, data.test, [_SNAPSHOT_PROTOCOL])
+                if np.isnan(report.diagnostics["gap_ratio"]):
                     # finite embeddings whose squared distances overflow;
                     # inf (every identity collapsed to a point) is kept
                     raise TrainingDivergedError(
                         f"retrieval snapshot at epoch {epoch} has gap_ratio nan",
                         {"epoch": epoch, **report.diagnostics})
-                log.evals.append(EvalRecord(
-                    epoch=epoch, rank1=report.rank(1), rank5=report.rank(5),
-                    rank10=report.rank(10), map=report.map, gap_ratio=gap_ratio))
+                log.evals.append({"epoch": epoch, **report.metrics()})
     log.wall_clock_sec = time.perf_counter() - t0
     return TrainResult(store=store, encoder_config=enc_cfg, log=log)
 
@@ -250,17 +237,4 @@ def save_train_log(path: Path | str, log: TrainLog) -> None:
             fh.write(json.dumps({"kind": "step", "epoch": s.epoch, "step": s.step,
                                  **s.breakdown.as_dict()}) + "\n")
         for e in log.evals:
-            fh.write(json.dumps({"kind": "eval", "epoch": e.epoch,
-                                 "rank1": e.rank1, "rank5": e.rank5,
-                                 "rank10": e.rank10, "map": e.map,
-                                 "gap_ratio": e.gap_ratio}) + "\n")
-
-
-def load_train_log_records(path: Path | str) -> list[dict]:
-    records = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+            fh.write(json.dumps({"kind": "eval", **e}) + "\n")

@@ -27,9 +27,9 @@ TINY_TRAIN = TrainConfig(epochs=2, batches_per_epoch=2, n_ids_per_batch=3,
 def make_cell(label: str, seed: int = 0, *, rank1=0.5, rank5=0.7, rank10=0.9,
               map_=0.4, gap=1.5, conflict=0.1, first=10.0, last=5.0,
               overrides=None) -> CellResult:
-    return CellResult(label=label, seed=seed, rank1=rank1, rank5=rank5,
-                      rank10=rank10, map=map_, gap_ratio=gap,
-                      conflict_sensitivity=conflict, first_epoch_loss=first,
+    metrics = {"rank1": rank1, "rank5": rank5, "rank10": rank10, "map": map_,
+               "gap_ratio": gap, "conflict_sensitivity": conflict}
+    return CellResult(label=label, seed=seed, metrics=metrics, first_epoch_loss=first,
                       last_epoch_loss=last, wall_clock_sec=0.1,
                       overrides=dict(overrides or {}))
 
@@ -135,6 +135,9 @@ class TestCsvWriters:
                  for lbl in ABLATION_LABELS for s in (0, 1)]
         out = tmp_path / "ablation.csv"
         write_ablation_csv(out, cells, LossWeights())
+        assert out.read_text().splitlines()[1] == (
+            "method,align,fusion,parity,seed,rank1,rank5,rank10,map,gap_ratio,"
+            "conflict_sensitivity,first_epoch_loss,last_epoch_loss")
         rows = read_tagged_csv(out, "# xmml-ablation-csv v1")
         assert len(rows) == 10
         assert tuple(rows[0]) == ABLATION_CSV_FIELDS
@@ -150,6 +153,9 @@ class TestCsvWriters:
                  make_cell("tau=0.2", 0, overrides={"tau": 0.2})]
         out = tmp_path / "sweep.csv"
         write_sweep_csv(out, cells, "tau")
+        assert out.read_text().splitlines()[1] == (
+            "param,value,seed,rank1,rank5,rank10,map,gap_ratio,conflict_sensitivity,"
+            "last_epoch_loss")
         rows = read_tagged_csv(out, "# xmml-sweep-csv v1")
         assert tuple(rows[0]) == SWEEP_CSV_FIELDS
         assert [float(r["value"]) for r in rows] == [0.05, 0.2]
@@ -170,16 +176,18 @@ class TestTinyRuns:
     def test_run_cell_produces_finite_metrics(self, tiny_bundle):
         cell = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full", {}, seed=0)
         assert cell.label == "full" and cell.seed == 0
-        assert 0.0 <= cell.rank1 <= cell.rank5 <= cell.rank10 <= 1.0
-        assert 0.0 <= cell.map <= 1.0
-        assert cell.gap_ratio > 0 and cell.conflict_sensitivity >= 0
+        m = cell.metrics
+        assert 0.0 <= m["rank1"] <= m["rank5"] <= m["rank10"] <= 1.0
+        assert 0.0 <= m["map"] <= 1.0
+        assert m["gap_ratio"] > 0 and m["conflict_sensitivity"] >= 0
         assert cell.first_epoch_loss > 0 and cell.last_epoch_loss > 0
         assert cell.wall_clock_sec >= 0
 
     def test_run_cell_deterministic(self, tiny_bundle):
         a = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full", {}, seed=0)
         b = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full", {}, seed=0)
-        assert a.rank1 == b.rank1 and a.map == b.map
+        assert a.metrics["rank1"] == b.metrics["rank1"]
+        assert a.metrics["map"] == b.metrics["map"]
         assert a.last_epoch_loss == b.last_epoch_loss
 
     def test_run_ablation_covers_labels_and_seeds(self, tiny_bundle):

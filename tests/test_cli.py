@@ -206,6 +206,8 @@ class TestEval:
         assert main(["eval", "--data", str(gen_dir),
                      "--checkpoint", str(train_dir / "checkpoint.jsonl"),
                      "--out", str(out)]) == 0
+        assert (out / "eval.csv").read_text().splitlines()[1] == (
+            "protocol,shots,seed,rank1,rank5,rank10,map,gap_ratio,conflict_sensitivity")
         rows = read_tagged_csv(out / "eval.csv", "# xmml-eval-csv v1")
         assert len(rows) == 1
         assert rows[0]["protocol"] == "R>V"
@@ -324,6 +326,22 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("runtime failure: similarity row")
         assert err[0].endswith("holds NaN or inf")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "eval").exists()
+
+    def test_non_finite_diagnostic_exits_2_without_warnings(self, train_dir, gen_dir,
+                                                            tmp_path, capsys, recwarn):
+        # huge but finite embeddings: the cosine ranking still works, but the
+        # squared distances of the gap and the conflict response overflow
+        cfg, store = model.load_checkpoint(train_dir / "checkpoint.jsonl")
+        for name in ("trunk2.w", "trunk2.b"):
+            store.value(name)[...] *= 1e160
+        ckpt = tmp_path / "checkpoint.jsonl"
+        model.save_checkpoint(ckpt, cfg, store)
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval"), "--eval.shots", "both"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime failure: diagnostic ")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "eval").exists()
 

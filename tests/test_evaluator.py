@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from xmml import evaluator, model
-from xmml.evaluator import (Protocol, RetrievalReport, cmc_map,
+from xmml.evaluator import (REPORTED_METRICS, Protocol, RetrievalReport, cmc_map,
                             conflict_sensitivity, embed_split, evaluate,
                             modality_gap)
 from xmml.model import EncoderConfig, init_params
@@ -122,8 +122,8 @@ class TestRankingOracle:
                     np.arange(3), k_max=3)
 
     def test_rank_accessor_clamps(self):
-        report = RetrievalReport(cmc=np.array([0.25, 0.5, 1.0]), map=0.5,
-                                 n_queries=4, n_gallery=3, n_excluded=0,
+        report = RetrievalReport(protocol=Protocol(), cmc=np.array([0.25, 0.5, 1.0]),
+                                 map=0.5, n_queries=4, n_gallery=3, n_excluded=0,
                                  diagnostics={})
         assert report.rank(1) == 0.25
         assert report.rank(3) == 1.0
@@ -261,7 +261,7 @@ class TestEvaluate:
             rows.append((2 * y, y, "V", x))
             rows.append((2 * y + 1, y, "R", x.copy()))
         split = make_split(rows)
-        report = evaluate(identity_map_store(d), split, Protocol())
+        report = evaluate(identity_map_store(d), split, [Protocol()])[0]
         assert report.rank(1) == 1.0
         assert report.map == 1.0
         assert report.n_excluded == 0
@@ -270,9 +270,9 @@ class TestEvaluate:
         store = init_params(EncoderConfig(
             d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
         split = tiny_bundle.test
-        base = evaluate(store, split, Protocol(shots="single", seed=3))
+        base = evaluate(store, split, [Protocol(shots="single", seed=3)])[0]
         shuffled = Split(list(reversed(split.samples)))
-        other = evaluate(store, shuffled, Protocol(shots="single", seed=3))
+        other = evaluate(store, shuffled, [Protocol(shots="single", seed=3)])[0]
         assert np.array_equal(base.cmc, other.cmc)
         assert base.map == other.map
         assert base.n_gallery == other.n_gallery
@@ -280,16 +280,16 @@ class TestEvaluate:
     def test_single_shot_keeps_one_gallery_sample_per_identity(self, tiny_bundle):
         store = init_params(EncoderConfig(
             d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
-        report = evaluate(store, tiny_bundle.test, Protocol(shots="single"))
+        report = evaluate(store, tiny_bundle.test, [Protocol(shots="single")])[0]
         assert report.n_gallery == tiny_bundle.test.n_identities
-        multi = evaluate(store, tiny_bundle.test, Protocol(shots="multi"))
+        multi = evaluate(store, tiny_bundle.test, [Protocol(shots="multi")])[0]
         assert multi.n_gallery == len(tiny_bundle.test.by_modality("V"))
 
     def test_single_shot_seed_changes_gallery_choice(self, tiny_bundle):
         store = init_params(EncoderConfig(
             d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
-        a = evaluate(store, tiny_bundle.test, Protocol(shots="single", seed=0))
-        b = evaluate(store, tiny_bundle.test, Protocol(shots="single", seed=1))
+        a = evaluate(store, tiny_bundle.test, [Protocol(shots="single", seed=0)])[0]
+        b = evaluate(store, tiny_bundle.test, [Protocol(shots="single", seed=1)])[0]
         # same gallery size; the sampled representatives generally differ
         assert a.n_gallery == b.n_gallery
 
@@ -301,7 +301,7 @@ class TestEvaluate:
                 (2, 0, "R", rng.standard_normal(d)),
                 (3, 1, "R", rng.standard_normal(d)),   # id 1 has no V sample
                 (4, 1, "R", rng.standard_normal(d))]
-        report = evaluate(identity_map_store(d), make_split(rows), Protocol())
+        report = evaluate(identity_map_store(d), make_split(rows), [Protocol()])[0]
         assert report.n_queries == 4
         assert report.n_excluded == 2
 
@@ -311,12 +311,12 @@ class TestEvaluate:
         rows = [(0, 0, "R", rng.standard_normal(d)),
                 (1, 1, "V", rng.standard_normal(d))]
         with pytest.raises(ProtocolError):
-            evaluate(identity_map_store(d), make_split(rows), Protocol())
+            evaluate(identity_map_store(d), make_split(rows), [Protocol()])
 
     def test_missing_modality_entirely_raises(self):
         rows = [(0, 0, "V", np.ones(4))]
         with pytest.raises(ProtocolError):
-            evaluate(identity_map_store(4), make_split(rows), Protocol())
+            evaluate(identity_map_store(4), make_split(rows), [Protocol()])
 
     def test_chance_level_on_structureless_features(self):
         # identity labels carry no signal: every x_raw is independent noise
@@ -331,7 +331,7 @@ class TestEvaluate:
                     sid += 1
         store = init_params(EncoderConfig(
             d_in_visual=d, d_in_text=d, n_classes=8, seed=0))
-        report = evaluate(store, make_split(rows), Protocol())
+        report = evaluate(store, make_split(rows), [Protocol()])[0]
         assert 0.02 < report.rank(1) < 0.35      # chance is 1/8
         assert 0.05 < report.map < 0.35          # relevant fraction is 4/32
 
@@ -442,11 +442,11 @@ class TestPhaseTimings:
         store = init_params(EncoderConfig(
             d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
         timings: dict[str, float] = {}
-        timed = evaluate(store, tiny_bundle.test, Protocol(), meta=tiny_bundle.meta,
-                         timings=timings)
+        timed = evaluate(store, tiny_bundle.test, [Protocol()], meta=tiny_bundle.meta,
+                         timings=timings)[0]
         assert set(timings) == self.PHASES
         assert all(seconds >= 0.0 for seconds in timings.values())
-        plain = evaluate(store, tiny_bundle.test, Protocol(), meta=tiny_bundle.meta)
+        plain = evaluate(store, tiny_bundle.test, [Protocol()], meta=tiny_bundle.meta)[0]
         assert np.array_equal(timed.cmc, plain.cmc)
         assert timed.map == plain.map
         assert timed.diagnostics == plain.diagnostics
@@ -455,11 +455,11 @@ class TestPhaseTimings:
         store = init_params(EncoderConfig(
             d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
         timings: dict[str, float] = {}
-        evaluate(store, tiny_bundle.test, Protocol(), timings=timings)
+        evaluate(store, tiny_bundle.test, [Protocol()], timings=timings)
         # conflict sensitivity runs only with meta
         assert set(timings) == self.PHASES - {"conflict_sensitivity"}
         first = dict(timings)
-        evaluate(store, tiny_bundle.test, Protocol(shots="single"), timings=timings)
+        evaluate(store, tiny_bundle.test, [Protocol(shots="single")], timings=timings)
         assert all(timings[phase] >= first[phase] for phase in first)
 
 
@@ -467,18 +467,21 @@ class TestEvaluateDiagnostics:
     def test_gap_always_present_conflict_only_with_meta(self, tiny_bundle):
         store = init_params(EncoderConfig(
             d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
-        plain = evaluate(store, tiny_bundle.test, Protocol())
+        plain = evaluate(store, tiny_bundle.test, [Protocol()])[0]
         assert "gap_ratio" in plain.diagnostics
         assert "conflict_sensitivity" not in plain.diagnostics
-        rich = evaluate(store, tiny_bundle.test, Protocol(), meta=tiny_bundle.meta)
+        rich = evaluate(store, tiny_bundle.test, [Protocol()], meta=tiny_bundle.meta)[0]
         assert "conflict_sensitivity" in rich.diagnostics
         assert rich.diagnostics["conflict_sensitivity"] > 0.0
+        assert tuple(rich.metrics()) == REPORTED_METRICS
+        assert tuple(plain.metrics()) == REPORTED_METRICS[:-1]
+        assert rich.metrics()["rank5"] == rich.rank(5)
 
     def test_untrained_default_data_shows_modality_gap(self, default_bundle):
         store = init_params(EncoderConfig(
             d_in_visual=24, d_in_text=24,
             n_classes=default_bundle.train.n_identities, seed=0))
-        report = evaluate(store, default_bundle.test, Protocol())
+        report = evaluate(store, default_bundle.test, [Protocol()])[0]
         assert report.diagnostics["gap_ratio"] > 1.05
 
 
@@ -494,16 +497,34 @@ class TestEmbeddingPass:
         monkeypatch.setattr(model, "encode_visual", counting)
         return calls
 
-    @pytest.mark.parametrize("shots", ["single", "multi"])
+    @pytest.mark.parametrize("shots", ["single", "multi", "single,multi"])
     def test_each_modality_encoded_once(self, default_bundle, monkeypatch, shots):
         store = init_params(EncoderConfig(
             d_in_visual=24, d_in_text=24,
             n_classes=default_bundle.train.n_identities, seed=0))
         calls = self.count_encodes(monkeypatch)
-        evaluate(store, default_bundle.test, Protocol(shots=shots))
+        gaps = []
+        gap = evaluator.modality_gap
+        monkeypatch.setattr(evaluator, "modality_gap", lambda rows: gaps.append(1) or gap(rows))
+        protocols = [Protocol(shots=s) for s in shots.split(",")]
+        evaluate(store, default_bundle.test, protocols)
         assert len(calls) == 2
+        assert len(gaps) == 1
         calls.clear()
-        evaluate(store, default_bundle.test, Protocol(shots=shots),
-                 meta=default_bundle.meta)
+        evaluate(store, default_bundle.test, protocols, meta=default_bundle.meta)
         # the two extra calls encode the conflict-perturbed features
         assert len(calls) == 4
+
+    def test_one_call_matches_one_call_per_protocol(self, tiny_bundle):
+        store = init_params(EncoderConfig(
+            d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
+        protocols = [Protocol(shots="single", seed=1), Protocol(shots="multi")]
+        reports = evaluate(store, tiny_bundle.test, protocols, meta=tiny_bundle.meta)
+        assert [r.protocol for r in reports] == protocols
+        for proto, report in zip(protocols, reports):
+            alone = evaluate(store, tiny_bundle.test, [proto], meta=tiny_bundle.meta)[0]
+            assert np.array_equal(report.cmc, alone.cmc)
+            assert report.map == alone.map
+            assert (report.n_queries, report.n_gallery, report.n_excluded) == (
+                alone.n_queries, alone.n_gallery, alone.n_excluded)
+            assert report.diagnostics == alone.diagnostics
