@@ -33,7 +33,7 @@ def main() -> int:
                        "seed-0 default dataset; after_epoch1_total is the mean "
                        "total over the epoch's last five steps"),
     }
-    fixture.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    fixture.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(json.dumps(record, indent=2))
     return 0
 

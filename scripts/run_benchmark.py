@@ -74,7 +74,7 @@ def main() -> int:
                          if k != "weights"},
         "wall_clock_sec": round(wall, 1),
     }
-    fixture.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    fixture.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(f"margins locked into {fixture}")
     return 0 if ok else 1
 

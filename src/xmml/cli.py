@@ -25,7 +25,7 @@ from .bench import (ABLATION_LABELS, grid_overrides, run_ablation, run_sweep,
                     summarize, write_ablation_csv, write_sweep_csv)
 from .config import (LONG_SCHEDULE, ConfigError, generator_config, load_config_file,
                      parse_override_args, protocol, resolve, train_config)
-from .evaluator import REPORTED_METRICS, Protocol, evaluate
+from .evaluator import REPORTED_METRICS, Protocol, as_written, evaluate
 from .gradcheck import DEFAULT_SIZES, LOSS_NAMES, run_all
 from .numerics import ProtocolError
 from .synthdata import DATASET_FILES, generate_dataset, load_dataset, save_dataset
@@ -67,7 +67,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seeds: list[int],
         # phase wall times live here, outside the byte-identical artifacts
         manifest["phase_sec"] = {k: round(v, 4) for k, v in timings.items()}
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _prepare_out(args) -> Path:
@@ -146,13 +146,14 @@ def cmd_train(args, cfg: dict) -> int:
     tcfg = _train_config(args, cfg)
     data_dir = Path(args.data)
     data = load_dataset(data_dir)
-    result = run_training(tcfg, data)
+    timings: dict[str, float] = {}
+    result = run_training(tcfg, data, timings=timings)
     out = _prepare_out(args)
     model.save_checkpoint(out / "checkpoint.jsonl", result.encoder_config, result.store)
     save_train_log(out / "train_log.jsonl", result.log)
     inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "train", cfg, [tcfg.seed], inputs,
-                    ["checkpoint.jsonl", "train_log.jsonl"], t0)
+                    ["checkpoint.jsonl", "train_log.jsonl"], t0, timings)
     last = result.log.evals[-1]
     first_loss = result.log.steps[0].breakdown.total
     last_loss = result.log.steps[-1].breakdown.total
@@ -169,7 +170,8 @@ def _protocol_fields(proto: Protocol) -> dict:
 
 def _first_non_finite(diagnostics: dict[str, float]) -> str | None:
     """Name of the first diagnostic that is NaN or infinite. A gap_ratio of
-    inf is defined when no identity has two samples of one modality."""
+    inf is kept: it is undefined when no identity has two samples of one
+    modality, and the artifacts write it as null."""
     for name, value in diagnostics.items():
         if not np.isfinite(value) and not (name == "gap_ratio"
                                            and diagnostics["intra_mean"] == 0.0):
@@ -207,14 +209,15 @@ def cmd_eval(args, cfg: dict) -> int:
         writer = csv.DictWriter(fh, fieldnames=EVAL_CSV_FIELDS)
         writer.writeheader()
         for r in reports:
-            writer.writerow({**_protocol_fields(r.protocol), **r.metrics()})
+            writer.writerow({**_protocol_fields(r.protocol), **as_written(r.metrics())})
 
     record = [{**_protocol_fields(r.protocol),
                "cmc": [float(c) for c in r.cmc], "map": r.map,
                "n_queries": r.n_queries, "n_gallery": r.n_gallery,
                "n_excluded": r.n_excluded,
-               "diagnostics": r.diagnostics} for r in reports]
-    (out / "eval_report.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+               "diagnostics": as_written(r.diagnostics)} for r in reports]
+    (out / "eval_report.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     inputs = [ckpt] + [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "eval", cfg, [p.seed for p in protos], inputs,
@@ -252,7 +255,7 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     out = _prepare_out(args)
     (out / "gradcheck_report.json").write_text(
         json.dumps({"h": args.h, "tol": args.tol, "seed": seed,
-                    "results": rows}, indent=2, sort_keys=True) + "\n")
+                    "results": rows}, indent=2, sort_keys=True, allow_nan=False) + "\n")
     _write_manifest(out, "gradcheck", cfg, [seed], [],
                     ["gradcheck_report.json"], t0)
     if failed:

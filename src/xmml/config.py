@@ -11,6 +11,7 @@ Values are coerced to the annotated type of their field.
 from __future__ import annotations
 
 import json
+import math
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -76,13 +77,16 @@ def _convert(raw, typ) -> object:
         if str(raw).lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if typ is int:
+    if typ in (int, float):
         v = float(raw)
+        # the manifest and train log echo the config as strict JSON
+        if not math.isfinite(v):
+            raise ValueError(f"not a finite number: {raw!r}")
+        if typ is float:
+            return v
         if v != int(v):
             raise ValueError(f"not an integer: {raw!r}")
         return int(v)
-    if typ is float:
-        return float(raw)
     if get_origin(typ) is tuple:
         if not isinstance(raw, (list, tuple)):
             raw = [x for x in str(raw).split(",") if x.strip()]

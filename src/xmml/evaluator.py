@@ -16,15 +16,13 @@ names the numbers every artifact reports, in the order they are written.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import model
-from .numerics import ParamStore, ProtocolError, derive_rng
+from .numerics import ParamStore, ProtocolError, derive_rng, pairwise_distances, timed
 from .synthdata import DatasetMeta, Split
 
 MODALITIES = ("V", "R")
@@ -73,6 +71,15 @@ class RetrievalReport:
         values = {"rank1": self.rank(1), "rank5": self.rank(5), "rank10": self.rank(10),
                   "map": self.map, **self.diagnostics}
         return {name: values[name] for name in REPORTED_METRICS if name in values}
+
+
+def as_written(values: dict[str, float]) -> dict[str, float | None]:
+    """`values` as the JSON and CSV artifacts hold them: an undefined
+    gap_ratio (inf, which `modality_gap` reports when no identity has two
+    samples of one modality) becomes None, i.e. JSON null or an empty CSV
+    field."""
+    return {name: None if name == "gap_ratio" and value == np.inf else value
+            for name, value in values.items()}
 
 
 # booleans in one comparison temporary (chunk rows x relevant items x
@@ -201,15 +208,6 @@ def _cosine_matrix(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return q_hat @ g_hat.T
 
 
-@contextmanager
-def _timed(timings: dict[str, float] | None, phase: str):
-    """Adds the block's wall time to timings[phase]; a no-op without timings."""
-    t0 = time.perf_counter()
-    yield
-    if timings is not None:
-        timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
-
-
 def evaluate(store: ParamStore, split: Split, protocols: Sequence[Protocol],
              meta: DatasetMeta | None = None,
              timings: dict[str, float] | None = None) -> list[RetrievalReport]:
@@ -228,7 +226,7 @@ def evaluate(store: ParamStore, split: Split, protocols: Sequence[Protocol],
     """
     for protocol in protocols:
         protocol.validate()
-    with _timed(timings, "embed"):
+    with timed(timings, "embed"):
         rows = embed_split(store, split)
     for protocol in protocols:
         if protocol.query_modality not in rows or protocol.gallery_modality not in rows:
@@ -236,11 +234,11 @@ def evaluate(store: ParamStore, split: Split, protocols: Sequence[Protocol],
                 f"split lacks samples for protocol {protocol.query_modality}->"
                 f"{protocol.gallery_modality}")
 
-    with _timed(timings, "modality_gap"):
+    with timed(timings, "modality_gap"):
         gap = modality_gap(rows)
     diagnostics = {name: gap[name] for name in ("intra_mean", "inter_mean", "gap_ratio")}
     if meta is not None:
-        with _timed(timings, "conflict_sensitivity"):
+        with timed(timings, "conflict_sensitivity"):
             diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, rows)
     return [_rank(rows, protocol, diagnostics, timings) for protocol in protocols]
 
@@ -254,7 +252,7 @@ def _rank(rows: dict[str, EmbeddedRows], protocol: Protocol, diagnostics: dict[s
         gallery = gallery.take(_single_shot_rows(gallery.labels, protocol.seed))
 
     sim = _cosine_matrix(queries.emb, gallery.emb)
-    with _timed(timings, "cmc_map"):
+    with timed(timings, "cmc_map"):
         cmc, mean_ap, n_excluded = cmc_map(sim, queries.labels, gallery.labels,
                                            gallery.ids, protocol.k_max)
     return RetrievalReport(protocol=protocol, cmc=cmc, map=mean_ap,
@@ -262,12 +260,19 @@ def _rank(rows: dict[str, EmbeddedRows], protocol: Protocol, diagnostics: dict[s
                            n_excluded=n_excluded, diagnostics=dict(diagnostics))
 
 
+def _rows_by_identity(labels: np.ndarray) -> dict[int, np.ndarray]:
+    # a stable sort keeps each identity's rows in their sample_id order
+    order = np.argsort(labels, kind="stable")
+    identities, starts = np.unique(labels[order], return_index=True)
+    return dict(zip(identities.tolist(), np.split(order, starts[1:])))
+
+
 def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
     """Mean same-identity embedding distances, within and across modalities.
 
     `rows` is the output of `embed_split`. gap_ratio = inter / intra.
     Identities present in only one modality are skipped and counted in
-    n_skipped.
+    n_skipped. Sums run over identities in ascending order.
     """
     inter_sum = 0.0
     inter_n = 0
@@ -275,26 +280,25 @@ def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
     intra_n = 0
     n_skipped = 0
     empty = np.zeros(0, dtype=np.int64)
-    labels_v = rows["V"].labels if "V" in rows else empty
-    labels_r = rows["R"].labels if "R" in rows else empty
-    for identity in np.unique(np.concatenate([labels_v, labels_r])):
-        in_v = labels_v == identity
-        in_r = labels_r == identity
-        if not (in_v.any() and in_r.any()):
+    groups_v = _rows_by_identity(rows["V"].labels if "V" in rows else empty)
+    groups_r = _rows_by_identity(rows["R"].labels if "R" in rows else empty)
+    upper: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # triu indices by group size
+    for identity in sorted(groups_v.keys() | groups_r.keys()):
+        if identity not in groups_v or identity not in groups_r:
             n_skipped += 1
             continue
-        e_v = rows["V"].emb[in_v]
-        e_r = rows["R"].emb[in_r]
-        diff = e_v[:, None, :] - e_r[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=2))
+        e_v = rows["V"].emb[groups_v[identity]]
+        e_r = rows["R"].emb[groups_r[identity]]
+        d = pairwise_distances(e_v, e_r)
         inter_sum += float(d.sum())
         inter_n += d.size
         for e in (e_v, e_r):
-            if e.shape[0] >= 2:
-                dd = e[:, None, :] - e[None, :, :]
-                dist = np.sqrt((dd * dd).sum(axis=2))
-                iu = np.triu_indices(e.shape[0], k=1)
-                intra_sum += float(dist[iu].sum())
+            k = e.shape[0]
+            if k >= 2:
+                if k not in upper:
+                    upper[k] = np.triu_indices(k, k=1)
+                iu = upper[k]
+                intra_sum += float(pairwise_distances(e, e)[iu].sum())
                 intra_n += len(iu[0])
 
     inter_mean = inter_sum / inter_n if inter_n else 0.0

@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .numerics import DegenerateInputError, DimensionError, ProtocolError, derive_rng
+from .numerics import (DegenerateInputError, DimensionError, ProtocolError, derive_rng,
+                       pairwise_distances)
 
 
 def _logsumexp(s: np.ndarray, axis: int) -> np.ndarray:
@@ -202,8 +203,7 @@ def weighted_triplet_loss(stack, labels, need_grad: bool = True):
         i = int(np.flatnonzero(~neg.any(axis=1))[0])
         raise ProtocolError(f"anchor {i} has no negative in the batch")
 
-    diff = f[:, None, :] - f[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = pairwise_distances(f, f)
 
     neg_inf = np.float64(-np.inf)
     wp_logits = np.where(pos, dist, neg_inf)

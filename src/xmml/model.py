@@ -202,12 +202,13 @@ def save_checkpoint(path: Path | str, cfg: EncoderConfig, store: ParamStore) -> 
     """
     path = Path(path)
     with path.open("w") as fh:
-        fh.write(json.dumps({"kind": "encoder_config", **asdict(cfg)}) + "\n")
+        fh.write(json.dumps({"kind": "encoder_config", **asdict(cfg)},
+                            allow_nan=False) + "\n")
         for name in store.names():
             v = store.value(name)
             rec = {"kind": "tensor", "name": name, "shape": list(v.shape),
                    "data": np.ascontiguousarray(v).reshape(-1).tolist()}
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 def load_checkpoint(path: Path | str):

@@ -1,5 +1,6 @@
 """Float64 numeric substrate: seeded RNG streams, a named parameter store,
-and a central-difference gradient checker.
+exact blocked pairwise distances, phase timers, and a central-difference
+gradient checker.
 
 Everything downstream assumes 64-bit floats. 32-bit arithmetic is too noisy
 for reliable central-difference verification at h=1e-5.
@@ -7,7 +8,9 @@ for reliable central-difference verification at h=1e-5.
 
 from __future__ import annotations
 
+import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,8 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "ParamStore",
+    "pairwise_distances",
+    "timed",
     "FdEntry",
     "FdReport",
     "finite_difference_check",
@@ -97,6 +102,44 @@ class ParamStore:
     def zero_grads(self) -> None:
         for g in self._grads.values():
             g[...] = 0.0
+
+
+# float64 cells in one block of pairwise_distances (128 KiB). In a sweep of
+# 2048 to 65536 cells (CHANGES.md) training-cell times differed by less than
+# the host's noise; this size, the largest up to 128 KiB, had the fastest
+# 512-identity modality gap
+_BLOCK_CELLS = 1 << 14
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of `a` (n x d) and `b` (m x d).
+
+    Equal to the bit to np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2)),
+    but the n x m x d difference tensor is never built: blocks of rows of
+    `a`, at most _BLOCK_CELLS cells each (or one row when a row is larger),
+    are differenced, squared in place and summed over the last axis into the
+    result rows, with the same reduction the full tensor would use.
+    """
+    n, d = a.shape
+    m = b.shape[0]
+    out = np.empty((n, m))
+    rows = max(1, _BLOCK_CELLS // max(1, m * d))
+    buf = np.empty((min(rows, n), m, d))
+    for i in range(0, n, rows):
+        block = buf[:min(rows, n - i)]
+        np.subtract(a[i:i + rows, None, :], b[None, :, :], out=block)
+        np.multiply(block, block, out=block)
+        block.sum(axis=2, out=out[i:i + rows])
+    return np.sqrt(out, out=out)
+
+
+@contextmanager
+def timed(timings: dict[str, float] | None, phase: str):
+    """Adds the block's wall time to timings[phase]; a no-op without timings."""
+    t0 = time.perf_counter()
+    yield
+    if timings is not None:
+        timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
 
 
 @dataclass

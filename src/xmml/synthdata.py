@@ -270,7 +270,7 @@ def save_split(path: Path | str, split: Split) -> None:
             rec = {"sample_id": s.sample_id, "identity": s.identity,
                    "modality": s.modality, "view": s.view,
                    "x_raw": s.x_raw.tolist(), "l_raw": s.l_raw.tolist()}
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 def load_split(path: Path | str) -> Split:
@@ -300,7 +300,7 @@ def load_split(path: Path | str) -> Split:
 def save_meta(path: Path | str, meta: DatasetMeta) -> None:
     rec = {"schema": SCHEMA_VERSION, "config": asdict(meta.config),
            "mix_seed": meta.mix_seed}
-    Path(path).write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(rec, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_meta(path: Path | str) -> DatasetMeta:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evaluator, model
 from .losses import EmbeddingSet, LossBreakdown, LossWeights, fuse_multiview, total_loss
-from .numerics import DegenerateInputError, ParamStore, derive_seed
+from .numerics import DegenerateInputError, ParamStore, derive_seed, timed
 from .synthdata import Batch, DatasetBundle, sample_batch
 
 
@@ -130,11 +130,15 @@ def _divergence_diagnostics(batch: Batch, emb_blocks, breakdown: LossBreakdown |
 
 def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
                lrs: dict[str, float], fuse_seed: int, state: TrainState,
-               momentum: float = 0.9) -> LossBreakdown:
+               momentum: float = 0.9,
+               timings: dict[str, float] | None = None) -> LossBreakdown:
     """One forward/backward/update on a prepared batch. Returns the loss
-    breakdown measured before the parameter update."""
-    emb_blocks, (logits_v, logits_r), caches = model.forward(
-        store, batch.x_v, batch.x_r, batch.l_v, batch.l_r)
+    breakdown measured before the parameter update. With `timings`, the wall
+    time of the phases forward, fuse_multiview, total_loss, backward and
+    update is added to it, in seconds."""
+    with timed(timings, "forward"):
+        emb_blocks, (logits_v, logits_r), caches = model.forward(
+            store, batch.x_v, batch.x_r, batch.l_v, batch.l_r)
 
     try:
         emb = EmbeddingSet(*emb_blocks, labels=batch.labels)
@@ -144,9 +148,11 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
                                     _divergence_diagnostics(batch, emb_blocks, None)) from e
     fused = None
     if weights.lambda2 > 0 or weights.lambda3 > 0:
-        fused = fuse_multiview(emb, weights.n_fuse, fuse_seed,
-                               cross_modal=weights.cross_modal_fusion)
-    res = total_loss(emb, fused, logits_v, logits_r, weights)
+        with timed(timings, "fuse_multiview"):
+            fused = fuse_multiview(emb, weights.n_fuse, fuse_seed,
+                                   cross_modal=weights.cross_modal_fusion)
+    with timed(timings, "total_loss"):
+        res = total_loss(emb, fused, logits_v, logits_r, weights)
 
     if not np.isfinite(res.breakdown.total):
         raise TrainingDivergedError(
@@ -154,17 +160,19 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
             _divergence_diagnostics(batch, emb_blocks, res.breakdown))
 
     g = res.grads
-    model.backward(store, caches, (g.f_v, g.f_r, g.t_v, g.t_r),
-                   (res.grad_logits_v, res.grad_logits_r))
+    with timed(timings, "backward"):
+        model.backward(store, caches, (g.f_v, g.f_r, g.t_v, g.t_r),
+                       (res.grad_logits_v, res.grad_logits_r))
 
-    for group, names in model.param_groups().items():
-        lr = lrs[group]
-        for name in names:
-            vel = state.velocity[name]
-            vel *= momentum
-            vel += store.grad(name)
-            if lr != 0.0:
-                store.value(name)[...] -= lr * vel
+    with timed(timings, "update"):
+        for group, names in model.param_groups().items():
+            lr = lrs[group]
+            for name in names:
+                vel = state.velocity[name]
+                vel *= momentum
+                vel += store.grad(name)
+                if lr != 0.0:
+                    store.value(name)[...] -= lr * vel
     return res.breakdown
 
 
@@ -183,9 +191,12 @@ _SNAPSHOT_PROTOCOL = evaluator.Protocol(query_modality="R", gallery_modality="V"
                                         shots="multi", seed=0)
 
 
-def run_training(cfg: TrainConfig, data: DatasetBundle) -> TrainResult:
+def run_training(cfg: TrainConfig, data: DatasetBundle,
+                 timings: dict[str, float] | None = None) -> TrainResult:
     """Full training run on the bundle's train split, snapshotting retrieval
-    on the test split every `eval_every` epochs."""
+    on the test split every `eval_every` epochs. With `timings`, the wall
+    time of sample_batch, evaluate and train_step's phases is added to it,
+    in seconds; the result does not depend on it."""
     cfg.validate()
     enc_cfg = encoder_config_for(cfg, data)
     store = model.init_params(enc_cfg)
@@ -198,18 +209,20 @@ def run_training(cfg: TrainConfig, data: DatasetBundle) -> TrainResult:
         for epoch in range(cfg.epochs):
             lrs = lr_at(epoch, cfg)
             for step in range(cfg.batches_per_epoch):
-                batch = sample_batch(data.train, cfg.n_ids_per_batch,
-                                     cfg.k_per_modality,
-                                     derive_seed(cfg.seed, "batch", epoch, step))
+                with timed(timings, "sample_batch"):
+                    batch = sample_batch(data.train, cfg.n_ids_per_batch,
+                                         cfg.k_per_modality,
+                                         derive_seed(cfg.seed, "batch", epoch, step))
                 breakdown = train_step(store, batch, cfg.weights, lrs,
                                        derive_seed(cfg.seed, "fuse", epoch, step),
-                                       state, momentum=cfg.momentum)
+                                       state, momentum=cfg.momentum, timings=timings)
                 log.steps.append(StepRecord(epoch=epoch, step=step, breakdown=breakdown))
             if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-                report, = evaluator.evaluate(store, data.test, [_SNAPSHOT_PROTOCOL])
+                with timed(timings, "evaluate"):
+                    report, = evaluator.evaluate(store, data.test, [_SNAPSHOT_PROTOCOL])
                 if np.isnan(report.diagnostics["gap_ratio"]):
                     # finite embeddings whose squared distances overflow;
-                    # inf (every identity collapsed to a point) is kept
+                    # inf (every identity collapsed to a point) is logged as null
                     raise TrainingDivergedError(
                         f"retrieval snapshot at epoch {epoch} has gap_ratio nan",
                         {"epoch": epoch, **report.diagnostics})
@@ -232,9 +245,11 @@ def save_train_log(path: Path | str, log: TrainLog) -> None:
     """
     with Path(path).open("w") as fh:
         fh.write(json.dumps({"kind": "run", "seed": log.seed,
-                             "config": log.config_echo}, sort_keys=True) + "\n")
+                             "config": log.config_echo},
+                            sort_keys=True, allow_nan=False) + "\n")
         for s in log.steps:
             fh.write(json.dumps({"kind": "step", "epoch": s.epoch, "step": s.step,
-                                 **s.breakdown.as_dict()}) + "\n")
+                                 **s.breakdown.as_dict()}, allow_nan=False) + "\n")
         for e in log.evals:
-            fh.write(json.dumps({"kind": "eval", **e}) + "\n")
+            fh.write(json.dumps({"kind": "eval", **evaluator.as_written(e)},
+                                allow_nan=False) + "\n")

@@ -36,6 +36,13 @@ def manifest_sans_clock(out: Path) -> dict:
     return m
 
 
+def strict_json(text: str):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def read_tagged_csv(path: Path, tag: str) -> list[dict]:
     lines = path.read_text().splitlines()
     assert lines[0] == tag
@@ -108,6 +115,13 @@ class TestTrain:
         assert m["outputs"] == ["checkpoint.jsonl", "train_log.jsonl"]
         assert m["config"]["train.epochs"] == 2
         assert set(m["inputs"]) == {str(gen_dir / n) for n in DATA_FILES}
+
+    def test_manifest_holds_phase_times(self, train_dir):
+        m = manifest(train_dir)
+        assert set(m["phase_sec"]) == {"sample_batch", "forward", "fuse_multiview",
+                                       "total_loss", "backward", "update", "evaluate"}
+        assert all(seconds >= 0.0 for seconds in m["phase_sec"].values())
+        assert sum(m["phase_sec"].values()) <= m["wall_clock_sec"]
 
     def test_prints_loss_and_final_metrics(self, gen_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -262,6 +276,13 @@ class TestEval:
         rows = read_tagged_csv(out / "eval.csv", "# xmml-eval-csv v1")
         assert float(rows[0]["rank1"]) == 1.0
         assert float(rows[0]["map"]) == 1.0
+        # one sample per identity and modality: no intra pair, so the gap
+        # ratio is undefined and written as null / an empty field
+        assert rows[0]["gap_ratio"] == ""
+        report = strict_json((out / "eval_report.json").read_text())
+        assert report[0]["diagnostics"]["intra_mean"] == 0.0
+        assert report[0]["diagnostics"]["gap_ratio"] is None
+        strict_json((out / "manifest.json").read_text())
 
     def test_dimension_mismatch_fails_cleanly(self, train_dir, tmp_path, capsys):
         wide = tmp_path / "wide"

@@ -57,7 +57,10 @@ class TestCoercion:
 
     @pytest.mark.parametrize("key, raw", [("train.epochs", "2.5"), ("train.epochs", "none"),
                                           ("weights.distill_text", "maybe"),
-                                          ("weights.tau", "fast")])
+                                          ("weights.tau", "fast"),
+                                          # strict JSON artifacts cannot echo these
+                                          ("weights.tau", "inf"), ("weights.lambda1", "nan"),
+                                          ("gen.sigma_text", "-inf"), ("train.epochs", "inf")])
     def test_bad_values_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
             resolve(overrides={key: raw})

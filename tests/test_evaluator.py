@@ -9,8 +9,8 @@ import pytest
 
 import oracles
 from xmml import evaluator, model
-from xmml.evaluator import (REPORTED_METRICS, Protocol, RetrievalReport, cmc_map,
-                            conflict_sensitivity, embed_split, evaluate,
+from xmml.evaluator import (REPORTED_METRICS, EmbeddedRows, Protocol, RetrievalReport,
+                            cmc_map, conflict_sensitivity, embed_split, evaluate,
                             modality_gap)
 from xmml.model import EncoderConfig, init_params
 from xmml.numerics import ProtocolError, derive_rng
@@ -384,6 +384,84 @@ class TestModalityGap:
                 (3, 1, "V", rng.standard_normal(d))]
         gap = modality_gap(embed_split(identity_map_store(d), make_split(rows)))
         assert gap["n_skipped"] == 1.0
+
+
+def modality_gap_per_identity(rows):
+    """The per-identity loop modality_gap replaced: boolean masks and a
+    broadcast difference tensor per identity, sums in ascending identity
+    order. Kept as the reference its floats must equal."""
+    inter_sum = 0.0
+    inter_n = 0
+    intra_sum = 0.0
+    intra_n = 0
+    n_skipped = 0
+    empty = np.zeros(0, dtype=np.int64)
+    labels_v = rows["V"].labels if "V" in rows else empty
+    labels_r = rows["R"].labels if "R" in rows else empty
+    for identity in np.unique(np.concatenate([labels_v, labels_r])):
+        in_v = labels_v == identity
+        in_r = labels_r == identity
+        if not (in_v.any() and in_r.any()):
+            n_skipped += 1
+            continue
+        e_v = rows["V"].emb[in_v]
+        e_r = rows["R"].emb[in_r]
+        diff = e_v[:, None, :] - e_r[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=2))
+        inter_sum += float(d.sum())
+        inter_n += d.size
+        for e in (e_v, e_r):
+            if e.shape[0] >= 2:
+                dd = e[:, None, :] - e[None, :, :]
+                dist = np.sqrt((dd * dd).sum(axis=2))
+                iu = np.triu_indices(e.shape[0], k=1)
+                intra_sum += float(dist[iu].sum())
+                intra_n += len(iu[0])
+    inter_mean = inter_sum / inter_n if inter_n else 0.0
+    intra_mean = intra_sum / intra_n if intra_n else 0.0
+    ratio = inter_mean / intra_mean if intra_mean > 0 else float("inf")
+    return {"intra_mean": intra_mean, "inter_mean": inter_mean,
+            "gap_ratio": ratio, "n_skipped": float(n_skipped)}
+
+
+def shuffled_rows(rng, counts: dict[int, int], d: int) -> EmbeddedRows:
+    """Rows of one modality, `counts[identity]` per identity, in a random
+    order with sample_ids out of order."""
+    labels = rng.permutation(np.repeat(list(counts), list(counts.values())))
+    return EmbeddedRows(x=np.zeros((len(labels), 1)), emb=rng.standard_normal((len(labels), d)),
+                        labels=labels.astype(np.int64),
+                        ids=rng.permutation(len(labels)).astype(np.int64))
+
+
+class TestModalityGapReference:
+    def test_equals_the_per_identity_loop(self):
+        rng = derive_rng(9, "gap-reference")
+        for trial in range(20):
+            n_ids = int(rng.integers(1, 40))
+            d = int(rng.choice([1, 3, 32, 130]))
+            # 0 leaves an identity out of that modality; 1 has no intra pair
+            counts_v = {y: int(rng.integers(0, 6)) for y in range(n_ids)}
+            counts_r = {y: int(rng.integers(0, 6)) for y in range(n_ids)}
+            rows = {"V": shuffled_rows(rng, {y: k for y, k in counts_v.items() if k}, d),
+                    "R": shuffled_rows(rng, {y: k for y, k in counts_r.items() if k}, d)}
+            assert modality_gap(rows) == modality_gap_per_identity(rows)
+
+    def test_skipped_and_one_sample_identities(self):
+        rng = derive_rng(10, "gap-reference")
+        rows = {"V": shuffled_rows(rng, {0: 3, 1: 1, 2: 2, 5: 1}, 8),
+                "R": shuffled_rows(rng, {0: 1, 1: 1, 3: 4, 5: 2}, 8)}
+        gap = modality_gap(rows)
+        assert gap["n_skipped"] == 2.0           # identities 2 and 3
+        assert gap == modality_gap_per_identity(rows)
+        ones = {"V": shuffled_rows(rng, {0: 1, 1: 1}, 8),
+                "R": shuffled_rows(rng, {0: 1, 1: 1}, 8)}
+        assert modality_gap(ones) == modality_gap_per_identity(ones)
+        assert modality_gap(ones)["gap_ratio"] == np.inf
+
+    def test_equals_the_per_identity_loop_on_an_embedded_split(self, tiny_bundle):
+        store = init_params(EncoderConfig(d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
+        rows = embed_split(store, tiny_bundle.test)
+        assert modality_gap(rows) == modality_gap_per_identity(rows)
 
 
 # ---------------------------------------------------- conflict sensitivity

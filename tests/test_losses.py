@@ -4,6 +4,7 @@ structural invariants, and agreement with independent scalar oracles."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,21 @@ class TestWeightedTriplet:
         a, _ = weighted_triplet_loss(stack, labels)
         b, _ = weighted_triplet_loss(stack + 7.5, labels)
         assert abs(a - b) < 1e-9
+
+    # no N x N x d temporary: that alone is 1 MiB at the trained 64 x 32
+    # stack and 64 MiB at 512 x 32
+    @pytest.mark.parametrize("n_ids, bound_mib", [(8, 1), (64, 32)])
+    def test_peak_memory_stays_below_a_difference_tensor(self, n_ids, bound_mib):
+        rng = np.random.default_rng(15)
+        labels = np.tile(np.repeat(np.arange(n_ids), 4), 2)
+        stack = rng.standard_normal((len(labels), 32))
+        tracemalloc.start()
+        try:
+            weighted_triplet_loss(stack, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
 
 # ------------------------------------------------------ pairwise contrastive

@@ -1,13 +1,14 @@
-"""Numeric primitives: RNG streams, parameter store, and the
-finite-difference gradient checker."""
+"""Numeric primitives: RNG streams, parameter store, blocked pairwise
+distances, and the finite-difference gradient checker."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from xmml import numerics
 from xmml.numerics import (DegenerateInputError, ParamStore, derive_rng,
-                           derive_seed, finite_difference_check)
+                           derive_seed, finite_difference_check, pairwise_distances)
 
 
 # ------------------------------------------------------------ rng streams
@@ -29,6 +30,40 @@ class TestRngStreams:
     def test_derive_seed_stable(self):
         assert derive_seed(0, "a", 1) == derive_seed(0, "a", 1)
         assert derive_seed(0, "a", 1) != derive_seed(0, "a", 2)
+
+
+# ------------------------------------------------------ pairwise distances
+
+def broadcast_distances(a, b):
+    return np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2))
+
+
+class TestPairwiseDistances:
+    # beyond 128 summed terms numpy's pairwise sum recurses; the block sizes
+    # split rows unevenly, down to one row per block
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 32, 129, 200])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 130, 512])
+    def test_bit_identical_to_the_broadcast_formula(self, monkeypatch, n, d):
+        rng = derive_rng(n, "pairwise", d)
+        a = rng.standard_normal((n, d))
+        others = [rng.standard_normal((m, d)) for m in (1, 5, n + 3)
+                  if n * m * d <= 1 << 22]
+        if n * n * d <= 1 << 22:
+            others.append(a)
+        for cells in (1, 100, numerics._BLOCK_CELLS):
+            monkeypatch.setattr(numerics, "_BLOCK_CELLS", cells)
+            for b in others:
+                assert np.array_equal(pairwise_distances(a, b), broadcast_distances(a, b))
+
+    def test_duplicate_rows_are_exactly_zero(self):
+        rng = derive_rng(3, "pairwise-dup")
+        a = rng.standard_normal((9, 32))
+        a[5] = a[1]
+        dist = pairwise_distances(a, a)
+        # the triplet's zero-distance subgradient rule needs exact zeros
+        assert (np.diag(dist) == 0.0).all()
+        assert dist[1, 5] == 0.0 and dist[5, 1] == 0.0
+        assert (dist[~np.eye(9, dtype=bool)] > 0.0).sum() == 9 * 8 - 2
 
 
 # ------------------------------------------------------------- param store

@@ -15,8 +15,8 @@ from xmml.config import LONG_SCHEDULE, resolve, train_config
 from xmml.model import init_params
 from xmml.losses import LossWeights
 from xmml.synthdata import sample_batch
-from xmml.trainer import (TrainConfig, TrainState, TrainingDivergedError, lr_at,
-                          run_training, save_train_log, train_step)
+from xmml.trainer import (TrainConfig, TrainLog, TrainState, TrainingDivergedError,
+                          lr_at, run_training, save_train_log, train_step)
 
 TINY_TRAIN = TrainConfig(epochs=2, batches_per_epoch=2, n_ids_per_batch=3,
                          k_per_modality=2, seed=0)
@@ -238,6 +238,22 @@ class TestRunTraining:
         result = run_training(cfg, tiny_bundle)
         assert [e["epoch"] for e in result.log.evals] == [1, 2]
 
+    def test_phase_timings_leave_the_run_unchanged(self, tiny_bundle, tmp_path):
+        timings: dict[str, float] = {}
+        timed = run_training(TINY_TRAIN, tiny_bundle, timings=timings)
+        assert set(timings) == {"sample_batch", "forward", "fuse_multiview", "total_loss",
+                                "backward", "update", "evaluate"}
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert sum(timings.values()) <= timed.log.wall_clock_sec
+        plain = run_training(TINY_TRAIN, tiny_bundle)
+        for name, result in (("timed", timed), ("plain", plain)):
+            model.save_checkpoint(tmp_path / f"{name}.ckpt", result.encoder_config,
+                                  result.store)
+            save_train_log(tmp_path / f"{name}.log", result.log)
+        for suffix in ("ckpt", "log"):
+            assert ((tmp_path / f"timed.{suffix}").read_bytes()
+                    == (tmp_path / f"plain.{suffix}").read_bytes())
+
     def test_zero_rates_leave_parameters_at_init(self, tiny_bundle):
         cfg = dataclasses.replace(TINY_TRAIN, lr_visual=0.0, lr_text=0.0)
         result = run_training(cfg, tiny_bundle)
@@ -269,6 +285,20 @@ class TestTrainLogIO:
         eval0 = next(r for r in records if r["kind"] == "eval")
         assert list(eval0) == ["kind", "epoch", "rank1", "rank5", "rank10", "map",
                                "gap_ratio"]
+
+    def test_undefined_gap_ratio_written_as_null(self, tmp_path):
+        # every identity collapsed to a point: intra_mean 0, gap_ratio inf
+        log = TrainLog(seed=0, config_echo={},
+                       evals=[{"epoch": 0, "rank1": 1.0, "gap_ratio": float("inf")}])
+        path = tmp_path / "log.jsonl"
+        save_train_log(path, log)
+        assert '"gap_ratio": null' in path.read_text()
+        assert load_train_log_records(path)[1]["gap_ratio"] is None
+
+    def test_non_finite_value_fails_the_write(self, tmp_path):
+        log = TrainLog(seed=0, config_echo={"lr": float("nan")})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_train_log(tmp_path / "log.jsonl", log)
 
     def test_reruns_are_byte_identical(self, tiny_bundle, tmp_path):
         a_path, b_path = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
