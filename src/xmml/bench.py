@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import model
+from .config import coerce
 from .evaluator import REPORTED_METRICS, Protocol, embed_split, evaluate, modality_gap
 from .losses import LossWeights
 from .synthdata import DatasetBundle
@@ -215,15 +216,20 @@ SWEEP_PARAMS = {"lambda1": "lambda1", "lambda2": "lambda2",
 
 
 def run_sweep(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
-              param: str, values: list[float],
+              param: str, values: list[float | str],
               seeds: tuple[int, ...] = (0,)) -> list[CellResult]:
+    """One cell per value and seed. Each value is coerced like the config
+    key of its LossWeights field, and the run it configures is validated,
+    before the first cell trains: a bad value fails the sweep up front."""
     if param not in SWEEP_PARAMS:
         raise KeyError(f"unknown sweep parameter {param!r}; "
                        f"known: {', '.join(sorted(SWEEP_PARAMS))}")
     target = SWEEP_PARAMS[param]
+    casts = [coerce(f"weights.{target}", value) for value in values]
+    for cast in casts:
+        replace(train_cfg, weights=replace(train_cfg.weights, **{target: cast})).validate()
     cells = []
-    for value in values:
-        cast = int(value) if target == "n_fuse" else float(value)
+    for cast in casts:
         for seed in seeds:
             cells.append(run_cell(data, train_cfg, protocol,
                                   label=f"{param}={cast}",

@@ -88,11 +88,9 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _parse_value_list(text: str) -> list[float]:
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as e:
-        raise ConfigError(f"bad value list {text!r}: {e}") from e
+def _parse_value_list(text: str) -> list[str]:
+    """The comma-separated values; `run_sweep` coerces them to their field's type."""
+    values = [x.strip() for x in text.split(",") if x.strip()]
     if not values:
         raise ConfigError("value list is empty")
     return values

@@ -96,10 +96,11 @@ def _convert(raw, typ) -> object:
     raise ValueError(f"not a {getattr(typ, '__name__', typ)}: {raw!r}")
 
 
-def _coerce(key: str, raw, typ) -> object:
-    """Coerce a raw (possibly string) value to a field's annotated type."""
+def coerce(key: str, raw) -> object:
+    """Coerce a raw (possibly string) value to the annotated type of the
+    field behind config key `key`."""
     try:
-        return _convert(raw, typ)
+        return _convert(raw, _TYPES[key])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad value for {key}: {e}") from e
 
@@ -127,7 +128,7 @@ def resolve(file_cfg: dict | None = None, overrides: dict | None = None) -> dict
         if unknown:
             raise ConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
         for k, v in source.items():
-            cfg[k] = _coerce(k, v, _TYPES[k])
+            cfg[k] = coerce(k, v)
     return cfg
 
 

@@ -342,41 +342,67 @@ def fuse_multiview(emb: EmbeddingSet, n_fuse: int, rng_seed: int,
 
     Row i's partner pool is the other rows with label `emb.labels[i]`, in
     ascending order; with `cross_modal` it also holds those rows of the
-    other modality. Sampling is without replacement when the pool has
-    `n_fuse` distinct rows, with replacement otherwise. A row whose label
-    has no other row in the batch is fused with itself, i.e. left as is.
-    The same sampled partners are applied to the image block and its
+    other modality, after them. Sampling is without replacement when the
+    pool has `n_fuse` distinct rows, with replacement otherwise. A row whose
+    label has no other row in the batch is fused with itself, i.e. left as
+    is. The same sampled partners are applied to the image block and its
     paired text block.
+
+    The draws come from one generator seeded by `rng_seed`, slot by slot:
+    rows in order, a row's V slot before its R slot. A slot with an empty
+    pool draws nothing; any other slot draws the positions
+    `choice(pool_size, n_fuse, replace=pool_size < n_fuse)` into its pool.
+    When each of these draws is a run of single bounded integers (`n_fuse`
+    <= 1, or every pool smaller than `n_fuse`), one
+    `integers(0, pool_sizes)` call makes them all, with the values the
+    `choice` calls return. Otherwise each slot calls `choice` in turn.
     """
     n = emb.n
     if n_fuse < 0:
         raise ValueError(f"n_fuse must be >= 0, got {n_fuse}")
 
-    labels = emb.labels.tolist()
-    rows_of: dict[int, list[int]] = {}
-    for j, y in enumerate(labels):
-        rows_of.setdefault(y, []).append(j)
+    # rows grouped by label; the stable sort keeps each group ascending
+    order = np.argsort(emb.labels, kind="stable")
+    _, group, counts = np.unique(emb.labels, return_inverse=True, return_counts=True)
+    first = (np.cumsum(counts) - counts)[group]    # start of row i's group in `order`
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    rank -= first                                  # row i's place within its group
+    n_same = counts[group] - 1
 
-    rng = derive_rng(rng_seed, "fuse")
+    # slots in draw order: (row 0, V), (row 0, R), (row 1, V), ...
+    slot_row = np.repeat(np.arange(n), 2)
+    slot_offset = np.tile([0, n], n)
+    # the slot's own row in the stacked blocks, and its row in [mix_v; mix_r]
+    own = slot_offset + slot_row
+    pool_size = np.repeat(n_same * (2 if cross_modal else 1), 2)
+    # every slot averages in itself, n_fuse more times when it draws nothing
+    self_reps = np.where(pool_size > 0, 1, n_fuse + 1)
+    cells = [np.repeat(own * (2 * n) + own, self_reps)]
+
+    live = np.flatnonzero(pool_size > 0)
+    if n_fuse > 0 and live.size:
+        sizes = pool_size[live]
+        rng = derive_rng(rng_seed, "fuse")
+        if n_fuse == 1 or (sizes < n_fuse).all():
+            k = rng.integers(0, np.repeat(sizes, n_fuse)).reshape(-1, n_fuse)
+        else:
+            k = np.array([rng.choice(s, n_fuse, replace=s < n_fuse)
+                          for s in sizes.tolist()])
+        i = slot_row[live, None]
+        # position k is row i's same-label partner k % m, in modality k // m
+        m = n_same[i]
+        j = k % m
+        partner = order[first[i] + j + (j >= rank[i])]
+        modality = (k // m) * n if cross_modal else slot_offset[live, None]
+        cells.append((own[live, None] * (2 * n) + modality + partner).ravel())
+
+    # adding w per draw gives each cell the float sums of one += per draw
+    cells = np.concatenate(cells)
     w = 1.0 / (n_fuse + 1)
-    mix_v = np.zeros((n, 2 * n))
-    mix_r = np.zeros((n, 2 * n))
-    for i, y in enumerate(labels):
-        same = [j for j in rows_of[y] if j != i]
-        for mix, offset in ((mix_v, 0), (mix_r, n)):
-            self_idx = offset + i
-            if cross_modal:
-                pool = same + [j + n for j in same]
-            else:
-                pool = [j + offset for j in same]
-            if pool:
-                chosen = rng.choice(pool, size=n_fuse, replace=len(pool) < n_fuse)
-            else:
-                chosen = [self_idx] * n_fuse
-            mix[i, self_idx] += w
-            for c in chosen:
-                mix[i, c] += w
-    return FusedSet.from_mix(emb, mix_v, mix_r)
+    mix = np.bincount(cells, weights=np.full(cells.size, w),
+                      minlength=4 * n * n).reshape(2 * n, 2 * n)
+    return FusedSet.from_mix(emb, mix[:n], mix[n:])
 
 
 def contrastive_fused(fused: FusedSet, tau: float, labels=None,

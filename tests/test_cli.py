@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from xmml import model
+from xmml import bench, model
 from xmml.cli import main
 from xmml.model import EncoderConfig, init_params
 from xmml.synthdata import (DatasetBundle, GeneratorConfig, Split,
@@ -449,6 +449,23 @@ class TestAblateSweep:
                      "--out", str(tmp_path / "sw"), "--param", "gamma",
                      "--values", "0.1"] + TINY_TRAIN_ARGS) == 1
         assert "unknown sweep parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param,values,message", [
+        ("M", "1.5", "not an integer"),
+        ("M", "1,inf", "not a finite number"),
+        ("lambda1", "0.1,nan", "not a finite number"),
+        ("lambda1", "0.1,-1", "lambda1 must be >= 0"),
+    ])
+    def test_bad_sweep_value_fails_before_any_cell(self, gen_dir, tmp_path, capsys,
+                                                   monkeypatch, param, values, message):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(bench, "run_cell", no_cell)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--data", str(gen_dir), "--out", str(out),
+                     "--param", param, "--values", values] + TINY_TRAIN_ARGS) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_seed_list_fails_cleanly(self, gen_dir, tmp_path, capsys):
         assert main(["sweep", "--data", str(gen_dir),

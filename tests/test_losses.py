@@ -19,7 +19,9 @@ from xmml.losses import (EmbeddingSet, FusedSet, LossWeights,
                          contrastive_single, distance_parity_loss,
                          distill_loss, fuse_multiview, identity_loss,
                          total_loss, weighted_triplet_loss)
-from xmml.numerics import (DegenerateInputError, DimensionError, ProtocolError)
+from xmml import gradcheck
+from xmml.numerics import (DegenerateInputError, DimensionError, ProtocolError,
+                           derive_rng)
 from xmml.synthdata import sample_batch
 
 LN2 = math.log(2.0)
@@ -342,6 +344,122 @@ class TestFuseMultiview:
         emb = random_embedding_set(2, 3, seed=6, n_labels=1)
         with pytest.raises(ValueError):
             fuse_multiview(emb, n_fuse=-1, rng_seed=0)
+
+
+def fuse_multiview_per_row(emb: EmbeddingSet, n_fuse: int, rng_seed: int,
+                           cross_modal: bool = False) -> FusedSet:
+    """The per-row loop fuse_multiview replaced: a Python list per pool and
+    one `rng.choice` per row and modality, each draw added to its mix cell
+    with `+=`. Kept as the reference its mixes and fused views must equal."""
+    n = emb.n
+    labels = emb.labels.tolist()
+    rows_of: dict[int, list[int]] = {}
+    for j, y in enumerate(labels):
+        rows_of.setdefault(y, []).append(j)
+
+    rng = derive_rng(rng_seed, "fuse")
+    w = 1.0 / (n_fuse + 1)
+    mix_v = np.zeros((n, 2 * n))
+    mix_r = np.zeros((n, 2 * n))
+    for i, y in enumerate(labels):
+        same = [j for j in rows_of[y] if j != i]
+        for mix, offset in ((mix_v, 0), (mix_r, n)):
+            self_idx = offset + i
+            if cross_modal:
+                pool = same + [j + n for j in same]
+            else:
+                pool = [j + offset for j in same]
+            if pool:
+                chosen = rng.choice(pool, size=n_fuse, replace=len(pool) < n_fuse)
+            else:
+                chosen = [self_idx] * n_fuse
+            mix[i, self_idx] += w
+            for c in chosen:
+                mix[i, c] += w
+    return FusedSet.from_mix(emb, mix_v, mix_r)
+
+
+def assert_fusion_equals_per_row_loop(emb: EmbeddingSet, n_fuse: int, seed: int,
+                                      cross_modal: bool) -> None:
+    got = fuse_multiview(emb, n_fuse, seed, cross_modal=cross_modal)
+    want = fuse_multiview_per_row(emb, n_fuse, seed, cross_modal=cross_modal)
+    for name in ("mix_v", "mix_r", "fm_v", "fm_r", "tm_v", "tm_r"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), \
+            f"{name} differs at n_fuse={n_fuse}, seed={seed}, cross_modal={cross_modal}"
+
+
+def with_labels(labels, d: int, seed: int) -> EmbeddingSet:
+    labels = np.asarray(labels, dtype=np.int64)
+    return replace(random_embedding_set(labels.size, d, seed=seed), labels=labels)
+
+
+class TestFuseMultiviewReference:
+    @pytest.mark.parametrize("n_ids,k", [(8, 4), (3, 2), (4, 1), (2, 3), (5, 3)])
+    def test_equals_the_per_row_loop_on_pk_batches(self, n_ids, k):
+        # label values with gaps; odd seeds shuffle the rows as well
+        sorted_labels = np.repeat(3 * np.arange(n_ids) + 1, k)
+        for seed in range(12):
+            labels = sorted_labels
+            if seed % 2:
+                labels = derive_rng(seed, "fuse-reference").permutation(labels)
+            emb = with_labels(labels, 3, seed)
+            for n_fuse in range(4):
+                for cross_modal in (False, True):
+                    assert_fusion_equals_per_row_loop(emb, n_fuse, seed, cross_modal)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_equals_the_per_row_loop_on_gradcheck_labels(self, n):
+        # n=2: every row fuses with itself; n=5: pools of one and two rows
+        emb = with_labels(gradcheck._labels_for(n), 4, n)
+        for seed in range(6):
+            for n_fuse in range(4):
+                for cross_modal in (False, True):
+                    assert_fusion_equals_per_row_loop(emb, n_fuse, seed, cross_modal)
+
+    def test_equals_the_per_row_loop_when_only_some_pools_cover_n_fuse(self):
+        # pools of 3, 1 and 0 rows per identity (6, 2 and 0 with cross_modal):
+        # a pool of at least n_fuse rows is drawn without replacement, so
+        # every slot makes its own choice call, some of them with replacement
+        emb = with_labels([0, 1, 0, 2, 0, 1, 0], 3, 8)
+        for seed in range(20):
+            for n_fuse in (2, 3):
+                for cross_modal in (False, True):
+                    assert_fusion_equals_per_row_loop(emb, n_fuse, seed, cross_modal)
+
+    def test_cells_drawn_many_times_sum_like_the_loop(self):
+        # at n_fuse=6 row 2 adds itself 7 times and rows 0 and 1 draw their
+        # one partner 6 times; from 6 additions on, repeated += w differs
+        # from count * w in the last bit
+        emb = with_labels([0, 0, 1], 3, 9)
+        for cross_modal in (False, True):
+            assert_fusion_equals_per_row_loop(emb, 6, 0, cross_modal)
+
+
+class TestBoundedDrawPremise:
+    """fuse_multiview draws single bounded integers for many pools in one
+    `Generator.integers` call. That gives the per-slot `choice` results only
+    because numpy makes both with the same bounded-integer draw, in order.
+    A numpy release that changes this fails here, not as a drifted run."""
+
+    SIZES = np.array([1, 2, 3, 7, 1, 64, 5, 2, 1000, 1, 2**20])
+
+    def test_choice_one_without_replacement_equals_one_integers_call(self):
+        for seed in range(20):
+            per_slot = np.random.default_rng(seed)
+            want = [per_slot.choice(s, 1, replace=False)[0] for s in self.SIZES.tolist()]
+            one_call = np.random.default_rng(seed)
+            assert np.array_equal(one_call.integers(0, self.SIZES), want)
+            assert one_call.bit_generator.state == per_slot.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_choice_with_replacement_equals_one_integers_call(self, n):
+        for seed in range(20):
+            per_slot = np.random.default_rng(seed)
+            want = np.concatenate([per_slot.choice(s, n, replace=True)
+                                   for s in self.SIZES.tolist()])
+            one_call = np.random.default_rng(seed)
+            assert np.array_equal(one_call.integers(0, np.repeat(self.SIZES, n)), want)
+            assert one_call.bit_generator.state == per_slot.bit_generator.state
 
 
 class TestContrastiveFused:

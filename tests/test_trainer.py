@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from xmml import gradcheck, model
+from test_losses import fuse_multiview_per_row
+from xmml import gradcheck, model, trainer
+from xmml.bench import grid_overrides
 from xmml.config import LONG_SCHEDULE, resolve, train_config
 from xmml.model import init_params
 from xmml.losses import LossWeights
@@ -260,6 +262,28 @@ class TestRunTraining:
         fresh = init_params(result.encoder_config)
         for name in fresh.names():
             assert np.array_equal(result.store.value(name), fresh.value(name))
+
+
+class TestFusionReference:
+    @pytest.mark.parametrize("overrides", [
+        {},                                            # full objective, n_fuse 1
+        grid_overrides("align"),                       # n_fuse 0, lambda2 > 0
+        {"n_fuse": 2, "cross_modal_fusion": True},     # one choice call per slot
+    ], ids=["full", "align", "cross-modal-2"])
+    def test_run_is_byte_identical_to_the_per_row_fusion(self, tiny_bundle, tmp_path,
+                                                          monkeypatch, overrides):
+        cfg = dataclasses.replace(
+            TINY_TRAIN, weights=dataclasses.replace(LossWeights(), **overrides))
+        runs = {"batched": run_training(cfg, tiny_bundle)}
+        monkeypatch.setattr(trainer, "fuse_multiview", fuse_multiview_per_row)
+        runs["per_row"] = run_training(cfg, tiny_bundle)
+        for name, result in runs.items():
+            model.save_checkpoint(tmp_path / f"{name}.ckpt", result.encoder_config,
+                                  result.store)
+            save_train_log(tmp_path / f"{name}.log", result.log)
+        for suffix in ("ckpt", "log"):
+            assert ((tmp_path / f"batched.{suffix}").read_bytes()
+                    == (tmp_path / f"per_row.{suffix}").read_bytes())
 
 
 # ------------------------------------------------------------ log round-trip
