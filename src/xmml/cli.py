@@ -234,12 +234,8 @@ def cmd_gradcheck(args, cfg: dict) -> int:
                           f"known: {', '.join(LOSS_NAMES)}")
     sizes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_SIZES
     seed = args.seed if args.seed is not None else 0
-    if args.corrupt and args.corrupt not in LOSS_NAMES:
-        raise ConfigError(f"--corrupt wants one of {', '.join(LOSS_NAMES)}, "
-                          f"got {args.corrupt!r}")
     summaries = run_all(names=names, n_batches=args.batches, sizes=sizes,
-                        h=args.h, tol=args.tol, seed=seed,
-                        corrupt_name=args.corrupt)
+                        h=args.h, tol=args.tol, seed=seed)
     rows = []
     failed = []
     print(f"{'loss':<16} {'batches':>7} {'max_rel_err':>12} status")
@@ -359,7 +355,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4, help="relative-error tolerance")
     p.add_argument("--sizes", help="comma list of NxD batch sizes, e.g. 2x4,8x8")
     p.add_argument("--losses", help="comma list of losses to check (default: all)")
-    p.add_argument("--corrupt", help="test hook: corrupt this loss's gradient")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="train the component on/off lattice")

@@ -23,9 +23,7 @@ import numpy as np
 
 from . import model
 from .numerics import ParamStore, ProtocolError, derive_rng, pairwise_distances, timed
-from .synthdata import DatasetMeta, Split
-
-MODALITIES = ("V", "R")
+from .synthdata import MODALITIES, DatasetMeta, Split
 
 # the numbers eval.csv, train-log snapshots, ablation and sweep CSVs report
 REPORTED_METRICS = ("rank1", "rank5", "rank10", "map", "gap_ratio", "conflict_sensitivity")
@@ -308,9 +306,12 @@ def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
             "gap_ratio": ratio, "n_skipped": float(n_skipped)}
 
 
+# length of each conflict-latent probe in conflict_sensitivity
+_DELTA_SCALE = 1e-3
+
+
 def conflict_sensitivity(store: ParamStore, meta: DatasetMeta,
-                         rows: dict[str, EmbeddedRows],
-                         delta_scale: float = 1e-3) -> float:
+                         rows: dict[str, EmbeddedRows]) -> float:
     """Mean embedding response to small perturbations of the conflict latent.
 
     `rows` is the output of `embed_split`; only the perturbed features are
@@ -329,10 +330,10 @@ def conflict_sensitivity(store: ParamStore, meta: DatasetMeta,
     count = 0
     for modality, r in rows.items():
         axes = np.arange(len(r.x)) % d_conflict
-        deltas = delta_scale * np.eye(d_conflict)[axes]
+        deltas = _DELTA_SCALE * np.eye(d_conflict)[axes]
         x_pert = r.x + deltas @ by_mod[modality].T
         f1, _ = model.encode_visual(store, x_pert, modality)
-        resp = np.linalg.norm(f1 - r.emb, axis=1) / delta_scale
+        resp = np.linalg.norm(f1 - r.emb, axis=1) / _DELTA_SCALE
         total += float(resp.sum())
         count += len(r.x)
     if count == 0:

@@ -24,7 +24,7 @@ from .losses import (EmbeddingSet, FusedSet, LossWeights, contrastive_fused,
                      contrastive_single, distance_parity_loss, distill_loss,
                      fuse_multiview, identity_loss, total_loss,
                      weighted_triplet_loss)
-from .numerics import FdReport, ParamStore, derive_rng, derive_seed, finite_difference_check
+from .numerics import ParamStore, derive_rng, derive_seed, finite_difference_check
 
 LOSS_NAMES = ("identity", "triplet", "contrast_single", "contrast_fused",
               "distill", "parity", "total", "model")
@@ -61,11 +61,6 @@ def _write_emb_grads(store: ParamStore, grads) -> None:
         store.grad(name)[...] = getattr(grads, name)
 
 
-def _loss_and_value_fns(evaluate):
-    """(loss_fn, value_fn) from one `evaluate(store, need_grad)` closure."""
-    return (lambda s: evaluate(s, True)), (lambda s: evaluate(s, False))
-
-
 # embedding-only families: (emb, live fused views, frozen teacher, weights,
 # contrast labels, need_grad) -> (value, EmbeddingGrads or None). The loss
 # functions are looked up by module-level name at call time.
@@ -86,11 +81,12 @@ _READS_LIVE_VIEWS = ("contrast_fused", "total")
 
 def build_case(name: str, n: int, d: int, seed: int,
                weights: LossWeights | None = None):
-    """Returns (loss_fn, value_fn, store) for one named check.
+    """Returns (evaluate, store) for one named check.
 
-    `loss_fn(store)` computes the scalar and rewrites the analytic gradients;
-    `value_fn(store)` computes the same scalar, bit for bit, without any
-    gradient arithmetic and without touching the gradient buffers.
+    `evaluate(store, need_grad)` returns the scalar. With `need_grad=True` it
+    also rewrites the analytic gradients; with `need_grad=False` it gives the
+    same scalar, bit for bit, without any gradient arithmetic and without
+    touching the gradient buffers.
     """
     w = weights if weights is not None else LossWeights()
     n_classes = max(2, int(_labels_for(n).max()) + 1)
@@ -108,7 +104,7 @@ def build_case(name: str, n: int, d: int, seed: int,
                 s.grad("logits_v")[...] = gv
                 s.grad("logits_r")[...] = gr
             return val
-        return (*_loss_and_value_fns(evaluate), store)
+        return evaluate, store
 
     if name == "triplet":
         store = ParamStore()
@@ -122,7 +118,7 @@ def build_case(name: str, n: int, d: int, seed: int,
             if need_grad:
                 s.grad("stack")[...] = g
             return val
-        return (*_loss_and_value_fns(evaluate), store)
+        return evaluate, store
 
     if name in _EMB_FAMILIES or name == "total":
         store = ParamStore()
@@ -157,7 +153,7 @@ def build_case(name: str, n: int, d: int, seed: int,
             if need_grad:
                 _write_emb_grads(s, grads)
             return val
-        return (*_loss_and_value_fns(evaluate), store)
+        return evaluate, store
 
     if name == "model":
         return _build_model_case(n, seed, w)
@@ -206,7 +202,7 @@ def _build_model_case(n: int, seed: int, w: LossWeights):
                            (res.grad_logits_v, res.grad_logits_r))
         return res.breakdown.total
 
-    return (*_loss_and_value_fns(evaluate), store)
+    return evaluate, store
 
 
 @dataclass
@@ -216,26 +212,10 @@ class CheckSummary:
     max_rel_err: float
     n_failed: int
 
-    @property
-    def ok(self) -> bool:
-        return self.n_failed == 0
-
-
-def _corrupted(loss_fn, store: ParamStore):
-    """Test hook: nudge one analytic gradient entry so the check must fail."""
-    first = store.names()[0]
-
-    def bad_loss_fn(s):
-        val = loss_fn(s)
-        s.grad(first).reshape(-1)[0] += 1e-2
-        return val
-    return bad_loss_fn
-
 
 def check_loss(name: str, n_batches: int = 50, sizes=DEFAULT_SIZES,
                h: float = 1e-5, tol: float = 1e-4, seed: int = 0,
-               weights: LossWeights | None = None,
-               corrupt: bool = False) -> tuple[CheckSummary, list[FdReport]]:
+               weights: LossWeights | None = None) -> CheckSummary:
     """Run `n_batches` seeded random batches of one named check."""
     if n_batches < 1:
         raise ValueError(f"n_batches must be >= 1, got {n_batches}")
@@ -243,33 +223,22 @@ def check_loss(name: str, n_batches: int = 50, sizes=DEFAULT_SIZES,
         # N >= 2 gives every anchor of the triplet a negative
         if n < 2 or d < 1:
             raise ValueError(f"batch size {n}x{d} needs N >= 2 and d >= 1")
-    reports = []
     n_failed = 0
     max_rel = 0.0
     for b in range(n_batches):
         n, d = sizes[b % len(sizes)]
-        loss_fn, value_fn, store = build_case(name, n, d, derive_seed(seed, name, b),
-                                              weights=weights)
-        if corrupt:
-            loss_fn = _corrupted(loss_fn, store)
-        report = finite_difference_check(loss_fn, store, h=h, tol=tol,
-                                         value_fn=value_fn)
-        reports.append(report)
+        evaluate, store = build_case(name, n, d, derive_seed(seed, name, b), weights=weights)
+        report = finite_difference_check(evaluate, store, h=h, tol=tol)
         max_rel = max(max_rel, report.max_rel_err)
         if not report.ok:
             n_failed += 1
     return CheckSummary(name=name, n_batches=n_batches,
-                        max_rel_err=max_rel, n_failed=n_failed), reports
+                        max_rel_err=max_rel, n_failed=n_failed)
 
 
 def run_all(names=LOSS_NAMES, n_batches: int = 50, sizes=DEFAULT_SIZES,
             h: float = 1e-5, tol: float = 1e-4, seed: int = 0,
-            weights: LossWeights | None = None,
-            corrupt_name: str | None = None) -> list[CheckSummary]:
-    summaries = []
-    for name in names:
-        summary, _ = check_loss(name, n_batches=n_batches, sizes=sizes, h=h,
-                                tol=tol, seed=seed, weights=weights,
-                                corrupt=(name == corrupt_name))
-        summaries.append(summary)
-    return summaries
+            weights: LossWeights | None = None) -> list[CheckSummary]:
+    return [check_loss(name, n_batches=n_batches, sizes=sizes, h=h, tol=tol,
+                       seed=seed, weights=weights)
+            for name in names]

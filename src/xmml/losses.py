@@ -23,7 +23,7 @@ evaluations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -134,9 +134,6 @@ class LossBreakdown:
     distill: float
     parity: float
     total: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def identity_loss(logits_v, logits_r, labels, need_grad: bool = True):

@@ -46,40 +46,39 @@ class EncoderConfig:
             raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
 
 
+# (layer, optimizer group, weight rows, weight cols) in init draw order; the
+# dims name EncoderConfig fields. Each layer draws its weight, then its bias.
+# The classifier is its own group at the visual rate.
+_LAYERS = (
+    ("stem_v", "visual", "d_hidden", "d_in_visual"),
+    ("stem_r", "visual", "d_hidden", "d_in_visual"),
+    ("trunk1", "visual", "d_hidden", "d_hidden"),
+    ("trunk2", "visual", "d_embed", "d_hidden"),
+    ("text1", "text", "d_hidden", "d_in_text"),
+    ("text2", "text", "d_embed", "d_hidden"),
+    ("cls", "classifier", "n_classes", "d_embed"),
+)
+
+
 def init_params(cfg: EncoderConfig) -> ParamStore:
     """Uniform(-init_scale, init_scale) init, fixed draw order, seeded."""
     cfg.validate()
     rng = derive_rng(cfg.seed, "encoder-init")
     store = ParamStore()
-
-    def add(name, shape):
-        store.add(name, rng.uniform(-cfg.init_scale, cfg.init_scale, size=shape))
-
-    add("stem_v.w", (cfg.d_hidden, cfg.d_in_visual))
-    add("stem_v.b", (cfg.d_hidden,))
-    add("stem_r.w", (cfg.d_hidden, cfg.d_in_visual))
-    add("stem_r.b", (cfg.d_hidden,))
-    add("trunk1.w", (cfg.d_hidden, cfg.d_hidden))
-    add("trunk1.b", (cfg.d_hidden,))
-    add("trunk2.w", (cfg.d_embed, cfg.d_hidden))
-    add("trunk2.b", (cfg.d_embed,))
-    add("text1.w", (cfg.d_hidden, cfg.d_in_text))
-    add("text1.b", (cfg.d_hidden,))
-    add("text2.w", (cfg.d_embed, cfg.d_hidden))
-    add("text2.b", (cfg.d_embed,))
-    add("cls.w", (cfg.n_classes, cfg.d_embed))
-    add("cls.b", (cfg.n_classes,))
+    for layer, _, rows, cols in _LAYERS:
+        rows, cols = getattr(cfg, rows), getattr(cfg, cols)
+        for suffix, shape in (("w", (rows, cols)), ("b", (rows,))):
+            store.add(f"{layer}.{suffix}",
+                      rng.uniform(-cfg.init_scale, cfg.init_scale, size=shape))
     return store
 
 
 def param_groups() -> dict[str, list[str]]:
-    """Optimizer groups; the classifier is its own group at the visual rate."""
-    return {
-        "visual": ["stem_v.w", "stem_v.b", "stem_r.w", "stem_r.b",
-                   "trunk1.w", "trunk1.b", "trunk2.w", "trunk2.b"],
-        "classifier": ["cls.w", "cls.b"],
-        "text": ["text1.w", "text1.b", "text2.w", "text2.b"],
-    }
+    """Optimizer group -> parameter names, from the layer table."""
+    groups: dict[str, list[str]] = {}
+    for layer, group, _, _ in _LAYERS:
+        groups.setdefault(group, []).extend((f"{layer}.w", f"{layer}.b"))
+    return groups
 
 
 @dataclass

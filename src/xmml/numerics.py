@@ -146,16 +146,12 @@ def timed(timings: dict[str, float] | None, phase: str):
 class FdEntry:
     name: str
     max_rel_err: float
-    worst_index: int
     n_flagged: int
     nonfinite: bool = False
 
 
 @dataclass
 class FdReport:
-    h: float
-    tol: float
-    loss_value: float
     entries: list[FdEntry]
 
     @property
@@ -166,69 +162,56 @@ class FdReport:
     def max_rel_err(self) -> float:
         return max((e.max_rel_err for e in self.entries), default=0.0)
 
-    def summary(self) -> str:
-        lines = [f"loss={self.loss_value:.6g} h={self.h:g} tol={self.tol:g}"]
-        for e in self.entries:
-            status = "ok" if e.n_flagged == 0 and not e.nonfinite else "FAIL"
-            lines.append(
-                f"  {e.name:16s} max_rel={e.max_rel_err:.3e} "
-                f"flagged={e.n_flagged} {status}"
-            )
-        return "\n".join(lines)
 
-
-def finite_difference_check(loss_fn, store: ParamStore, h: float = 1e-5,
-                            tol: float = 1e-4, value_fn=None) -> FdReport:
+def finite_difference_check(evaluate, store: ParamStore, h: float = 1e-5,
+                            tol: float = 1e-4) -> FdReport:
     """Compare analytic gradients against two-sided finite differences.
 
-    `loss_fn(store)` must return the scalar loss and leave the analytic
-    gradients in the store's grad buffers (recomputed from scratch, i.e. it
-    zeroes before accumulating). `value_fn`, when given, is a cheaper
-    value-only version of the same scalar used for the perturbed
-    evaluations. Relative error per scalar parameter is
-    |a - n| / max(1, |a|, |n|). Non-finite loss values are reported as
-    check failures rather than raised.
+    `evaluate(store, need_grad)` returns the scalar loss. With
+    `need_grad=True` it also writes the analytic gradients into the store's
+    grad buffers; it is called that way once, after the buffers are zeroed.
+    Both probes of every scalar call it with `need_grad=False`, which must
+    give the same value to the bit and leave the buffers alone. Relative
+    error per scalar parameter is |a - n| / max(1, |a|, |n|). Non-finite
+    loss values and analytic gradients are reported as check failures
+    rather than raised.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"step size h={h:g} outside [1e-7, 1e-3]")
-    if value_fn is None:
-        value_fn = loss_fn
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance tol={tol:g} must be finite and > 0")
 
     store.zero_grads()
-    base = float(loss_fn(store))
+    base = float(evaluate(store, True))
     analytic = {name: store.grad(name).copy() for name in store.names()}
 
     entries: list[FdEntry] = []
     if not np.isfinite(base):
         for name in store.names():
-            size = store.value(name).size
-            entries.append(FdEntry(name, np.inf, 0, size, nonfinite=True))
-        return FdReport(h, tol, base, entries)
+            entries.append(FdEntry(name, np.inf, store.value(name).size, nonfinite=True))
+        return FdReport(entries)
 
     for name in store.names():
         flat = store.value(name).reshape(-1)
         g = analytic[name].reshape(-1)
         max_rel = 0.0
-        worst = 0
         flagged = 0
         nonfinite = False
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = float(value_fn(store))
+            lp = float(evaluate(store, False))
             flat[i] = orig - h
-            lm = float(value_fn(store))
+            lm = float(evaluate(store, False))
             flat[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
+            if not (np.isfinite(lp) and np.isfinite(lm) and np.isfinite(g[i])):
                 nonfinite = True
                 flagged += 1
                 continue
             num = (lp - lm) / (2.0 * h)
             rel = abs(g[i] - num) / max(1.0, abs(g[i]), abs(num))
-            if rel > max_rel:
-                max_rel = rel
-                worst = i
+            max_rel = max(max_rel, rel)
             if rel > tol:
                 flagged += 1
-        entries.append(FdEntry(name, max_rel, worst, flagged, nonfinite))
-    return FdReport(h, tol, base, entries)
+        entries.append(FdEntry(name, max_rel, flagged, nonfinite))
+    return FdReport(entries)

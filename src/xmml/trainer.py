@@ -120,7 +120,7 @@ def _divergence_diagnostics(batch: Batch, emb_blocks, breakdown: LossBreakdown |
     """What a diverged step dumps: the loss (None when the embeddings already
     failed), the batch's rows, and the embedding scale."""
     return {
-        "breakdown": breakdown.as_dict() if breakdown is not None else None,
+        "breakdown": asdict(breakdown) if breakdown is not None else None,
         "identities": batch.identities.tolist(),
         "sample_ids_v": batch.sample_ids_v.tolist(),
         "sample_ids_r": batch.sample_ids_r.tolist(),
@@ -249,7 +249,7 @@ def save_train_log(path: Path | str, log: TrainLog) -> None:
                             sort_keys=True, allow_nan=False) + "\n")
         for s in log.steps:
             fh.write(json.dumps({"kind": "step", "epoch": s.epoch, "step": s.step,
-                                 **s.breakdown.as_dict()}, allow_nan=False) + "\n")
+                                 **asdict(s.breakdown)}, allow_nan=False) + "\n")
         for e in log.evals:
             fh.write(json.dumps({"kind": "eval", **evaluator.as_written(e)},
                                 allow_nan=False) + "\n")

@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny datasets and random embedding batches."""
+"""Shared fixtures: tiny datasets, random embedding batches, and a gradient
+check with one family's gradient corrupted."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `import oracles` work
 
+from xmml import gradcheck
 from xmml.losses import EmbeddingSet, LossWeights
 from xmml.numerics import derive_rng
 from xmml.synthdata import GeneratorConfig, generate_dataset
@@ -55,3 +57,26 @@ def emb_4x3() -> EmbeddingSet:
 @pytest.fixture
 def default_weights() -> LossWeights:
     return LossWeights()
+
+
+@pytest.fixture
+def corrupt_gradcheck(monkeypatch):
+    """`corrupt(family)` patches `gradcheck.build_case` so that the family's
+    analytic gradient is off by 1e-2 in its first entry; its check must fail."""
+    def corrupt(family: str) -> None:
+        build_case = gradcheck.build_case
+
+        def corrupted_build_case(name, *args, **kwargs):
+            evaluate, store = build_case(name, *args, **kwargs)
+            if name != family:
+                return evaluate, store
+            first = store.names()[0]
+
+            def corrupted(s, need_grad):
+                val = evaluate(s, need_grad)
+                if need_grad:
+                    s.grad(first).reshape(-1)[0] += 1e-2
+                return val
+            return corrupted, store
+        monkeypatch.setattr(gradcheck, "build_case", corrupted_build_case)
+    return corrupt

@@ -378,9 +378,11 @@ class TestGradcheck:
         assert [r["name"] for r in report["results"]] == ["identity", "parity"]
         assert all(r["n_failed"] == 0 for r in report["results"])
 
-    def test_corrupted_gradient_detected_with_exit_2(self, tmp_path, capsys):
+    def test_corrupted_gradient_detected_with_exit_2(self, tmp_path, capsys,
+                                                     corrupt_gradcheck):
+        corrupt_gradcheck("identity")
         assert main(["gradcheck", "--out", str(tmp_path / "gc"), "--batches", "2",
-                     "--losses", "identity,parity", "--corrupt", "identity"]) == 2
+                     "--losses", "identity,parity"]) == 2
         err = capsys.readouterr().err
         assert "gradient check failed for: identity" in err
 
@@ -392,6 +394,8 @@ class TestGradcheck:
     @pytest.mark.parametrize("args", [
         ["--batches", "0"], ["--batches", "-3"], ["--sizes", "1x4"],
         ["--sizes", "4x0"],
+        # NaN or inf would pass any gradient, 0 or less would fail exact ones
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
     ])
     def test_check_that_checks_nothing_fails_cleanly(self, tmp_path, capsys, args):
         assert main(["gradcheck", "--out", str(tmp_path / "gc"),

@@ -104,30 +104,31 @@ def _cubic_store():
     return store
 
 
-def _cubic_loss(store: ParamStore) -> float:
+def _cubic_evaluate(store: ParamStore, need_grad: bool) -> float:
     """sum(w^3 - 2w) + sum(v^2); gradient 3w^2 - 2 and 2v."""
     w = store.value("w")
     v = store.value("v")
-    store.zero_grads()
-    store.grad("w")[...] = 3.0 * w * w - 2.0
-    store.grad("v")[...] = 2.0 * v
+    if need_grad:
+        store.grad("w")[...] = 3.0 * w * w - 2.0
+        store.grad("v")[...] = 2.0 * v
     return float((w ** 3 - 2.0 * w).sum() + (v * v).sum())
 
 
 class TestFiniteDifferenceCheck:
     def test_analytic_polynomial_passes_tightly(self):
-        report = finite_difference_check(_cubic_loss, _cubic_store(),
+        report = finite_difference_check(_cubic_evaluate, _cubic_store(),
                                          h=1e-5, tol=1e-4)
         assert report.ok
         assert report.max_rel_err < 1e-8
 
     def test_corrupted_gradient_is_caught(self):
-        def bad_loss(store):
-            val = _cubic_loss(store)
-            store.grad("w")[0] += 0.05
+        def bad_evaluate(store, need_grad):
+            val = _cubic_evaluate(store, need_grad)
+            if need_grad:
+                store.grad("w")[0] += 0.05
             return val
 
-        report = finite_difference_check(bad_loss, _cubic_store(),
+        report = finite_difference_check(bad_evaluate, _cubic_store(),
                                          h=1e-5, tol=1e-4)
         assert not report.ok
         flagged = {e.name: e.n_flagged for e in report.entries}
@@ -136,19 +137,56 @@ class TestFiniteDifferenceCheck:
 
     def test_step_size_bounds_enforced(self):
         with pytest.raises(ValueError):
-            finite_difference_check(_cubic_loss, _cubic_store(), h=1e-1)
+            finite_difference_check(_cubic_evaluate, _cubic_store(), h=1e-1)
         with pytest.raises(ValueError):
-            finite_difference_check(_cubic_loss, _cubic_store(), h=1e-9)
+            finite_difference_check(_cubic_evaluate, _cubic_store(), h=1e-9)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_tolerance_that_cannot_fail_is_rejected(self, tol):
+        # a NaN or infinite tolerance flags nothing, and one <= 0 flags
+        # even exact gradients
+        with pytest.raises(ValueError, match="tol"):
+            finite_difference_check(_cubic_evaluate, _cubic_store(), tol=tol)
 
     def test_nonfinite_loss_reported_not_raised(self):
-        def inf_loss(store):
+        def inf_evaluate(store, need_grad):
             return float("inf")
 
-        report = finite_difference_check(inf_loss, _cubic_store())
+        report = finite_difference_check(inf_evaluate, _cubic_store())
         assert not report.ok
         assert all(e.nonfinite for e in report.entries)
 
-    def test_summary_mentions_every_parameter(self):
-        report = finite_difference_check(_cubic_loss, _cubic_store())
-        text = report.summary()
-        assert "w" in text and "v" in text
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gradient_is_caught(self, bad):
+        def bad_evaluate(store, need_grad):
+            val = _cubic_evaluate(store, need_grad)
+            if need_grad:
+                store.grad("v")[1, 0] = bad
+            return val
+
+        report = finite_difference_check(bad_evaluate, _cubic_store())
+        assert not report.ok
+        entries = {e.name: e for e in report.entries}
+        assert entries["v"].nonfinite and entries["v"].n_flagged == 1
+        assert not entries["w"].nonfinite and entries["w"].n_flagged == 0
+
+    def test_evaluate_contract(self):
+        store = _cubic_store()
+        start = {name: store.value(name).copy() for name in store.names()}
+        for name in store.names():
+            store.grad(name)[...] = 7.0   # stale gradients from an earlier pass
+        calls = []
+
+        def recording(s, need_grad):
+            calls.append((need_grad, all(not s.grad(n).any() for n in s.names())))
+            return _cubic_evaluate(s, need_grad)
+
+        finite_difference_check(recording, store)
+        n_scalars = sum(store.value(name).size for name in store.names())
+        # the first call computes the gradient from zeroed buffers
+        assert calls[0] == (True, True)
+        # then value-only calls, two probes per scalar: 1 + 2 * n_scalars in all
+        assert len(calls) == 1 + 2 * n_scalars
+        assert all(not need_grad for need_grad, _ in calls[1:])
+        for name in store.names():
+            assert store.value(name).tobytes() == start[name].tobytes()

@@ -202,7 +202,7 @@ class TestTrainStep:
             model.encode_text_backward(store, c_tr, d_tr)
 
         monkeypatch.setattr(model, "backward", backward_without_r_classifier)
-        summary, _ = gradcheck.check_loss("model", n_batches=2)
+        summary = gradcheck.check_loss("model", n_batches=2)
         assert summary.n_failed > 0
         calls.clear()
         store, state, batch, w = _setup(tiny_bundle)
