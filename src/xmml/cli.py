@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,12 @@ def _prepare_out(args) -> Path:
     return out
 
 
+def _load_data(args):
+    """The --data bundle, and its files: the inputs a manifest hashes."""
+    data_dir = Path(args.data)
+    return load_dataset(data_dir), [data_dir / n for n in DATASET_FILES]
+
+
 def _parse_seed_list(text: str) -> tuple[int, ...]:
     try:
         seeds = tuple(int(x) for x in text.split(",") if x.strip())
@@ -134,22 +141,19 @@ def cmd_gen(args, cfg: dict) -> int:
     out = _prepare_out(args)
     outputs = save_dataset(out, bundle)
     _write_manifest(out, "gen", cfg, [gcfg.seed], [], outputs, t0)
-    print(f"wrote {out}: train={len(bundle.train.samples)} samples, "
-          f"test={len(bundle.test.samples)} samples")
+    print(f"wrote {out}: train={len(bundle.train)} samples, test={len(bundle.test)} samples")
     return 0
 
 
 def cmd_train(args, cfg: dict) -> int:
     t0 = time.perf_counter()
     tcfg = _train_config(args, cfg)
-    data_dir = Path(args.data)
-    data = load_dataset(data_dir)
+    data, inputs = _load_data(args)
     timings: dict[str, float] = {}
     result = run_training(tcfg, data, timings=timings)
     out = _prepare_out(args)
     model.save_checkpoint(out / "checkpoint.jsonl", result.encoder_config, result.store)
     save_train_log(out / "train_log.jsonl", result.log)
-    inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "train", cfg, [tcfg.seed], inputs,
                     ["checkpoint.jsonl", "train_log.jsonl"], t0, timings)
     last = result.log.evals[-1]
@@ -183,8 +187,7 @@ def cmd_eval(args, cfg: dict) -> int:
     t0 = time.perf_counter()
     if args.seed is not None:
         cfg["eval.seed"] = args.seed
-    data_dir = Path(args.data)
-    data = load_dataset(data_dir)
+    data, inputs = _load_data(args)
     split = data.test if args.split == "test" else data.train
     ckpt = Path(args.checkpoint)
     enc_cfg, store = model.load_checkpoint(ckpt)
@@ -217,8 +220,7 @@ def cmd_eval(args, cfg: dict) -> int:
     (out / "eval_report.json").write_text(
         json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
-    inputs = [ckpt] + [data_dir / n for n in DATASET_FILES]
-    _write_manifest(out, "eval", cfg, [p.seed for p in protos], inputs,
+    _write_manifest(out, "eval", cfg, [p.seed for p in protos], [ckpt] + inputs,
                     ["eval.csv", "eval_report.json"], t0, timings)
     for r in reports:
         print(f"rank1={r.rank(1):.3f} map={r.map:.3f}")
@@ -236,22 +238,22 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     seed = args.seed if args.seed is not None else 0
     summaries = run_all(names=names, n_batches=args.batches, sizes=sizes,
                         h=args.h, tol=args.tol, seed=seed)
-    rows = []
-    failed = []
     print(f"{'loss':<16} {'batches':>7} {'max_rel_err':>12} status")
     for s in summaries:
         status = "ok" if s.n_failed == 0 else f"FAIL ({s.n_failed} batches)"
         print(f"{s.name:<16} {s.n_batches:>7} {s.max_rel_err:>12.3e} {status}")
-        rows.append({"name": s.name, "n_batches": s.n_batches,
-                     "max_rel_err": s.max_rel_err, "n_failed": s.n_failed})
-        if s.n_failed:
-            failed.append(s.name)
+    non_finite = [s.name for s in summaries if not np.isfinite(s.max_rel_err)]
+    if non_finite:
+        # a non-finite loss makes max_rel_err inf, which strict JSON cannot hold
+        raise FloatingPointError(f"non-finite loss in: {', '.join(non_finite)}")
     out = _prepare_out(args)
     (out / "gradcheck_report.json").write_text(
         json.dumps({"h": args.h, "tol": args.tol, "seed": seed,
-                    "results": rows}, indent=2, sort_keys=True, allow_nan=False) + "\n")
+                    "results": [asdict(s) for s in summaries]},
+                   indent=2, sort_keys=True, allow_nan=False) + "\n")
     _write_manifest(out, "gradcheck", cfg, [seed], [],
                     ["gradcheck_report.json"], t0)
+    failed = [s.name for s in summaries if s.n_failed]
     if failed:
         print(f"gradient check failed for: {', '.join(failed)}", file=sys.stderr)
         return 2
@@ -269,12 +271,10 @@ def cmd_ablate(args, cfg: dict) -> int:
             grid_overrides(label)
         except KeyError as e:
             raise ConfigError(str(e.args[0])) from e
-    data_dir = Path(args.data)
-    data = load_dataset(data_dir)
+    data, inputs = _load_data(args)
     cells = run_ablation(data, tcfg, proto, labels=labels, seeds=seeds)
     out = _prepare_out(args)
     write_ablation_csv(out / "ablation.csv", cells, tcfg.weights)
-    inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "ablate", cfg, list(seeds), inputs, ["ablation.csv"], t0)
     for label, m in summarize(cells).items():
         print(f"{label:<14} rank1={m['rank1']:.3f} map={m['map']:.3f} "
@@ -288,15 +288,13 @@ def cmd_sweep(args, cfg: dict) -> int:
     proto = protocol(cfg)
     seeds = _parse_seed_list(args.seeds)
     values = _parse_value_list(args.values)
-    data_dir = Path(args.data)
-    data = load_dataset(data_dir)
+    data, inputs = _load_data(args)
     try:
         cells = run_sweep(data, tcfg, proto, args.param, values, seeds=seeds)
     except KeyError as e:
         raise ConfigError(str(e.args[0])) from e
     out = _prepare_out(args)
     write_sweep_csv(out / "sweep.csv", cells, args.param)
-    inputs = [data_dir / n for n in DATASET_FILES]
     _write_manifest(out, "sweep", cfg, list(seeds), inputs, ["sweep.csv"], t0)
     for c in cells:
         print(f"{c.label:<14} seed={c.seed} rank1={c.metrics['rank1']:.3f} "

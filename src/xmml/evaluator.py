@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .numerics import ParamStore, ProtocolError, derive_rng, pairwise_distances, timed
+from .numerics import (ParamStore, ProtocolError, derive_rng, pairwise_distances,
+                       rows_by_label, timed)
 from .synthdata import MODALITIES, DatasetMeta, Split
 
 # the numbers eval.csv, train-log snapshots, ablation and sweep CSVs report
@@ -174,26 +175,19 @@ class EmbeddedRows:
 def embed_split(store: ParamStore, split: Split) -> dict[str, EmbeddedRows]:
     """The evaluation embedding pass: one encode per modality present."""
     out = {}
-    for modality in MODALITIES:
-        samples = split.by_modality(modality)
-        if not samples:
+    for modality, rows in split.rows.items():
+        if not len(rows):
             continue
-        x = np.stack([s.x_raw for s in samples])
-        emb, _ = model.encode_visual(store, x, modality)
-        out[modality] = EmbeddedRows(
-            x=x, emb=emb,
-            labels=np.asarray([s.identity for s in samples], dtype=np.int64),
-            ids=np.asarray([s.sample_id for s in samples], dtype=np.int64))
+        emb, _ = model.encode_visual(store, rows.x_raw, modality)
+        out[modality] = EmbeddedRows(x=rows.x_raw, emb=emb, labels=rows.identity,
+                                     ids=rows.sample_id)
     return out
 
 
 def _single_shot_rows(labels: np.ndarray, seed: int) -> np.ndarray:
     # one row per identity, drawn in identity order over rows in sample_id order
     rng = derive_rng(seed, "single-shot")
-    chosen = []
-    for identity in np.unique(labels):
-        group = np.flatnonzero(labels == identity)
-        chosen.append(group[int(rng.integers(len(group)))])
+    chosen = [group[int(rng.integers(len(group)))] for group in rows_by_label(labels).values()]
     return np.sort(np.asarray(chosen))
 
 
@@ -216,8 +210,8 @@ def evaluate(store: ParamStore, split: Split, protocols: Sequence[Protocol],
     shared by every report. Each protocol's similarity matrix is ranked and
     dropped before the next one is built. Single-shot galleries keep one
     sample per identity, chosen by the protocol seed over samples sorted by
-    sample_id, so a report does not depend on the ordering of
-    `split.samples`. Diagnostics always include the modality gap; conflict
+    sample_id, so a report does not depend on the row order the split was
+    built from. Diagnostics always include the modality gap; conflict
     sensitivity needs `meta` (mixing matrices). With `timings`, the wall
     time of the phases embed, cmc_map (over all protocols), modality_gap
     and conflict_sensitivity is added to it, in seconds.
@@ -258,13 +252,6 @@ def _rank(rows: dict[str, EmbeddedRows], protocol: Protocol, diagnostics: dict[s
                            n_excluded=n_excluded, diagnostics=dict(diagnostics))
 
 
-def _rows_by_identity(labels: np.ndarray) -> dict[int, np.ndarray]:
-    # a stable sort keeps each identity's rows in their sample_id order
-    order = np.argsort(labels, kind="stable")
-    identities, starts = np.unique(labels[order], return_index=True)
-    return dict(zip(identities.tolist(), np.split(order, starts[1:])))
-
-
 def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
     """Mean same-identity embedding distances, within and across modalities.
 
@@ -277,9 +264,8 @@ def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
     intra_sum = 0.0
     intra_n = 0
     n_skipped = 0
-    empty = np.zeros(0, dtype=np.int64)
-    groups_v = _rows_by_identity(rows["V"].labels if "V" in rows else empty)
-    groups_r = _rows_by_identity(rows["R"].labels if "R" in rows else empty)
+    groups_v, groups_r = (rows_by_label(rows[m].labels) if m in rows else {}
+                          for m in ("V", "R"))
     upper: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # triu indices by group size
     for identity in sorted(groups_v.keys() | groups_r.keys()):
         if identity not in groups_v or identity not in groups_r:

@@ -23,6 +23,7 @@ __all__ = [
     "derive_seed",
     "ParamStore",
     "pairwise_distances",
+    "rows_by_label",
     "timed",
     "FdEntry",
     "FdReport",
@@ -131,6 +132,14 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.multiply(block, block, out=block)
         block.sum(axis=2, out=out[i:i + rows])
     return np.sqrt(out, out=out)
+
+
+def rows_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:
+    """Row indices of each label, labels ascending, each label's rows in
+    their order in `labels` (a stable sort)."""
+    order = np.argsort(labels, kind="stable")
+    values, starts = np.unique(labels[order], return_index=True)
+    return dict(zip(values.tolist(), np.split(order, starts[1:])))
 
 
 @contextmanager

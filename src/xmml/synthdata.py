@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import DimensionError, ProtocolError, derive_rng
+from .numerics import DimensionError, ProtocolError, derive_rng, rows_by_label
 
 MODALITIES = ("V", "R")
 
@@ -77,16 +77,6 @@ class GeneratorConfig:
 
 
 @dataclass
-class Sample:
-    sample_id: int
-    identity: int
-    modality: str
-    view: int
-    x_raw: np.ndarray
-    l_raw: np.ndarray
-
-
-@dataclass
 class DatasetMeta:
     """Sidecar needed to rebuild the fixed mixing matrices exactly."""
 
@@ -108,40 +98,48 @@ class DatasetMeta:
         return slice(start, start + self.config.d_conflict)
 
 
-class Split:
-    """A list of samples plus identity/modality indexing and class labels."""
+@dataclass
+class Rows:
+    """One modality's rows of a split as columns, sorted by sample_id."""
 
-    def __init__(self, samples: list[Sample]):
-        self.samples = samples
-        self._by_id_mod: dict[tuple[int, str], list[Sample]] = {}
-        ids = set()
-        for s in samples:
-            if s.modality not in MODALITIES:
-                raise ValueError(f"unknown modality tag {s.modality!r}")
-            ids.add(s.identity)
-            self._by_id_mod.setdefault((s.identity, s.modality), []).append(s)
-        for group in self._by_id_mod.values():
-            group.sort(key=lambda s: s.sample_id)
-        self.identities: list[int] = sorted(ids)
-        self.label_index: dict[int, int] = {y: i for i, y in enumerate(self.identities)}
-        # diagnostics filled by generate_dataset, absent on splits loaded from disk
-        self.conflict_latents: dict[int, dict[str, np.ndarray]] | None = None
-        self.masks: dict[int, np.ndarray] | None = None
-
-    @property
-    def n_identities(self) -> int:
-        return len(self.identities)
-
-    def of(self, identity: int, modality: str) -> list[Sample]:
-        return self._by_id_mod.get((identity, modality), [])
-
-    def by_modality(self, modality: str) -> list[Sample]:
-        out = [s for s in self.samples if s.modality == modality]
-        out.sort(key=lambda s: s.sample_id)
-        return out
+    sample_id: np.ndarray   # int64, (n,)
+    identity: np.ndarray    # int64, (n,)
+    view: np.ndarray        # int64, (n,)
+    x_raw: np.ndarray       # float64, (n, d)
+    l_raw: np.ndarray       # float64, (n, d)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.sample_id)
+
+
+class Split:
+    """A split as one `Rows` store per modality, plus identity indexing and
+    class labels. Built from six equal-length columns in any row order."""
+
+    def __init__(self, sample_id, identity, modality, view, x_raw, l_raw):
+        sample_id, identity, view = (np.asarray(c, dtype=np.int64)
+                                     for c in (sample_id, identity, view))
+        x_raw, l_raw = np.asarray(x_raw, dtype=np.float64), np.asarray(l_raw, dtype=np.float64)
+        modality = np.asarray(modality, dtype=str)
+        unknown = sorted(set(modality.tolist()) - set(MODALITIES))
+        if unknown:
+            raise ValueError(f"unknown modality tag {unknown[0]!r}")
+        self.rows: dict[str, Rows] = {}
+        for m in MODALITIES:
+            picked = np.flatnonzero(modality == m)
+            picked = picked[np.argsort(sample_id[picked], kind="stable")]
+            self.rows[m] = Rows(sample_id[picked], identity[picked], view[picked],
+                                x_raw[picked], l_raw[picked])
+        self._rows_of = {m: rows_by_label(rows.identity) for m, rows in self.rows.items()}
+        self.identities: list[int] = np.unique(identity).tolist()
+        self.label_index: dict[int, int] = {y: i for i, y in enumerate(self.identities)}
+
+    def of(self, identity: int, modality: str) -> np.ndarray:
+        """Indices into rows[modality] of the identity's rows, by sample_id."""
+        return self._rows_of[modality].get(identity, np.zeros(0, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return sum(len(r) for r in self.rows.values())
 
 
 @dataclass
@@ -168,22 +166,19 @@ class Batch:
     sample_ids_v: np.ndarray
     sample_ids_r: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.x_v.shape[0]
 
-
-def _generate_split(cfg: GeneratorConfig, identities: list[int], split_tag: str,
-                    meta: DatasetMeta, id_offset: int) -> Split:
+def _generate_split(cfg: GeneratorConfig, identities: range, split_tag: str,
+                    meta: DatasetMeta, id_offset: int):
+    """(split, conflict latents by identity and modality, attribute keep-masks
+    by sample_id): the split and the planted values it was drawn from."""
     w_v, w_r, u = meta.mixing_matrices()
     mix_by_mod = {"V": w_v, "R": w_r}
     rng = derive_rng(cfg.seed, "data", split_tag)
     sigma_t = cfg.text_sigma
 
-    samples: list[Sample] = []
+    rows = []   # (identity, modality, view, x_raw, l_raw), in sample_id order
     conflicts: dict[int, dict[str, np.ndarray]] = {}
     masks: dict[int, np.ndarray] = {}
-    next_id = id_offset
     for y in identities:
         a = rng.standard_normal(cfg.d_id)
         conflicts[y] = {m: rng.standard_normal(cfg.d_conflict) for m in MODALITIES}
@@ -196,26 +191,20 @@ def _generate_split(cfg: GeneratorConfig, identities: list[int], split_tag: str,
                 z_txt = np.concatenate([mask * a, np.zeros(cfg.d_view), c])
                 x = mix_by_mod[m] @ z_img + cfg.sigma_noise * rng.standard_normal(cfg.d_feature)
                 l = u @ z_txt + sigma_t * rng.standard_normal(cfg.d_feature)
-                samples.append(Sample(sample_id=next_id, identity=y, modality=m,
-                                      view=view, x_raw=x, l_raw=l))
-                masks[next_id] = mask
-                next_id += 1
-    split = Split(samples)
-    split.conflict_latents = conflicts
-    split.masks = masks
-    return split
+                masks[id_offset + len(rows)] = mask
+                rows.append((y, m, view, x, l))
+    sample_ids = np.arange(id_offset, id_offset + len(rows))
+    return Split(sample_ids, *zip(*rows)), conflicts, masks
 
 
 def generate_dataset(cfg: GeneratorConfig) -> DatasetBundle:
     """Deterministic train/test bundle with disjoint identity sets."""
     cfg.validate()
     meta = DatasetMeta(config=cfg, mix_seed=cfg.seed)
-    train_ids = list(range(cfg.n_identities_train))
-    test_ids = list(range(cfg.n_identities_train,
-                          cfg.n_identities_train + cfg.n_identities_test))
-    per_split = (cfg.n_identities_train * 2 * cfg.samples_per_identity_per_modality)
-    train = _generate_split(cfg, train_ids, "train", meta, id_offset=0)
-    test = _generate_split(cfg, test_ids, "test", meta, id_offset=per_split)
+    n_train = cfg.n_identities_train
+    train, _, _ = _generate_split(cfg, range(n_train), "train", meta, id_offset=0)
+    test, _, _ = _generate_split(cfg, range(n_train, n_train + cfg.n_identities_test),
+                                 "test", meta, id_offset=len(train))
     return DatasetBundle(train=train, test=test, meta=meta)
 
 
@@ -223,14 +212,13 @@ def sample_batch(split: Split, n_ids: int, k_per_modality: int, rng_seed: int) -
     """Identity-balanced PK batch: n_ids identities, k paired rows each."""
     if n_ids < 1 or k_per_modality < 1:
         raise ValueError("n_ids and k_per_modality must be >= 1")
-    if split.n_identities < n_ids:
+    if len(split.identities) < n_ids:
         raise ProtocolError(
-            f"split has {split.n_identities} identities, batch wants {n_ids}")
+            f"split has {len(split.identities)} identities, batch wants {n_ids}")
     rng = derive_rng(rng_seed, "batch")
     ids = [int(i) for i in rng.choice(split.identities, size=n_ids, replace=False)]
 
-    rows_x_v, rows_x_r, rows_l_v, rows_l_r = [], [], [], []
-    labels, idents, sid_v, sid_r = [], [], [], []
+    at_v, at_r = [], []
     for y in ids:
         pool_v = split.of(y, "V")
         pool_r = split.of(y, "R")
@@ -238,63 +226,80 @@ def sample_batch(split: Split, n_ids: int, k_per_modality: int, rng_seed: int) -
             raise ProtocolError(
                 f"identity {y} has {len(pool_v)}/{len(pool_r)} V/R samples, "
                 f"batch wants {k_per_modality} per modality")
-        pick_v = rng.choice(len(pool_v), size=k_per_modality, replace=False)
-        pick_r = rng.choice(len(pool_r), size=k_per_modality, replace=False)
-        for j in range(k_per_modality):
-            sv = pool_v[int(pick_v[j])]
-            sr = pool_r[int(pick_r[j])]
-            rows_x_v.append(sv.x_raw)
-            rows_l_v.append(sv.l_raw)
-            rows_x_r.append(sr.x_raw)
-            rows_l_r.append(sr.l_raw)
-            labels.append(split.label_index[y])
-            idents.append(y)
-            sid_v.append(sv.sample_id)
-            sid_r.append(sr.sample_id)
+        at_v.append(pool_v[rng.choice(len(pool_v), size=k_per_modality, replace=False)])
+        at_r.append(pool_r[rng.choice(len(pool_r), size=k_per_modality, replace=False)])
 
-    return Batch(x_v=np.asarray(rows_x_v), x_r=np.asarray(rows_x_r),
-                 l_v=np.asarray(rows_l_v), l_r=np.asarray(rows_l_r),
-                 labels=np.asarray(labels, dtype=np.int64),
-                 identities=np.asarray(idents, dtype=np.int64),
-                 sample_ids_v=np.asarray(sid_v, dtype=np.int64),
-                 sample_ids_r=np.asarray(sid_r, dtype=np.int64))
+    at_v, at_r = np.concatenate(at_v), np.concatenate(at_r)
+    v, r = split.rows["V"], split.rows["R"]
+    labels = np.asarray([split.label_index[y] for y in ids], dtype=np.int64)
+    return Batch(x_v=v.x_raw[at_v], x_r=r.x_raw[at_r], l_v=v.l_raw[at_v], l_r=r.l_raw[at_r],
+                 labels=np.repeat(labels, k_per_modality),
+                 identities=np.repeat(np.asarray(ids, dtype=np.int64), k_per_modality),
+                 sample_ids_v=v.sample_id[at_v], sample_ids_r=r.sample_id[at_r])
 
 
 # ---------------------------------------------------------------- file I/O
 
+# a save_split record's fields, in Split's column order, with their JSON types
+_FIELDS = {"sample_id": int, "identity": int, "modality": str, "view": int,
+           "x_raw": list, "l_raw": list}
+
+
 def save_split(path: Path | str, split: Split) -> None:
-    """One JSON record per line: sample_id, identity, modality, view, x_raw, l_raw."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for s in split.samples:
-            rec = {"sample_id": s.sample_id, "identity": s.identity,
-                   "modality": s.modality, "view": s.view,
-                   "x_raw": s.x_raw.tolist(), "l_raw": s.l_raw.tolist()}
-            fh.write(json.dumps(rec, allow_nan=False) + "\n")
+    """One JSON record per line, in sample_id order, with the _FIELDS."""
+    order = sorted((sid, m, i) for m, rows in split.rows.items()
+                   for i, sid in enumerate(rows.sample_id.tolist()))
+    with Path(path).open("w") as fh:
+        for sid, m, i in order:
+            rows = split.rows[m]
+            values = (sid, int(rows.identity[i]), m, int(rows.view[i]),
+                      rows.x_raw[i].tolist(), rows.l_raw[i].tolist())
+            fh.write(json.dumps(dict(zip(_FIELDS, values)), allow_nan=False) + "\n")
+
+
+def _parse_record(line: str) -> list:
+    """One save_split record as Split's six column values, features as
+    arrays; raises ValueError for a record of any other shape."""
+    rec = json.loads(line)   # a JSONDecodeError is a ValueError
+    values = []
+    for name, kind in _FIELDS.items():
+        if not isinstance(rec, dict) or name not in rec:
+            raise ValueError(f"record lacks {name!r}")
+        value = rec[name]
+        if type(value) is not kind:
+            raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
+        if kind is list:
+            value = np.asarray(value)
+            if value.ndim != 1 or value.dtype.kind not in "iuf":
+                raise ValueError(f"{name} is not a flat list of numbers")
+        values.append(value)
+    return values
 
 
 def load_split(path: Path | str) -> Split:
-    samples = []
+    """A split from save_split's format, lines in any order, each record's
+    vectors read into arrays with its line; raises ValueError at a bad line."""
+    records = []
     with Path(path).open() as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{line_no}: bad record: {e}") from e
-            samples.append(Sample(
-                sample_id=int(rec["sample_id"]), identity=int(rec["identity"]),
-                modality=str(rec["modality"]), view=int(rec["view"]),
-                x_raw=np.asarray(rec["x_raw"], dtype=np.float64),
-                l_raw=np.asarray(rec["l_raw"], dtype=np.float64)))
-    if not samples:
+            if line.strip():
+                try:
+                    records.append((line_no, *_parse_record(line)))
+                except ValueError as e:
+                    raise ValueError(f"{path}:{line_no}: {e}") from e
+    if not records:
         raise ValueError(f"{path}: no samples")
-    dims = {s.x_raw.shape for s in samples} | {s.l_raw.shape for s in samples}
+    dims = {vec.shape for rec in records for vec in rec[5:]}
     if len(dims) != 1:
         raise DimensionError(f"{path}: inconsistent feature dims {sorted(dims)}")
-    return Split(samples)
+    line_nos, *columns, x_raw, l_raw = zip(*records)
+    x_raw, l_raw = np.stack(x_raw), np.stack(l_raw)
+    for name, column in (("x_raw", x_raw), ("l_raw", l_raw)):
+        # json.loads reads NaN, Infinity and 1e999; checked per column, not per record
+        bad = np.flatnonzero(~np.isfinite(column).all(axis=1))
+        if len(bad):
+            raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} holds NaN or inf")
+    return Split(*columns, x_raw, l_raw)
 
 
 def save_meta(path: Path | str, meta: DatasetMeta) -> None:

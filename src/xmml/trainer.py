@@ -179,10 +179,10 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
 def encoder_config_for(cfg: TrainConfig, data: DatasetBundle) -> model.EncoderConfig:
     """The encoder a run of `cfg` trains: input sizes and classes from the
     bundle's train split, layer sizes, init scale and seed from `cfg`."""
-    first = data.train.samples[0]
+    rows = data.train.rows["V"]
     return model.EncoderConfig(
-        d_in_visual=first.x_raw.shape[0], d_in_text=first.l_raw.shape[0],
-        n_classes=data.train.n_identities,
+        d_in_visual=rows.x_raw.shape[1], d_in_text=rows.l_raw.shape[1],
+        n_classes=len(data.train.identities),
         d_hidden=cfg.d_hidden, d_embed=cfg.d_embed,
         init_scale=cfg.init_scale, seed=cfg.seed)
 

@@ -158,3 +158,47 @@ def cmc_map_oracle(sim, query_labels, gallery_labels, gallery_ids, k_max: int):
         acc += first_hits[k]
         cmc.append(acc / n_valid)
     return cmc, ap_sum / n_valid, n_excluded
+
+
+# ------------------------------------------------------------ batch sampler
+
+def sample_batch_oracle(records, n_ids: int, k: int, rng) -> dict:
+    """The identity-balanced PK batch, built one row at a time.
+
+    `records` are (sample_id, identity, modality, view, x_raw, l_raw) tuples
+    in any order; `rng` is the sampler's numpy Generator. Draws as the
+    sampler does: n_ids identities from the sorted identity list, then per
+    identity k rows of its V pool and k of its R pool, each pool in
+    sample_id order. Returns the batch's fields by name; raises LookupError
+    where the sampler raises ProtocolError.
+    """
+    import numpy as np
+
+    identities = sorted({rec[1] for rec in records})
+    pools: dict = {}
+    for rec in sorted(records, key=lambda rec: rec[0]):
+        pools.setdefault((rec[1], rec[2]), []).append(rec)
+    if len(identities) < n_ids:
+        raise LookupError(f"{len(identities)} identities, batch wants {n_ids}")
+    chosen = [int(y) for y in rng.choice(identities, size=n_ids, replace=False)]
+    out: dict = {name: [] for name in ("x_v", "x_r", "l_v", "l_r", "labels",
+                                       "identities", "sample_ids_v", "sample_ids_r")}
+    for y in chosen:
+        pool_v = pools.get((y, "V"), [])
+        pool_r = pools.get((y, "R"), [])
+        if len(pool_v) < k or len(pool_r) < k:
+            raise LookupError(f"identity {y} has too few rows")
+        pick_v = rng.choice(len(pool_v), size=k, replace=False)
+        pick_r = rng.choice(len(pool_r), size=k, replace=False)
+        for j in range(k):
+            sv = pool_v[int(pick_v[j])]
+            sr = pool_r[int(pick_r[j])]
+            out["x_v"].append(sv[4])
+            out["l_v"].append(sv[5])
+            out["x_r"].append(sr[4])
+            out["l_r"].append(sr[5])
+            out["labels"].append(identities.index(y))
+            out["identities"].append(y)
+            out["sample_ids_v"].append(sv[0])
+            out["sample_ids_r"].append(sr[0])
+    return {name: np.asarray(values) for name, values in out.items()}

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from xmml import bench, model
+from xmml import bench, gradcheck, model
 from xmml.cli import main
 from xmml.model import EncoderConfig, init_params
 from xmml.synthdata import (DatasetBundle, GeneratorConfig, Split,
@@ -41,6 +42,16 @@ def strict_json(text: str):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
     return json.loads(text, parse_constant=reject)
+
+
+def edited_dataset(gen_dir: Path, dest: Path, edit) -> Path:
+    """A copy of the dataset in `gen_dir` whose test.jsonl first record is
+    `edit(record)`, written with json.dumps defaults (NaN allowed)."""
+    shutil.copytree(gen_dir, dest)
+    lines = (dest / "test.jsonl").read_text().splitlines()
+    lines[0] = json.dumps(edit(json.loads(lines[0])))
+    (dest / "test.jsonl").write_text("\n".join(lines) + "\n")
+    return dest
 
 
 def read_tagged_csv(path: Path, tag: str) -> list[dict]:
@@ -213,6 +224,21 @@ class TestTrain:
                      "--out", str(tmp_path / "run")] + TINY_TRAIN_ARGS) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["x_raw", "l_raw"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_feature_fails_cleanly(self, gen_dir, tmp_path, capsys,
+                                              field, value):
+        def poison(rec):
+            rec[field][0] = value
+            return rec
+        data = edited_dataset(gen_dir, tmp_path / "data", poison)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                    + TINY_TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {data / 'test.jsonl'}:1: {field} holds NaN or inf")
+        assert not (tmp_path / "run").exists()
+
 
 class TestEval:
     def test_writes_csv_report_and_manifest(self, train_dir, gen_dir, tmp_path):
@@ -250,10 +276,15 @@ class TestEval:
         bundle = generate_dataset(gcfg)
 
         def duplicated(split: Split) -> Split:
-            visual = {s.identity: s.x_raw for s in split.samples if s.modality == "V"}
-            return Split([s if s.modality == "V"
-                          else replace(s, x_raw=visual[s.identity].copy())
-                          for s in split.samples])
+            v, r = split.rows["V"], split.rows["R"]
+            visual = dict(zip(v.identity.tolist(), v.x_raw))
+            x_r = np.stack([visual[y].copy() for y in r.identity.tolist()])
+            return Split(np.concatenate([v.sample_id, r.sample_id]),
+                         np.concatenate([v.identity, r.identity]),
+                         ["V"] * len(v) + ["R"] * len(r),
+                         np.concatenate([v.view, r.view]),
+                         np.concatenate([v.x_raw, x_r]),
+                         np.concatenate([v.l_raw, r.l_raw]))
 
         data_dir = tmp_path / "data"
         data_dir.mkdir()
@@ -283,6 +314,27 @@ class TestEval:
         assert report[0]["diagnostics"]["intra_mean"] == 0.0
         assert report[0]["diagnostics"]["gap_ratio"] is None
         strict_json((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: {k: v for k, v in rec.items() if k != "view"}, "record lacks 'view'"),
+        (lambda rec: {**rec, "identity": "7"}, "identity is str, not int"),
+        (lambda rec: {**rec, "sample_id": 1.5}, "sample_id is float, not int"),
+        (lambda rec: {**rec, "modality": 0}, "modality is int, not str"),
+        (lambda rec: {**rec, "x_raw": "1.0"}, "x_raw is str, not list"),
+        (lambda rec: {**rec, "x_raw": ["a"] * len(rec["x_raw"])}, "x_raw is not a flat list"),
+        (lambda rec: {**rec, "l_raw": [rec["l_raw"]]}, "l_raw is not a flat list"),
+        (lambda rec: [rec], "record lacks 'sample_id'"),
+    ])
+    def test_malformed_record_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys,
+                                            edit, message):
+        data = edited_dataset(gen_dir, tmp_path / "data", edit)
+        assert main(["eval", "--data", str(data),
+                     "--checkpoint", str(train_dir / "checkpoint.jsonl"),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {data / 'test.jsonl'}:1: {message}")
+        assert not (tmp_path / "eval").exists()
 
     def test_dimension_mismatch_fails_cleanly(self, train_dir, tmp_path, capsys):
         wide = tmp_path / "wide"
@@ -385,6 +437,21 @@ class TestGradcheck:
                      "--losses", "identity,parity"]) == 2
         err = capsys.readouterr().err
         assert "gradient check failed for: identity" in err
+
+    def test_non_finite_loss_exits_2_without_output(self, tmp_path, capsys, monkeypatch):
+        build_case = gradcheck.build_case
+
+        def infinite_build_case(*args, **kwargs):
+            evaluate, store = build_case(*args, **kwargs)
+            return (lambda s, need_grad: evaluate(s, need_grad) + np.inf), store
+        monkeypatch.setattr(gradcheck, "build_case", infinite_build_case)
+        assert main(["gradcheck", "--out", str(tmp_path / "gc"), "--batches", "1",
+                     "--losses", "identity"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("runtime failure: ")
+        assert "identity" in err
+        assert not (tmp_path / "gc").exists()
 
     def test_unknown_loss_name_fails_cleanly(self, tmp_path, capsys):
         assert main(["gradcheck", "--out", str(tmp_path / "gc"),

@@ -14,7 +14,7 @@ from xmml.evaluator import (REPORTED_METRICS, EmbeddedRows, Protocol, RetrievalR
                             modality_gap)
 from xmml.model import EncoderConfig, init_params
 from xmml.numerics import ProtocolError, derive_rng
-from xmml.synthdata import Sample, Split
+from xmml.synthdata import Split
 
 
 # ------------------------------------------------------- constructed stores
@@ -58,11 +58,19 @@ def linear_store(g_v: np.ndarray, g_r: np.ndarray) -> "ParamStore":
 
 def make_split(rows) -> Split:
     """rows: (sample_id, identity, modality, x_raw) tuples."""
-    samples = [Sample(sample_id=sid, identity=y, modality=m, view=0,
-                      x_raw=np.asarray(x, float),
-                      l_raw=np.zeros(len(x)))
-               for sid, y, m, x in rows]
-    return Split(samples)
+    sids, ys, mods, xs = zip(*rows)
+    return Split(sids, ys, mods, np.zeros(len(rows)), xs, np.zeros((len(rows), len(xs[0]))))
+
+
+def reversed_split(split: Split) -> Split:
+    """The same rows as `split`, built from columns in reverse sample_id order."""
+    v, r = split.rows["V"], split.rows["R"]
+    cols = [np.concatenate([getattr(v, c), getattr(r, c)])
+            for c in ("sample_id", "identity", "view", "x_raw", "l_raw")]
+    modality = ["V"] * len(v) + ["R"] * len(r)
+    order = np.argsort(cols[0])[::-1]
+    sid, y, view, x, l = (c[order] for c in cols)
+    return Split(sid, y, np.asarray(modality)[order], view, x, l)
 
 
 # --------------------------------------------------------- ranking metrics
@@ -271,7 +279,7 @@ class TestEvaluate:
             d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
         split = tiny_bundle.test
         base = evaluate(store, split, [Protocol(shots="single", seed=3)])[0]
-        shuffled = Split(list(reversed(split.samples)))
+        shuffled = reversed_split(split)
         other = evaluate(store, shuffled, [Protocol(shots="single", seed=3)])[0]
         assert np.array_equal(base.cmc, other.cmc)
         assert base.map == other.map
@@ -281,9 +289,9 @@ class TestEvaluate:
         store = init_params(EncoderConfig(
             d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
         report = evaluate(store, tiny_bundle.test, [Protocol(shots="single")])[0]
-        assert report.n_gallery == tiny_bundle.test.n_identities
+        assert report.n_gallery == len(tiny_bundle.test.identities)
         multi = evaluate(store, tiny_bundle.test, [Protocol(shots="multi")])[0]
-        assert multi.n_gallery == len(tiny_bundle.test.by_modality("V"))
+        assert multi.n_gallery == len(tiny_bundle.test.rows["V"])
 
     def test_single_shot_seed_changes_gallery_choice(self, tiny_bundle):
         store = init_params(EncoderConfig(
@@ -479,7 +487,7 @@ class TestConflictSensitivity:
         dc = meta.config.d_conflict
         total, count = 0.0, 0
         for modality, w in (("V", w_v), ("R", w_r)):
-            n = len(split.by_modality(modality))
+            n = len(split.rows[modality])
             block = w[:, cols]
             for i in range(n):
                 total += float(np.linalg.norm(block[:, i % dc]))
@@ -508,7 +516,8 @@ class TestConflictSensitivity:
     def test_empty_split_rejected(self, tiny_bundle):
         with pytest.raises(ProtocolError):
             store = identity_map_store(10)
-            conflict_sensitivity(store, tiny_bundle.meta, embed_split(store, Split([])))
+            empty = Split([], [], [], [], np.zeros((0, 10)), np.zeros((0, 10)))
+            conflict_sensitivity(store, tiny_bundle.meta, embed_split(store, empty))
 
 
 # -------------------------------------------------- diagnostics via evaluate
@@ -558,7 +567,7 @@ class TestEvaluateDiagnostics:
     def test_untrained_default_data_shows_modality_gap(self, default_bundle):
         store = init_params(EncoderConfig(
             d_in_visual=24, d_in_text=24,
-            n_classes=default_bundle.train.n_identities, seed=0))
+            n_classes=len(default_bundle.train.identities), seed=0))
         report = evaluate(store, default_bundle.test, [Protocol()])[0]
         assert report.diagnostics["gap_ratio"] > 1.05
 
@@ -579,7 +588,7 @@ class TestEmbeddingPass:
     def test_each_modality_encoded_once(self, default_bundle, monkeypatch, shots):
         store = init_params(EncoderConfig(
             d_in_visual=24, d_in_text=24,
-            n_classes=default_bundle.train.n_identities, seed=0))
+            n_classes=len(default_bundle.train.identities), seed=0))
         calls = self.count_encodes(monkeypatch)
         gaps = []
         gap = evaluator.modality_gap

@@ -318,7 +318,7 @@ class TestFuseMultiview:
     def test_partners_share_identity_and_exclude_self(self, tiny_bundle):
         # a PK batch as training draws it: 3 identities, 2 rows each
         batch = sample_batch(tiny_bundle.train, n_ids=3, k_per_modality=2, rng_seed=1)
-        n = batch.n
+        n = len(batch.labels)
         emb = replace(random_embedding_set(n, 3, seed=1), labels=batch.labels)
         for n_fuse in (1, 3):
             for cross_modal in (False, True):

@@ -5,13 +5,18 @@ serialization round-trips, and the identity-balanced batch sampler."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import random
 
 import numpy as np
 import pytest
 
-from xmml.numerics import ProtocolError
-from xmml.synthdata import (GeneratorConfig, Split, generate_dataset,
-                            load_dataset, sample_batch, save_dataset)
+import oracles
+from xmml.evaluator import Protocol, evaluate
+from xmml.model import EncoderConfig, init_params
+from xmml.numerics import ProtocolError, derive_rng
+from xmml.synthdata import (Batch, DatasetMeta, GeneratorConfig, Split, _generate_split,
+                            generate_dataset, load_dataset, sample_batch, save_dataset)
 
 TINY = GeneratorConfig(n_identities_train=4, n_identities_test=3,
                        samples_per_identity_per_modality=2,
@@ -19,7 +24,17 @@ TINY = GeneratorConfig(n_identities_train=4, n_identities_test=3,
 
 
 def all_x(split) -> np.ndarray:
-    return np.stack([s.x_raw for s in split.samples])
+    return np.concatenate([split.rows[m].x_raw for m in ("V", "R")])
+
+
+def planted(cfg: GeneratorConfig):
+    """(split, conflict latents, masks) of the train and test splits of `cfg`,
+    drawn as generate_dataset draws them."""
+    meta = DatasetMeta(config=cfg, mix_seed=cfg.seed)
+    n_train = cfg.n_identities_train
+    train = _generate_split(cfg, range(n_train), "train", meta, id_offset=0)
+    test_ids = range(n_train, n_train + cfg.n_identities_test)
+    return [train, _generate_split(cfg, test_ids, "test", meta, id_offset=len(train[0]))]
 
 
 # ------------------------------------------------------------ determinism
@@ -30,9 +45,8 @@ class TestDeterminism:
         b = generate_dataset(dataclasses.replace(TINY))
         assert np.array_equal(all_x(a.train), all_x(b.train))
         assert np.array_equal(all_x(a.test), all_x(b.test))
-        assert np.array_equal(
-            np.stack([s.l_raw for s in a.train.samples]),
-            np.stack([s.l_raw for s in b.train.samples]))
+        for m in ("V", "R"):
+            assert np.array_equal(a.train.rows[m].l_raw, b.train.rows[m].l_raw)
 
     def test_different_seeds_differ(self):
         a = generate_dataset(TINY)
@@ -66,15 +80,21 @@ class TestSplitStructure:
                     assert len(split.of(y, m)) == k
 
     def test_sample_ids_unique_across_bundle(self, tiny_bundle):
-        ids = [s.sample_id for s in
-               tiny_bundle.train.samples + tiny_bundle.test.samples]
+        ids = [sid for split in (tiny_bundle.train, tiny_bundle.test)
+               for rows in split.rows.values() for sid in rows.sample_id.tolist()]
         assert len(ids) == len(set(ids))
 
     def test_feature_dimensions(self, tiny_bundle):
         d = TINY.d_id + TINY.d_view + TINY.d_conflict
-        for s in tiny_bundle.train.samples[:4]:
-            assert s.x_raw.shape == (d,)
-            assert s.l_raw.shape == (d,)
+        for rows in tiny_bundle.train.rows.values():
+            assert rows.x_raw.shape == (len(rows), d)
+            assert rows.l_raw.shape == (len(rows), d)
+
+    def test_rows_sorted_by_sample_id_with_int64_columns(self, tiny_bundle):
+        for rows in tiny_bundle.train.rows.values():
+            assert np.all(np.diff(rows.sample_id) > 0)
+            for column in (rows.sample_id, rows.identity, rows.view):
+                assert column.dtype == np.int64 and column.shape == (len(rows),)
 
     def test_label_index_is_dense(self, tiny_bundle):
         li = tiny_bundle.train.label_index
@@ -89,25 +109,30 @@ class TestPlantedSignals:
         total = 0
         far = 0
         for seed in range(10):
-            bundle = generate_dataset(dataclasses.replace(TINY, seed=seed))
-            for split in (bundle.train, bundle.test):
-                for y, latents in split.conflict_latents.items():
+            for _, conflict_latents, _ in planted(dataclasses.replace(TINY, seed=seed)):
+                for y, latents in conflict_latents.items():
                     total += 1
                     if np.linalg.norm(latents["V"] - latents["R"]) > 0.5:
                         far += 1
         assert far / total >= 0.95
 
+    def test_planted_splits_are_the_generated_splits(self):
+        bundle = generate_dataset(TINY)
+        (train, _, _), (test, _, _) = planted(TINY)
+        assert np.array_equal(all_x(train), all_x(bundle.train))
+        assert np.array_equal(all_x(test), all_x(bundle.test))
+        assert [len(masks) for _, _, masks in planted(TINY)] == [len(train), len(test)]
+
     def test_mask_union_covers_more_than_single_masks(self):
         # complementary views: an identity's samples jointly reveal more
         # attribute dims than any one sample does on average
         for seed in range(5):
-            bundle = generate_dataset(dataclasses.replace(TINY, seed=seed))
-            split = bundle.train
+            (split, _, sample_masks), _ = planted(dataclasses.replace(TINY, seed=seed))
             union_cov = []
             single_cov = []
             for y in split.identities:
-                masks = [split.masks[s.sample_id]
-                         for m in ("V", "R") for s in split.of(y, m)]
+                masks = [sample_masks[sid] for m in ("V", "R")
+                         for sid in split.rows[m].sample_id[split.of(y, m)].tolist()]
                 union = np.clip(np.sum(masks, axis=0), 0, 1)
                 union_cov.append(union.mean())
                 single_cov.extend(m.mean() for m in masks)
@@ -120,12 +145,12 @@ class TestPlantedSignals:
         split = bundle.train
         for y in split.identities:
             for m in ("V", "R"):
-                xs = [s.x_raw for s in split.of(y, m)]
+                xs = split.rows[m].x_raw[split.of(y, m)]
                 for x in xs[1:]:
                     assert np.array_equal(x, xs[0])
             # same identity, different modality: conflict latent and mixing differ
-            assert not np.array_equal(split.of(y, "V")[0].x_raw,
-                                      split.of(y, "R")[0].x_raw)
+            assert not np.array_equal(split.rows["V"].x_raw[split.of(y, "V")[0]],
+                                      split.rows["R"].x_raw[split.of(y, "R")[0]])
 
     def test_texts_ignore_view_noise(self):
         cfg = dataclasses.replace(TINY, sigma_noise=0.0, sigma_text=0.0,
@@ -133,10 +158,10 @@ class TestPlantedSignals:
         bundle = generate_dataset(cfg)
         split = bundle.train
         y = split.identities[0]
-        texts_v = [s.l_raw for s in split.of(y, "V")]
+        texts_v = split.rows["V"].l_raw[split.of(y, "V")]
+        texts_r = split.rows["R"].l_raw[split.of(y, "R")]
         assert np.array_equal(texts_v[0], texts_v[1])      # views collapse
-        assert not np.array_equal(split.of(y, "V")[0].l_raw,
-                                  split.of(y, "R")[0].l_raw)  # conflict remains
+        assert not np.array_equal(texts_v[0], texts_r[0])  # conflict remains
 
     def test_text_noise_falls_back_to_feature_noise(self):
         assert GeneratorConfig(sigma_text=None, sigma_noise=0.3).text_sigma == 0.3
@@ -170,11 +195,10 @@ class TestSerialization:
         for orig, back in ((tiny_bundle.train, loaded.train),
                            (tiny_bundle.test, loaded.test)):
             assert len(orig) == len(back)
-            for a, b in zip(orig.samples, back.samples):
-                assert (a.sample_id, a.identity, a.modality, a.view) == \
-                       (b.sample_id, b.identity, b.modality, b.view)
-                assert np.array_equal(a.x_raw, b.x_raw)
-                assert np.array_equal(a.l_raw, b.l_raw)
+            for m in ("V", "R"):
+                a, b = orig.rows[m], back.rows[m]
+                for column in ("sample_id", "identity", "view", "x_raw", "l_raw"):
+                    assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_round_trip_mixing_matrices_identical(self, tiny_bundle, tmp_path):
         save_dataset(tmp_path, tiny_bundle)
@@ -187,6 +211,45 @@ class TestSerialization:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
 
+    def test_default_dataset_bytes_are_pinned(self, tmp_path):
+        # a change to the generator's draws or to the file format shows here
+        save_dataset(tmp_path, generate_dataset(GeneratorConfig(seed=0)))
+        pinned = {
+            "train.jsonl": "8843a3d77dc2479a13011afaeb94db53bff88ce78ff6ceafde3186ea61c31af6",
+            "test.jsonl": "193b8176118dafbe93ca607d0ed5aad1721f85e8016b081d304ee9d3801c1e78",
+            "meta.json": "38dcc2d994478ea784559adfa11019a21314d70508816e21693f153b2af45bb8",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_shuffled_lines_load_to_the_same_rows_and_reports(self, tiny_bundle, tmp_path):
+        save_dataset(tmp_path / "a", tiny_bundle)
+        save_dataset(tmp_path / "b", tiny_bundle)
+        for name in ("train.jsonl", "test.jsonl"):
+            lines = (tmp_path / "b" / name).read_text().splitlines()
+            random.Random(0).shuffle(lines)
+            (tmp_path / "b" / name).write_text("\n".join(lines) + "\n")
+        a, b = load_dataset(tmp_path / "a"), load_dataset(tmp_path / "b")
+        for split_a, split_b in ((a.train, b.train), (a.test, b.test)):
+            for m in ("V", "R"):
+                for column in ("sample_id", "identity", "view", "x_raw", "l_raw"):
+                    assert np.array_equal(getattr(split_a.rows[m], column),
+                                          getattr(split_b.rows[m], column))
+        store = init_params(EncoderConfig(d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
+        protocols = [Protocol(shots="single", seed=2), Protocol(shots="multi")]
+        for ra, rb in zip(evaluate(store, a.test, protocols, meta=a.meta),
+                          evaluate(store, b.test, protocols, meta=b.meta)):
+            assert np.array_equal(ra.cmc, rb.cmc)
+            assert (ra.map, ra.n_gallery, ra.diagnostics) == (rb.map, rb.n_gallery, rb.diagnostics)
+
+    def test_bad_json_names_the_line(self, tiny_bundle, tmp_path):
+        save_dataset(tmp_path, tiny_bundle)
+        lines = (tmp_path / "test.jsonl").read_text().splitlines()
+        lines[1] = lines[1][:-1]
+        (tmp_path / "test.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"test\.jsonl:2: Expecting"):
+            load_dataset(tmp_path)
+
     def test_rewrites_are_byte_identical(self, tiny_bundle, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         a_dir.mkdir(), b_dir.mkdir()
@@ -198,11 +261,23 @@ class TestSerialization:
 
 # ------------------------------------------------------------ batch sampler
 
+def sampler_records(seed: int, pool: tuple[int, int]) -> list[tuple]:
+    """Six identities with pool[0]..pool[1] rows per modality, as Split's
+    six column values per row, shuffled, with shuffled sample_ids."""
+    rng = derive_rng(seed, "sampler-records")
+    rows = [(y, m) for y in (3, 7, 10, 11, 20, 42) for m in ("V", "R")
+            for _ in range(int(rng.integers(pool[0], pool[1] + 1)))]
+    sample_ids = rng.permutation(len(rows)) + 100
+    records = [(int(sid), y, m, view, rng.standard_normal(5), rng.standard_normal(5))
+               for view, (sid, (y, m)) in enumerate(zip(sample_ids, rows))]
+    return [records[i] for i in rng.permutation(len(records))]
+
+
 class TestSampleBatch:
     def test_balanced_shape_and_labels(self, tiny_bundle):
         batch = sample_batch(tiny_bundle.train, n_ids=3, k_per_modality=2,
                              rng_seed=0)
-        assert batch.n == 6
+        assert len(batch.labels) == 6
         assert batch.x_v.shape == batch.x_r.shape == (6, TINY.d_feature)
         counts = np.bincount(batch.labels)
         assert sorted(counts[counts > 0]) == [2, 2, 2]
@@ -212,14 +287,14 @@ class TestSampleBatch:
     def test_default_protocol_shape(self, default_bundle):
         batch = sample_batch(default_bundle.train, n_ids=8, k_per_modality=4,
                              rng_seed=0)
-        assert batch.n == 32
+        assert len(batch.labels) == 32
         assert len(set(batch.labels)) == 8
         assert np.bincount(batch.labels).max() == 4
 
     def test_degenerate_single_row_batch(self, tiny_bundle):
         batch = sample_batch(tiny_bundle.train, n_ids=1, k_per_modality=1,
                              rng_seed=2)
-        assert batch.n == 1
+        assert len(batch.labels) == 1
         assert batch.labels.shape == batch.identities.shape == (1,)
 
     def test_deterministic_given_seed(self, tiny_bundle):
@@ -238,7 +313,31 @@ class TestSampleBatch:
         with pytest.raises(ProtocolError, match="identity"):
             sample_batch(tiny_bundle.train, n_ids=2, k_per_modality=3, rng_seed=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_ids, k, pool", [(1, 1, (1, 3)), (3, 2, (2, 4)),
+                                                 (6, 3, (3, 5)), (4, 4, (4, 4))])
+    def test_equals_the_per_row_reference(self, seed, n_ids, k, pool):
+        # rows in a random order, sample_ids not in identity order, pools of
+        # `pool` rows per identity and modality (k equal to it in the last shape)
+        records = sampler_records(seed, pool)
+        split = Split(*zip(*records))
+        batch = sample_batch(split, n_ids, k, rng_seed=seed)
+        expected = oracles.sample_batch_oracle(records, n_ids, k, derive_rng(seed, "batch"))
+        for field in dataclasses.fields(Batch):
+            got = getattr(batch, field.name)
+            assert got.dtype == expected[field.name].dtype
+            assert np.array_equal(got, expected[field.name]), field.name
+
+    @pytest.mark.parametrize("n_ids, k, match", [(7, 1, "identities"), (2, 6, "identity")])
+    def test_both_refusals_match_the_per_row_reference(self, n_ids, k, match):
+        records = sampler_records(0, (3, 5))
+        with pytest.raises(ProtocolError, match=match):
+            sample_batch(Split(*zip(*records)), n_ids, k, rng_seed=0)
+        with pytest.raises(LookupError):
+            oracles.sample_batch_oracle(records, n_ids, k, derive_rng(0, "batch"))
+
     def test_unknown_modality_tag_rejected(self, tiny_bundle):
-        s = dataclasses.replace(tiny_bundle.train.samples[0], modality="X")
+        rows = tiny_bundle.train.rows["V"]
         with pytest.raises(ValueError):
-            Split([s])
+            Split(rows.sample_id[:1], rows.identity[:1], ["X"], rows.view[:1],
+                  rows.x_raw[:1], rows.l_raw[:1])

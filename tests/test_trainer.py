@@ -89,10 +89,10 @@ class TestConfigValidation:
 # -------------------------------------------------------------- train_step
 
 def _setup(bundle, weights=None, seed=0):
-    d = bundle.train.samples[0].x_raw.shape[0]
+    d = bundle.train.rows["V"].x_raw.shape[1]
     from xmml.model import EncoderConfig
     store = init_params(EncoderConfig(
-        d_in_visual=d, d_in_text=d, n_classes=bundle.train.n_identities,
+        d_in_visual=d, d_in_text=d, n_classes=len(bundle.train.identities),
         d_hidden=16, d_embed=8, seed=seed))
     state = TrainState.for_store(store)
     batch = sample_batch(bundle.train, 3, 2, rng_seed=seed)
@@ -133,11 +133,11 @@ class TestTrainStep:
 
     def test_fuse_seed_matters_with_fused_terms(self, default_bundle):
         w = LossWeights()
-        d = default_bundle.train.samples[0].x_raw.shape[0]
+        d = default_bundle.train.rows["V"].x_raw.shape[1]
         from xmml.model import EncoderConfig
         store = init_params(EncoderConfig(
             d_in_visual=d, d_in_text=d,
-            n_classes=default_bundle.train.n_identities))
+            n_classes=len(default_bundle.train.identities)))
         state = TrainState.for_store(store)
         batch = sample_batch(default_bundle.train, 4, 3, rng_seed=0)
         lrs = {"visual": 0.0, "classifier": 0.0, "text": 0.0}
@@ -158,7 +158,7 @@ class TestTrainStep:
         diag = exc_info.value.diagnostics
         assert "breakdown" in diag
         assert "identities" in diag
-        assert len(diag["sample_ids_v"]) == batch.n
+        assert len(diag["sample_ids_v"]) == len(batch.labels)
 
     def test_nonfinite_embeddings_abort_with_diagnostics(self, tiny_bundle):
         store, state, batch, w = _setup(tiny_bundle)
@@ -172,7 +172,7 @@ class TestTrainStep:
                 train_step(store, batch, w, lrs, fuse_seed=0, state=state)
         diag = exc_info.value.diagnostics
         assert diag["breakdown"] is None
-        assert len(diag["sample_ids_v"]) == batch.n
+        assert len(diag["sample_ids_v"]) == len(batch.labels)
         assert not np.isfinite(diag["max_abs_embedding"])
 
     def test_breakdown_recomposition_holds_per_step(self, tiny_bundle):
