@@ -32,8 +32,6 @@ LOSS_NAMES = ("identity", "triplet", "contrast_single", "contrast_fused",
 # every (N, d) combination the loss contracts are stated over
 DEFAULT_SIZES = ((2, 4), (4, 4), (8, 4), (2, 8), (4, 8), (8, 8))
 
-_EMB_BLOCKS = ("f_v", "f_r", "t_v", "t_r")
-
 
 def _labels_for(n: int) -> np.ndarray:
     """Cyclic labels with at least two identities, two rows each when n > 2."""
@@ -44,21 +42,10 @@ def _labels_for(n: int) -> np.ndarray:
 def _random_case(n: int, d: int, seed: int, n_classes: int):
     rng = derive_rng(seed, "gradcheck-case", n, d)
     labels = _labels_for(n)
-    blocks = {name: rng.standard_normal((n, d)) for name in _EMB_BLOCKS}
+    blocks = rng.standard_normal((4, n, d))     # f_v, f_r, t_v, t_r
     logits_v = rng.standard_normal((n, n_classes))
     logits_r = rng.standard_normal((n, n_classes))
     return blocks, logits_v, logits_r, labels
-
-
-def _emb_from_store(store: ParamStore, labels: np.ndarray) -> EmbeddingSet:
-    return EmbeddingSet(f_v=store.value("f_v"), f_r=store.value("f_r"),
-                        t_v=store.value("t_v"), t_r=store.value("t_r"),
-                        labels=labels)
-
-
-def _write_emb_grads(store: ParamStore, grads) -> None:
-    for name in _EMB_BLOCKS:
-        store.grad(name)[...] = getattr(grads, name)
 
 
 # embedding-only families: (emb, live fused views, frozen teacher, weights,
@@ -122,9 +109,8 @@ def build_case(name: str, n: int, d: int, seed: int,
 
     if name in _EMB_FAMILIES or name == "total":
         store = ParamStore()
-        for block in _EMB_BLOCKS:
-            store.add(block, blocks[block])
-        fused0 = fuse_multiview(_emb_from_store(store, labels), w.n_fuse,
+        store.add("emb", blocks)    # 4 x N x d, probed block by block in order
+        fused0 = fuse_multiview(EmbeddingSet(store.value("emb"), labels), w.n_fuse,
                                 derive_seed(seed, "gradcheck-fuse", n, d),
                                 cross_modal=w.cross_modal_fusion)
         contrast_labels = labels if w.label_aware_contrast else None
@@ -137,7 +123,7 @@ def build_case(name: str, n: int, d: int, seed: int,
             # fused views re-applied live where the family reads them,
             # distillation teacher frozen at the base point (stop-gradient
             # semantics)
-            emb = _emb_from_store(s, labels)
+            emb = EmbeddingSet(s.value("emb"), labels)   # a view of the store
             live = (FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
                     if name in _READS_LIVE_VIEWS else None)
             if name == "total":
@@ -151,7 +137,7 @@ def build_case(name: str, n: int, d: int, seed: int,
                 val, grads = _EMB_FAMILIES[name](emb, live, fused0, w, contrast_labels,
                                                  need_grad)
             if need_grad:
-                _write_emb_grads(s, grads)
+                s.grad("emb")[...] = grads.blocks
             return val
         return evaluate, store
 
@@ -186,19 +172,18 @@ def _build_model_case(n: int, seed: int, w: LossWeights):
         # caches[:4] are the encoders'; every pre-activation but the last feeds a relu
         if min(np.abs(a).min() for c in caches[:4] for a in c.pre[:-1]) > _KINK_MARGIN:
             break
-    fused0 = fuse_multiview(EmbeddingSet(*blocks0, labels=labels), w.n_fuse,
+    fused0 = fuse_multiview(EmbeddingSet(np.stack(blocks0), labels), w.n_fuse,
                             derive_seed(seed, "gradcheck-model-fuse", n),
                             cross_modal=w.cross_modal_fusion)
 
     def evaluate(s, need_grad):
         blocks, (logits_v, logits_r), caches = model.forward(s, *inputs)
-        emb = EmbeddingSet(*blocks, labels=labels)
+        emb = EmbeddingSet(np.stack(blocks), labels)
         live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
         res = total_loss(emb, live, logits_v, logits_r, w, kd_teacher=fused0,
                          need_grad=need_grad)
         if need_grad:
-            g = res.grads
-            model.backward(s, caches, (g.f_v, g.f_r, g.t_v, g.t_r),
+            model.backward(s, caches, tuple(res.grads.blocks),
                            (res.grad_logits_v, res.grad_logits_r))
         return res.breakdown.total
 

@@ -19,6 +19,16 @@ autodiff tape anywhere. With `need_grad=False` an op computes its scalar with
 the same expressions, returns before any gradient arithmetic, and hands back
 None in each gradient slot; the gradient check uses this for its perturbed
 evaluations.
+
+A batch's embeddings are one contiguous float64 array, `EmbeddingSet.blocks`,
+of shape 4 x N x d in the order f_v, f_r, t_v, t_r, and their gradients are
+held the same way. Each term runs once over a stack of independent problems
+of one shape (both modalities' image-text pairs, or every block's residual)
+instead of once per block. Stacking is only ever along a new leading axis:
+a matmul never changes its row count, because OpenBLAS results depend on it,
+so every stacked problem is equal to the bit to its own 2-D call. Losses
+that are summed over blocks are still added one block at a time, in block
+order, as Python floats.
 """
 
 from __future__ import annotations
@@ -42,63 +52,67 @@ def _logsumexp(s: np.ndarray, axis: int) -> np.ndarray:
 _DIST_EPS = 1e-12
 
 
+# the four embedding blocks of a batch, in their order along `blocks`' first axis
+BLOCK_NAMES = ("f_v", "f_r", "t_v", "t_r")
+
+
 @dataclass
 class EmbeddingSet:
-    """Row-aligned embeddings for one batch: images f_*, texts t_*."""
+    """Row-aligned embeddings for one batch: images f_*, texts t_*.
 
-    f_v: np.ndarray
-    f_r: np.ndarray
-    t_v: np.ndarray
-    t_r: np.ndarray
+    `blocks` is one contiguous 4 x N x d float64 array in BLOCK_NAMES order;
+    `f_v`, `f_r`, `t_v` and `t_r` are views of it.
+    """
+
+    blocks: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.f_v = np.asarray(self.f_v, dtype=np.float64)
-        self.f_r = np.asarray(self.f_r, dtype=np.float64)
-        self.t_v = np.asarray(self.t_v, dtype=np.float64)
-        self.t_r = np.asarray(self.t_r, dtype=np.float64)
+        self.blocks = np.ascontiguousarray(self.blocks, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        shape = self.f_v.shape
-        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
-            raise DimensionError(f"blocks must be N x d with N,d >= 1, got {shape}")
-        for name in ("f_r", "t_v", "t_r"):
-            if getattr(self, name).shape != shape:
-                raise DimensionError(
-                    f"block {name} has shape {getattr(self, name).shape}, expected {shape}")
-        if self.labels.shape != (shape[0],):
+        shape = self.blocks.shape
+        if len(shape) != 3 or shape[0] != 4 or shape[1] < 1 or shape[2] < 1:
+            raise DimensionError(f"blocks must be 4 x N x d with N,d >= 1, got {shape}")
+        if self.labels.shape != (shape[1],):
             raise DimensionError(
-                f"labels must have shape ({shape[0]},), got {self.labels.shape}")
-        for name in ("f_v", "f_r", "t_v", "t_r"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise DegenerateInputError(f"block {name} has non-finite entries")
+                f"labels must have shape ({shape[1]},), got {self.labels.shape}")
+        finite = np.isfinite(self.blocks).all(axis=(1, 2))
+        if not finite.all():
+            name = BLOCK_NAMES[int(np.flatnonzero(~finite)[0])]
+            raise DegenerateInputError(f"block {name} has non-finite entries")
+
+    f_v = property(lambda self: self.blocks[0])
+    f_r = property(lambda self: self.blocks[1])
+    t_v = property(lambda self: self.blocks[2])
+    t_r = property(lambda self: self.blocks[3])
 
     @property
     def n(self) -> int:
-        return self.f_v.shape[0]
+        return self.blocks.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.f_v.shape[1]
+        return self.blocks.shape[2]
 
 
 @dataclass
 class EmbeddingGrads:
-    """Gradient of a scalar loss with respect to the four embedding blocks."""
+    """Gradient of a scalar loss with respect to the four embedding blocks,
+    as one 4 x N x d array in BLOCK_NAMES order."""
 
-    f_v: np.ndarray
-    f_r: np.ndarray
-    t_v: np.ndarray
-    t_r: np.ndarray
+    blocks: np.ndarray
+
+    f_v = property(lambda self: self.blocks[0])
+    f_r = property(lambda self: self.blocks[1])
+    t_v = property(lambda self: self.blocks[2])
+    t_r = property(lambda self: self.blocks[3])
 
     @classmethod
     def zeros(cls, emb: EmbeddingSet) -> "EmbeddingGrads":
-        return cls(*(np.zeros((emb.n, emb.dim)) for _ in range(4)))
+        return cls(np.zeros_like(emb.blocks))
 
     def add_scaled(self, other: "EmbeddingGrads", coeff: float) -> None:
-        self.f_v += coeff * other.f_v
-        self.f_r += coeff * other.f_r
-        self.t_v += coeff * other.t_v
-        self.t_r += coeff * other.t_r
+        self.blocks += coeff * other.blocks
 
 
 @dataclass
@@ -200,7 +214,7 @@ def weighted_triplet_loss(stack, labels, need_grad: bool = True):
         i = int(np.flatnonzero(~neg.any(axis=1))[0])
         raise ProtocolError(f"anchor {i} has no negative in the batch")
 
-    dist = pairwise_distances(f, f)
+    dist = pairwise_distances(f)
 
     neg_inf = np.float64(-np.inf)
     wp_logits = np.where(pos, dist, neg_inf)
@@ -234,17 +248,18 @@ def weighted_triplet_loss(stack, labels, need_grad: bool = True):
 
 
 def _normalize_rows(x: np.ndarray, side: str):
-    norms = np.linalg.norm(x, axis=1)
+    # the row norms np.linalg.norm(x, axis=-1) computes, for any leading axes
+    norms = np.sqrt((x * x).sum(axis=-1))
     if (norms == 0.0).any():
-        i = int(np.flatnonzero(norms == 0.0)[0])
+        i = int(np.flatnonzero(norms == 0.0)[0] % x.shape[-2])
         raise DegenerateInputError(f"{side} row {i} has zero norm")
-    return x / norms[:, None], norms
+    return x / norms[..., None], norms
 
 
 def _denormalize_grad(g_hat: np.ndarray, x_hat: np.ndarray, norms: np.ndarray):
     # x_hat = x / |x|; pull a gradient on x_hat back onto x
-    inner = (g_hat * x_hat).sum(axis=1, keepdims=True)
-    return (g_hat - inner * x_hat) / norms[:, None]
+    inner = (g_hat * x_hat).sum(axis=-1, keepdims=True)
+    return (g_hat - inner * x_hat) / norms[..., None]
 
 
 def contrastive_pair_loss(f, t, tau: float, labels=None, need_grad: bool = True):
@@ -254,18 +269,23 @@ def contrastive_pair_loss(f, t, tau: float, labels=None, need_grad: bool = True)
     column i of `t` and vice versa. With `labels` given, every same-label
     column counts as a positive (mean log-prob over positives) instead of
     just the diagonal. Returns (loss, grad_f, grad_t).
+
+    `f` and `t` are N x d, or P x N x d stacks of P independent problems
+    sharing `labels`; a stack gives a length-P loss array and P x N x d
+    gradients, each problem equal to the bit to its own N x d call.
     """
     f = np.asarray(f, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if f.ndim != 2 or f.shape != t.shape:
-        raise DimensionError(f"sides must share an N x d shape, got {f.shape} vs {t.shape}")
+    if f.ndim not in (2, 3) or f.shape != t.shape:
+        raise DimensionError(f"sides must share an N x d or P x N x d shape, "
+                             f"got {f.shape} vs {t.shape}")
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    n = f.shape[0]
+    n = f.shape[-2]
 
     f_hat, f_norms = _normalize_rows(f, "image side")
     t_hat, t_norms = _normalize_rows(t, "text side")
-    s = (f_hat @ t_hat.T) / tau
+    s = (f_hat @ t_hat.swapaxes(-1, -2)) / tau
 
     if labels is None:
         q_row = np.eye(n)
@@ -278,59 +298,74 @@ def contrastive_pair_loss(f, t, tau: float, labels=None, need_grad: bool = True)
         q_row = same / same.sum(axis=1, keepdims=True)
         q_col = same / same.sum(axis=0, keepdims=True)
 
-    log_a = s - _logsumexp(s, axis=1)
-    log_b = s - _logsumexp(s, axis=0)
-    loss = float(-(q_row * log_a).sum() / n - (q_col * log_b).sum() / n)
+    log_a = s - _logsumexp(s, axis=-1)
+    log_b = s - _logsumexp(s, axis=-2)
+    cells = (-2, -1)
+    loss = -(q_row * log_a).sum(axis=cells) / n - (q_col * log_b).sum(axis=cells) / n
+    if f.ndim == 2:
+        loss = float(loss)
     if not need_grad:
         return loss, None, None
 
     g_s = (np.exp(log_a) - q_row + np.exp(log_b) - q_col) / n
     g_c = g_s / tau
     grad_f = _denormalize_grad(g_c @ t_hat, f_hat, f_norms)
-    grad_t = _denormalize_grad(g_c.T @ f_hat, t_hat, t_norms)
+    grad_t = _denormalize_grad(g_c.swapaxes(-1, -2) @ f_hat, t_hat, t_norms)
     return loss, grad_f, grad_t
 
 
 def contrastive_single(emb: EmbeddingSet, tau: float, labels=None,
                        need_grad: bool = True):
-    """One-to-one image-text contrastive term, summed over both modalities."""
-    l_v, gf_v, gt_v = contrastive_pair_loss(emb.f_v, emb.t_v, tau, labels, need_grad)
-    l_r, gf_r, gt_r = contrastive_pair_loss(emb.f_r, emb.t_r, tau, labels, need_grad)
+    """One-to-one image-text contrastive term, summed over both modalities:
+    one stacked call pairs the image blocks (f_v, f_r) with the text blocks
+    (t_v, t_r)."""
+    loss, g_f, g_t = contrastive_pair_loss(emb.blocks[:2], emb.blocks[2:], tau, labels,
+                                           need_grad)
+    l_v, l_r = loss.tolist()
     if not need_grad:
         return l_v + l_r, None
-    return l_v + l_r, EmbeddingGrads(f_v=gf_v, f_r=gf_r, t_v=gt_v, t_r=gt_r)
+    return l_v + l_r, EmbeddingGrads(np.concatenate([g_f, g_t]))
 
 
 @dataclass
 class FusedSet:
     """Multi-view averaged embeddings plus the averaging that produced them.
 
-    `mix_v` and `mix_r` are N x 2N row-averaging matrices over the stacked
-    blocks [*_v; *_r], so fm_v = mix_v @ vstack(f_v, f_r) and likewise for
-    texts; gradients flow back through the transpose. They are the only
-    record of which partners were drawn.
+    `blocks` is 4 x N x d, in the order fm_v, fm_r, tm_v, tm_r of the
+    single-view blocks they average. `mix_v` and `mix_r` are N x 2N
+    row-averaging matrices over the stacked blocks [*_v; *_r], so
+    fm_v = mix_v @ vstack(f_v, f_r) and likewise for texts; gradients flow
+    back through the transpose. They are the only record of which partners
+    were drawn.
     """
 
-    fm_v: np.ndarray
-    fm_r: np.ndarray
-    tm_v: np.ndarray
-    tm_r: np.ndarray
+    blocks: np.ndarray
     mix_v: np.ndarray
     mix_r: np.ndarray
 
+    fm = property(lambda self: self.blocks[:2])
+    tm = property(lambda self: self.blocks[2:])
+    fm_v = property(lambda self: self.blocks[0])
+    fm_r = property(lambda self: self.blocks[1])
+    tm_v = property(lambda self: self.blocks[2])
+    tm_r = property(lambda self: self.blocks[3])
+
     @property
     def n(self) -> int:
-        return self.fm_v.shape[0]
+        return self.blocks.shape[1]
 
     @classmethod
     def from_mix(cls, emb: EmbeddingSet, mix_v: np.ndarray,
                  mix_r: np.ndarray) -> "FusedSet":
         """Re-apply a fixed averaging pattern to (possibly new) embeddings."""
-        stack_f = np.vstack([emb.f_v, emb.f_r])
-        stack_t = np.vstack([emb.t_v, emb.t_r])
-        return cls(fm_v=mix_v @ stack_f, fm_r=mix_r @ stack_f,
-                   tm_v=mix_v @ stack_t, tm_r=mix_r @ stack_t,
-                   mix_v=mix_v, mix_r=mix_r)
+        n, d = emb.n, emb.dim
+        stack_f = emb.blocks[:2].reshape(2 * n, d)
+        stack_t = emb.blocks[2:].reshape(2 * n, d)
+        blocks = np.empty_like(emb.blocks)
+        for k, (mix, stack) in enumerate(((mix_v, stack_f), (mix_r, stack_f),
+                                          (mix_v, stack_t), (mix_r, stack_t))):
+            np.matmul(mix, stack, out=blocks[k])
+        return cls(blocks, mix_v, mix_r)
 
 
 def fuse_multiview(emb: EmbeddingSet, n_fuse: int, rng_seed: int,
@@ -409,14 +444,13 @@ def contrastive_fused(fused: FusedSet, tau: float, labels=None,
     Returns (loss, grads w.r.t. the original single-view blocks).
     """
     n = fused.n
-    l_v, gf_v, gt_v = contrastive_pair_loss(fused.fm_v, fused.tm_v, tau, labels, need_grad)
-    l_r, gf_r, gt_r = contrastive_pair_loss(fused.fm_r, fused.tm_r, tau, labels, need_grad)
+    loss, g_f, g_t = contrastive_pair_loss(fused.fm, fused.tm, tau, labels, need_grad)
+    l_v, l_r = loss.tolist()
     if not need_grad:
         return l_v + l_r, None
-    g_stack_f = fused.mix_v.T @ gf_v + fused.mix_r.T @ gf_r
-    g_stack_t = fused.mix_v.T @ gt_v + fused.mix_r.T @ gt_r
-    grads = EmbeddingGrads(f_v=g_stack_f[:n], f_r=g_stack_f[n:],
-                           t_v=g_stack_t[:n], t_r=g_stack_t[n:])
+    g_stack_f = fused.mix_v.T @ g_f[0] + fused.mix_r.T @ g_f[1]
+    g_stack_t = fused.mix_v.T @ g_t[0] + fused.mix_r.T @ g_t[1]
+    grads = EmbeddingGrads(np.concatenate([g_stack_f, g_stack_t]).reshape(4, n, -1))
     return l_v + l_r, grads
 
 
@@ -430,24 +464,23 @@ def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True,
     if fused.n != emb.n:
         raise DimensionError(f"fused set has {fused.n} rows, batch has {emb.n}")
     n = emb.n
-    pairs = [("f_v", emb.f_v, fused.fm_v), ("f_r", emb.f_r, fused.fm_r)]
-    if include_text:
-        pairs += [("t_v", emb.t_v, fused.tm_v), ("t_r", emb.t_r, fused.tm_r)]
-
+    k = 4 if include_text else 2    # f_v, f_r, then t_v, t_r
+    single, teacher = emb.blocks[:k], fused.blocks[:k]
+    resid = teacher - single
     loss = 0.0
-    grads = EmbeddingGrads.zeros(emb) if need_grad else None
-    for name, single, teacher in pairs:
-        resid = teacher - single
-        loss += float((resid * resid).sum() / n)
-        if need_grad:
-            setattr(grads, name, getattr(grads, name) + (2.0 / n) * (single - teacher))
+    for block_loss in ((resid * resid).sum(axis=(1, 2)) / n).tolist():
+        loss += block_loss
+    if not need_grad:
+        return loss, None
+    grads = EmbeddingGrads.zeros(emb)
+    grads.blocks[:k] += (2.0 / n) * (single - teacher)
     return loss, grads
 
 
-def _units(diff: np.ndarray, d: np.ndarray) -> np.ndarray:
-    units = np.zeros_like(diff)
-    np.divide(diff, d[:, None], out=units, where=d[:, None] > _DIST_EPS)
-    return units
+# the image and the text block of each distance the parity term reads:
+# within V, V image to R text, within R, R image to V text
+_PARITY_IMAGES = np.array([0, 0, 1, 1])
+_PARITY_TEXTS = np.array([2, 3, 3, 2])
 
 
 def distance_parity_loss(emb: EmbeddingSet, need_grad: bool = True):
@@ -458,25 +491,22 @@ def distance_parity_loss(emb: EmbeddingSet, need_grad: bool = True):
     subgradient for that distance.
     """
     n = emb.n
-    diffs = (emb.f_v - emb.t_v, emb.f_v - emb.t_r, emb.f_r - emb.t_r, emb.f_r - emb.t_v)
-    dists = [np.linalg.norm(diff, axis=1) for diff in diffs]
-    d_vv, d_vr, d_rr, d_rv = dists
-
-    gap_v = d_vv - d_vr
-    gap_r = d_rr - d_rv
-    loss = float((gap_v * gap_v).mean() + (gap_r * gap_r).mean())
+    diffs = emb.blocks[_PARITY_IMAGES] - emb.blocks[_PARITY_TEXTS]
+    dists = np.sqrt((diffs * diffs).sum(axis=-1))
+    gaps = dists[0::2] - dists[1::2]          # gap_v, gap_r
+    gap_v_loss, gap_r_loss = (gaps * gaps).mean(axis=1).tolist()
+    loss = gap_v_loss + gap_r_loss
     if not need_grad:
         return loss, None
 
-    u_vv, u_vr, u_rr, u_rv = (_units(diff, d) for diff, d in zip(diffs, dists))
-    c_v = (2.0 / n) * gap_v[:, None]
-    c_r = (2.0 / n) * gap_r[:, None]
-    grads = EmbeddingGrads(
-        f_v=c_v * (u_vv - u_vr),
-        f_r=c_r * (u_rr - u_rv),
-        t_v=-c_v * u_vv + c_r * u_rv,
-        t_r=c_v * u_vr - c_r * u_rr,
-    )
+    u = np.zeros_like(diffs)
+    np.divide(diffs, dists[..., None], out=u, where=dists[..., None] > _DIST_EPS)
+    c = (2.0 / n) * gaps[..., None]
+    c_v, c_r = c
+    grads = EmbeddingGrads(np.empty_like(diffs))
+    grads.blocks[:2] = c * (u[0::2] - u[1::2])
+    grads.blocks[2] = -c_v * u[0] + c_r * u[3]
+    grads.blocks[3] = c_v * u[1] - c_r * u[2]
     return loss, grads
 
 
@@ -510,12 +540,12 @@ def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
     l_wrt = l_single = l_fused = l_kd = l_par = 0.0
 
     if weights.lambda1 > 0:
-        stack = np.vstack([emb.f_v, emb.f_r])
+        # the image blocks [f_v; f_r] as one 2N x d stack, a view
+        stack = emb.blocks[:2].reshape(2 * n, emb.dim)
         stack_labels = np.concatenate([emb.labels, emb.labels])
         l_wrt, g_stack = weighted_triplet_loss(stack, stack_labels, need_grad=need_grad)
         if need_grad:
-            grads.f_v += weights.lambda1 * g_stack[:n]
-            grads.f_r += weights.lambda1 * g_stack[n:]
+            grads.blocks[:2] += weights.lambda1 * g_stack.reshape(2, n, -1)
 
     if weights.lambda2 > 0:
         contrast_labels = emb.labels if weights.label_aware_contrast else None

@@ -112,9 +112,17 @@ class Rows:
         return len(self.sample_id)
 
 
+def _first_repeat(values: np.ndarray) -> int | None:
+    """Index of the first entry equal to an earlier one, or None."""
+    order = np.argsort(values, kind="stable")
+    later = order[1:][values[order[1:]] == values[order[:-1]]]
+    return int(later.min()) if later.size else None
+
+
 class Split:
     """A split as one `Rows` store per modality, plus identity indexing and
-    class labels. Built from six equal-length columns in any row order."""
+    class labels. Built from six equal-length columns in any row order; a
+    sample_id may occur only once in a split."""
 
     def __init__(self, sample_id, identity, modality, view, x_raw, l_raw):
         sample_id, identity, view = (np.asarray(c, dtype=np.int64)
@@ -124,6 +132,9 @@ class Split:
         unknown = sorted(set(modality.tolist()) - set(MODALITIES))
         if unknown:
             raise ValueError(f"unknown modality tag {unknown[0]!r}")
+        repeat = _first_repeat(sample_id)
+        if repeat is not None:
+            raise ValueError(f"sample_id {sample_id[repeat]} repeats")
         self.rows: dict[str, Rows] = {}
         for m in MODALITIES:
             picked = np.flatnonzero(modality == m)
@@ -268,6 +279,8 @@ def _parse_record(line: str) -> list:
         value = rec[name]
         if type(value) is not kind:
             raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
+        if name == "modality" and value not in MODALITIES:
+            raise ValueError(f"unknown modality tag {value!r}")
         if kind is list:
             value = np.asarray(value)
             if value.ndim != 1 or value.dtype.kind not in "iuf":
@@ -293,6 +306,12 @@ def load_split(path: Path | str) -> Split:
     if len(dims) != 1:
         raise DimensionError(f"{path}: inconsistent feature dims {sorted(dims)}")
     line_nos, *columns, x_raw, l_raw = zip(*records)
+    sample_id = np.array(columns[0], dtype=np.int64)
+    repeat = _first_repeat(sample_id)
+    if repeat is not None:
+        first = line_nos[int(np.flatnonzero(sample_id == sample_id[repeat])[0])]
+        raise ValueError(f"{path}:{line_nos[repeat]}: sample_id {sample_id[repeat]} "
+                         f"repeats line {first}")
     x_raw, l_raw = np.stack(x_raw), np.stack(l_raw)
     for name, column in (("x_raw", x_raw), ("l_raw", l_raw)):
         # json.loads reads NaN, Infinity and 1e999; checked per column, not per record

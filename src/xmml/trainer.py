@@ -141,7 +141,7 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
             store, batch.x_v, batch.x_r, batch.l_v, batch.l_r)
 
     try:
-        emb = EmbeddingSet(*emb_blocks, labels=batch.labels)
+        emb = EmbeddingSet(np.stack(emb_blocks), batch.labels)
     except DegenerateInputError as e:
         # the set's own finiteness check doubles as the embedding divergence check
         raise TrainingDivergedError(f"non-finite embeddings: {e}",
@@ -159,9 +159,8 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
             f"non-finite loss {res.breakdown.total!r}",
             _divergence_diagnostics(batch, emb_blocks, res.breakdown))
 
-    g = res.grads
     with timed(timings, "backward"):
-        model.backward(store, caches, (g.f_v, g.f_r, g.t_v, g.t_r),
+        model.backward(store, caches, tuple(res.grads.blocks),
                        (res.grad_logits_v, res.grad_logits_r))
 
     with timed(timings, "update"):

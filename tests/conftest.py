@@ -42,10 +42,13 @@ def random_embedding_set(n: int, d: int, seed: int, n_labels: int | None = None
     if n_labels is None:
         n_labels = max(1, n // 2)
     labels = np.arange(n) % n_labels
-    return EmbeddingSet(
-        f_v=rng.standard_normal((n, d)), f_r=rng.standard_normal((n, d)),
-        t_v=rng.standard_normal((n, d)), t_r=rng.standard_normal((n, d)),
-        labels=labels)
+    return EmbeddingSet(np.stack([rng.standard_normal((n, d)) for _ in range(4)]), labels)
+
+
+def embedding_set(f_v, f_r, t_v, t_r, labels) -> EmbeddingSet:
+    """An EmbeddingSet from its four blocks, given by name."""
+    return EmbeddingSet(np.stack([np.asarray(b, dtype=np.float64)
+                                  for b in (f_v, f_r, t_v, t_r)]), labels)
 
 
 @pytest.fixture

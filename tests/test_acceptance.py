@@ -22,11 +22,12 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import embedding_set
 from xmml.bench import (BENCHMARK_SEEDS, benchmark_train_config,
                         run_direction_benchmark, run_sweep, write_sweep_csv)
 from xmml.cli import main as cli_main
 from xmml.evaluator import Protocol, cmc_map
-from xmml.losses import (EmbeddingSet, LossWeights, contrastive_fused,
+from xmml.losses import (LossWeights, contrastive_fused,
                          contrastive_pair_loss, contrastive_single,
                          distance_parity_loss, distill_loss, fuse_multiview,
                          identity_loss, weighted_triplet_loss)
@@ -69,11 +70,11 @@ def test_02_analytic_zero_and_identity_cases():
     # zero fusion partners: the fused objective collapses onto the one-to-one
     # objective and the self-distillation residual vanishes
     n, d = 6, 4
-    emb = EmbeddingSet(f_v=rng.standard_normal((n, d)),
-                       f_r=rng.standard_normal((n, d)),
-                       t_v=rng.standard_normal((n, d)),
-                       t_r=rng.standard_normal((n, d)),
-                       labels=np.arange(n) // 2)
+    emb = embedding_set(f_v=rng.standard_normal((n, d)),
+                        f_r=rng.standard_normal((n, d)),
+                        t_v=rng.standard_normal((n, d)),
+                        t_r=rng.standard_normal((n, d)),
+                        labels=np.arange(n) // 2)
     fused = fuse_multiview(emb, n_fuse=0, rng_seed=0)
     loss_fused, _ = contrastive_fused(fused, tau=0.07)
     loss_plain, _ = contrastive_single(emb, tau=0.07)
@@ -82,8 +83,8 @@ def test_02_analytic_zero_and_identity_cases():
     assert abs(kd) <= tol
 
     # identical text embeddings across modalities leave nothing to purify
-    emb_eq = EmbeddingSet(f_v=emb.f_v, f_r=emb.f_r, t_v=emb.t_v,
-                          t_r=emb.t_v.copy(), labels=emb.labels)
+    emb_eq = embedding_set(f_v=emb.f_v, f_r=emb.f_r, t_v=emb.t_v,
+                           t_r=emb.t_v.copy(), labels=emb.labels)
     loss_parity, _ = distance_parity_loss(emb_eq)
     assert abs(loss_parity) <= tol
 
@@ -129,9 +130,9 @@ def test_04_hand_computed_reference_values():
     loss, _, _ = contrastive_pair_loss(eye, eye.copy(), tau=1.0)
     assert abs(loss - 0.62652) < tol
 
-    emb = EmbeddingSet(f_v=np.array([[0.0]]), t_v=np.array([[1.0]]),
-                       f_r=np.array([[2.0]]), t_r=np.array([[3.0]]),
-                       labels=np.array([0]))
+    emb = embedding_set(f_v=np.array([[0.0]]), t_v=np.array([[1.0]]),
+                        f_r=np.array([[2.0]]), t_r=np.array([[3.0]]),
+                        labels=np.array([0]))
     loss, _ = distance_parity_loss(emb)
     assert abs(loss - 4.0) < tol
 

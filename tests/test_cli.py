@@ -324,6 +324,7 @@ class TestEval:
         (lambda rec: {**rec, "x_raw": ["a"] * len(rec["x_raw"])}, "x_raw is not a flat list"),
         (lambda rec: {**rec, "l_raw": [rec["l_raw"]]}, "l_raw is not a flat list"),
         (lambda rec: [rec], "record lacks 'sample_id'"),
+        (lambda rec: {**rec, "modality": "X"}, "unknown modality tag 'X'"),
     ])
     def test_malformed_record_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys,
                                             edit, message):
@@ -335,6 +336,23 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {data / 'test.jsonl'}:1: {message}")
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_repeated_sample_id_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys,
+                                              command):
+        data = tmp_path / "data"
+        shutil.copytree(gen_dir, data)
+        records = [json.loads(line) for line in (data / "test.jsonl").read_text().splitlines()]
+        for rec in records:
+            rec["sample_id"] = 7
+        (data / "test.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        args = (["--checkpoint", str(train_dir / "checkpoint.jsonl")] if command == "eval"
+                else TINY_TRAIN_ARGS)
+        assert main([command, "--data", str(data), "--out", str(tmp_path / "out")]
+                    + args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data / 'test.jsonl'}:2: sample_id 7 repeats line 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_dimension_mismatch_fails_cleanly(self, train_dir, tmp_path, capsys):
         wide = tmp_path / "wide"

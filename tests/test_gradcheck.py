@@ -52,7 +52,7 @@ def _terms(w: LossWeights):
     n, d = 8, 4
     rng = derive_rng(0, "value-path", n, d)
     labels = np.arange(n) % (n // 2)
-    emb = EmbeddingSet(*(rng.standard_normal((n, d)) for _ in range(4)), labels=labels)
+    emb = EmbeddingSet(np.stack([rng.standard_normal((n, d)) for _ in range(4)]), labels)
     fused = fuse_multiview(emb, w.n_fuse, 7, cross_modal=w.cross_modal_fusion)
     lv, lr = rng.standard_normal((n, n // 2)), rng.standard_normal((n, n // 2))
     cl = labels if w.label_aware_contrast else None
@@ -92,7 +92,8 @@ def test_value_fn_is_the_loss_to_the_bit(name, switch):
     for perturbed in (False, True):
         if perturbed:
             for param in store.names():
-                store.value(param).reshape(-1)[0] += 1e-5
+                # the first entry of every row, so each embedding block moves
+                store.value(param)[..., 0] += 1e-5
         store.zero_grads()
         value = evaluate(store, False)
         # value-only: the gradient buffers are left alone

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_embedding_set
-from xmml.losses import (EmbeddingSet, FusedSet, LossWeights,
+from conftest import embedding_set, random_embedding_set
+from xmml.losses import (BLOCK_NAMES, EmbeddingSet, FusedSet, LossWeights,
                          contrastive_fused, contrastive_pair_loss,
                          contrastive_single, distance_parity_loss,
                          distill_loss, fuse_multiview, identity_loss,
@@ -32,6 +32,39 @@ def fuse_paired(emb: EmbeddingSet, seed: int = 0) -> FusedSet:
     regardless of rng."""
     assert (np.bincount(emb.labels) == 2).all(), "fixture wants paired identities"
     return fuse_multiview(emb, n_fuse=1, rng_seed=seed)
+
+
+# ---------------------------------------------------------- embedding set
+
+class TestEmbeddingSet:
+    def test_blocks_are_views_of_one_array(self):
+        blocks = derive_rng(0, "emb-views").standard_normal((4, 3, 2))
+        emb = EmbeddingSet(blocks, [0, 1, 0])
+        assert emb.blocks is blocks
+        assert (emb.n, emb.dim) == (3, 2)
+        for k, name in enumerate(BLOCK_NAMES):
+            assert getattr(emb, name).base is blocks
+            assert np.array_equal(getattr(emb, name), blocks[k])
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (5, 2, 4), (1, 2, 4), (4, 2),
+                                       (4, 0, 3), (4, 2, 0), (1, 4, 2, 4)])
+    def test_blocks_must_be_four_by_n_by_d(self, shape):
+        with pytest.raises(DimensionError, match="4 x N x d"):
+            EmbeddingSet(np.ones(shape), np.zeros(2, dtype=np.int64))
+
+    def test_labels_must_have_one_entry_per_row(self):
+        with pytest.raises(DimensionError, match="labels"):
+            EmbeddingSet(np.ones((4, 3, 2)), [0, 1])
+
+    @pytest.mark.parametrize("k, name", list(enumerate(BLOCK_NAMES)))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_names_its_block(self, k, name, bad):
+        blocks = np.ones((4, 3, 2))
+        blocks[k, 2, 1] = bad
+        if k < 3:
+            blocks[3, 0, 0] = -np.inf   # a later block is not the one named
+        with pytest.raises(DegenerateInputError, match=f"block {name} has non-finite"):
+            EmbeddingSet(blocks, [0, 1, 2])
 
 
 # ----------------------------------------------------------- identity loss
@@ -226,6 +259,30 @@ class TestContrastivePair:
         aware, _, _ = contrastive_pair_loss(f, t, tau=0.07, labels=[0, 0, 1, 1])
         assert abs(plain - aware) > 1e-6
 
+    @pytest.mark.parametrize("aware", [False, True])
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 4), (8, 8), (9, 3), (33, 17), (64, 32),
+                                      (128, 64)])
+    def test_stacked_call_equals_separate_calls_to_the_bit(self, n, d, aware):
+        rng = derive_rng(n, "stacked-contrast", d)
+        f, t = rng.standard_normal((2, 3, n, d))
+        labels = np.arange(n) % max(1, n // 3) if aware else None
+        loss, g_f, g_t = contrastive_pair_loss(f, t, 0.07, labels)
+        assert loss.shape == (3,)
+        for p in range(3):
+            want, want_f, want_t = contrastive_pair_loss(f[p].copy(), t[p].copy(), 0.07, labels)
+            assert loss[p] == want
+            assert np.array_equal(g_f[p], want_f)
+            assert np.array_equal(g_t[p], want_t)
+        value, no_f, no_t = contrastive_pair_loss(f, t, 0.07, labels, need_grad=False)
+        assert np.array_equal(value, loss)
+        assert no_f is None and no_t is None
+
+    def test_stacked_zero_norm_row_names_the_row_of_its_problem(self):
+        f = np.ones((2, 3, 2))
+        f[1, 2] = 0.0
+        with pytest.raises(DegenerateInputError, match="image side row 2"):
+            contrastive_pair_loss(f, np.ones((2, 3, 2)), tau=0.07)
+
 
 class TestContrastiveSingle:
     def test_single_row_is_zero(self):
@@ -235,8 +292,8 @@ class TestContrastiveSingle:
 
     def test_identical_constant_blocks_give_four_log_n(self):
         block = np.ones((4, 3))
-        emb = EmbeddingSet(f_v=block, f_r=block.copy(), t_v=block.copy(),
-                           t_r=block.copy(), labels=np.arange(4))
+        emb = embedding_set(f_v=block, f_r=block.copy(), t_v=block.copy(),
+                            t_r=block.copy(), labels=np.arange(4))
         loss, _ = contrastive_single(emb, tau=0.07)
         assert abs(loss - 4.0 * math.log(4.0)) < 1e-10
 
@@ -273,11 +330,11 @@ class TestFuseMultiview:
         assert np.allclose(fused.tm_r, emb.t_r, atol=1e-12)
 
     def test_two_point_mean(self):
-        emb = EmbeddingSet(f_v=[[1.0, 0.0], [0.0, 1.0]],
-                           f_r=[[1.0, 0.0], [0.0, 1.0]],
-                           t_v=[[1.0, 0.0], [0.0, 1.0]],
-                           t_r=[[1.0, 0.0], [0.0, 1.0]],
-                           labels=[0, 0])
+        emb = embedding_set(f_v=[[1.0, 0.0], [0.0, 1.0]],
+                            f_r=[[1.0, 0.0], [0.0, 1.0]],
+                            t_v=[[1.0, 0.0], [0.0, 1.0]],
+                            t_r=[[1.0, 0.0], [0.0, 1.0]],
+                            labels=[0, 0])
         fused = fuse_multiview(emb, n_fuse=1, rng_seed=0)
         assert np.allclose(fused.fm_v, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
@@ -500,8 +557,7 @@ class TestContrastiveFused:
 def make_fused(fm_v, fm_r, tm_v, tm_r) -> FusedSet:
     n = np.asarray(fm_v).shape[0]
     dummy = np.zeros((n, 2 * n))
-    return FusedSet(fm_v=np.asarray(fm_v, float), fm_r=np.asarray(fm_r, float),
-                    tm_v=np.asarray(tm_v, float), tm_r=np.asarray(tm_r, float),
+    return FusedSet(np.stack([np.asarray(b, float) for b in (fm_v, fm_r, tm_v, tm_r)]),
                     mix_v=dummy, mix_r=dummy)
 
 
@@ -513,8 +569,8 @@ class TestDistill:
         assert np.abs(grads.f_v).max() == 0.0
 
     def test_single_block_unit_offset_gives_dimension(self):
-        emb = EmbeddingSet(f_v=np.zeros((1, 4)), f_r=np.zeros((1, 4)),
-                           t_v=np.zeros((1, 4)), t_r=np.zeros((1, 4)), labels=[0])
+        emb = embedding_set(f_v=np.zeros((1, 4)), f_r=np.zeros((1, 4)),
+                            t_v=np.zeros((1, 4)), t_r=np.zeros((1, 4)), labels=[0])
         fused = make_fused(np.ones((1, 4)), np.zeros((1, 4)),
                            np.zeros((1, 4)), np.zeros((1, 4)))
         loss, _ = distill_loss(emb, fused)
@@ -565,15 +621,15 @@ class TestDistanceParity:
     def test_equal_texts_give_zero(self):
         rng = np.random.default_rng(20)
         t = rng.standard_normal((3, 4))
-        emb = EmbeddingSet(f_v=rng.standard_normal((3, 4)),
-                           f_r=rng.standard_normal((3, 4)),
-                           t_v=t, t_r=t.copy(), labels=np.arange(3))
+        emb = embedding_set(f_v=rng.standard_normal((3, 4)),
+                            f_r=rng.standard_normal((3, 4)),
+                            t_v=t, t_r=t.copy(), labels=np.arange(3))
         loss, _ = distance_parity_loss(emb)
         assert loss == 0.0
 
     def test_one_dimensional_hand_value(self):
-        emb = EmbeddingSet(f_v=[[0.0]], t_v=[[1.0]], f_r=[[2.0]], t_r=[[3.0]],
-                           labels=[0])
+        emb = embedding_set(f_v=[[0.0]], t_v=[[1.0]], f_r=[[2.0]], t_r=[[3.0]],
+                            labels=[0])
         loss, _ = distance_parity_loss(emb)
         assert abs(loss - 4.0) < 1e-5
         assert loss == 4.0
@@ -586,8 +642,8 @@ class TestDistanceParity:
 
     def test_modality_swap_invariance(self):
         emb = random_embedding_set(4, 3, seed=22, n_labels=2)
-        swapped = EmbeddingSet(f_v=emb.f_r, f_r=emb.f_v, t_v=emb.t_r,
-                               t_r=emb.t_v, labels=emb.labels)
+        swapped = embedding_set(f_v=emb.f_r, f_r=emb.f_v, t_v=emb.t_r,
+                                t_r=emb.t_v, labels=emb.labels)
         a, _ = distance_parity_loss(emb)
         b, _ = distance_parity_loss(swapped)
         assert abs(a - b) < 1e-12
@@ -595,17 +651,17 @@ class TestDistanceParity:
     @pytest.mark.parametrize("alpha", [2.0, 1.7, 0.25])
     def test_quadratic_homogeneity(self, alpha):
         emb = random_embedding_set(3, 4, seed=23, n_labels=1)
-        scaled = EmbeddingSet(f_v=alpha * emb.f_v, f_r=alpha * emb.f_r,
-                              t_v=alpha * emb.t_v, t_r=alpha * emb.t_r,
-                              labels=emb.labels)
+        scaled = embedding_set(f_v=alpha * emb.f_v, f_r=alpha * emb.f_r,
+                               t_v=alpha * emb.t_v, t_r=alpha * emb.t_r,
+                               labels=emb.labels)
         a, _ = distance_parity_loss(emb)
         b, _ = distance_parity_loss(scaled)
         assert abs(b - alpha * alpha * a) < 1e-10 * max(1.0, abs(b))
 
     def test_zero_distance_rows_get_zero_subgradient(self):
         x = np.array([[1.0, 2.0]])
-        emb = EmbeddingSet(f_v=x, f_r=x.copy(), t_v=x.copy(), t_r=x.copy(),
-                           labels=[0])
+        emb = embedding_set(f_v=x, f_r=x.copy(), t_v=x.copy(), t_r=x.copy(),
+                            labels=[0])
         loss, grads = distance_parity_loss(emb)
         assert loss == 0.0
         for block in (grads.f_v, grads.f_r, grads.t_v, grads.t_r):
@@ -617,8 +673,8 @@ class TestDistanceParity:
 def paired_embedding_set(n_pairs: int, d: int, seed: int) -> EmbeddingSet:
     emb = random_embedding_set(2 * n_pairs, d, seed, n_labels=n_pairs)
     labels = np.repeat(np.arange(n_pairs), 2)
-    return EmbeddingSet(f_v=emb.f_v, f_r=emb.f_r, t_v=emb.t_v, t_r=emb.t_r,
-                        labels=labels)
+    return embedding_set(f_v=emb.f_v, f_r=emb.f_r, t_v=emb.t_v, t_r=emb.t_r,
+                         labels=labels)
 
 
 class TestTotalLoss:
@@ -707,9 +763,9 @@ class TestTotalLoss:
         base = total_loss(emb, fused, lv, lr, w).breakdown.total
 
         perm = np.random.default_rng(6).permutation(6)
-        p_emb = EmbeddingSet(f_v=emb.f_v[perm], f_r=emb.f_r[perm],
-                             t_v=emb.t_v[perm], t_r=emb.t_r[perm],
-                             labels=emb.labels[perm])
+        p_emb = embedding_set(f_v=emb.f_v[perm], f_r=emb.f_r[perm],
+                              t_v=emb.t_v[perm], t_r=emb.t_r[perm],
+                              labels=emb.labels[perm])
         p_fused = fuse_paired(p_emb)
         permuted = total_loss(p_emb, p_fused, lv[perm], lr[perm], w).breakdown.total
         assert abs(base - permuted) < 1e-10

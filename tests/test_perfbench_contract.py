@@ -53,6 +53,14 @@ def test_every_traced_function_exists(mod, attr):
     assert callable(_traced(mod, attr))
 
 
+@pytest.mark.parametrize("mod, attr", [(mod, attr) for mod, attr in TRACED
+                                       if isinstance(_traced(mod, attr), type)])
+def test_every_traced_class_defines_its_own_init(mod, attr):
+    # the tracer wraps cls.__dict__["__init__"]: an inherited constructor
+    # would make Tracer.install() fail with a KeyError
+    assert "__init__" in vars(_traced(mod, attr))
+
+
 @pytest.mark.parametrize("binding", _from_imports())
 def test_every_from_import_binding_is_the_traced_original(binding):
     module, attr = binding.rsplit(".", 1)

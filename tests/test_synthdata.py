@@ -336,6 +336,14 @@ class TestSampleBatch:
         with pytest.raises(LookupError):
             oracles.sample_batch_oracle(records, n_ids, k, derive_rng(0, "batch"))
 
+    def test_repeated_sample_id_rejected(self, tiny_bundle):
+        rows = tiny_bundle.train.rows["V"]
+        sample_id = rows.sample_id[:3].copy()
+        sample_id[2] = sample_id[0]
+        with pytest.raises(ValueError, match=f"sample_id {sample_id[0]} repeats"):
+            Split(sample_id, rows.identity[:3], ["V", "R", "R"], rows.view[:3],
+                  rows.x_raw[:3], rows.l_raw[:3])
+
     def test_unknown_modality_tag_rejected(self, tiny_bundle):
         rows = tiny_bundle.train.rows["V"]
         with pytest.raises(ValueError):
