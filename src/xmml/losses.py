@@ -214,7 +214,7 @@ def weighted_triplet_loss(stack, labels, need_grad: bool = True):
         i = int(np.flatnonzero(~neg.any(axis=1))[0])
         raise ProtocolError(f"anchor {i} has no negative in the batch")
 
-    dist = pairwise_distances(f)
+    dist = pairwise_distances(f, f)
 
     neg_inf = np.float64(-np.inf)
     wp_logits = np.where(pos, dist, neg_inf)
@@ -343,8 +343,6 @@ class FusedSet:
     mix_v: np.ndarray
     mix_r: np.ndarray
 
-    fm = property(lambda self: self.blocks[:2])
-    tm = property(lambda self: self.blocks[2:])
     fm_v = property(lambda self: self.blocks[0])
     fm_r = property(lambda self: self.blocks[1])
     tm_v = property(lambda self: self.blocks[2])
@@ -444,7 +442,8 @@ def contrastive_fused(fused: FusedSet, tau: float, labels=None,
     Returns (loss, grads w.r.t. the original single-view blocks).
     """
     n = fused.n
-    loss, g_f, g_t = contrastive_pair_loss(fused.fm, fused.tm, tau, labels, need_grad)
+    loss, g_f, g_t = contrastive_pair_loss(fused.blocks[:2], fused.blocks[2:], tau,
+                                           labels, need_grad)
     l_v, l_r = loss.tolist()
     if not need_grad:
         return l_v + l_r, None

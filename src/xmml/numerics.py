@@ -112,7 +112,7 @@ class ParamStore:
 _BLOCK_CELLS = 1 << 14
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of `a` (n x d) and `b` (m x d).
 
     Equal to the bit to np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2)),
@@ -120,30 +120,17 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     `a`, at most _BLOCK_CELLS cells each (or one row when a row is larger),
     are differenced, squared in place and summed over the last axis into the
     result rows, with the same reduction the full tensor would use.
-
-    With `b` omitted, the distances among the rows of `a`: each block of rows
-    is differenced only against itself and the rows after it, and the cells
-    below the diagonal are mirrored from those above. (x - y)^2 equals
-    (y - x)^2 exactly, so the result equals pairwise_distances(a, a) to the
-    bit, with an exactly zero diagonal.
     """
     n, d = a.shape
-    sym = b is None
-    if sym:
-        b = a
     m = b.shape[0]
     out = np.empty((n, m))
     rows = max(1, _BLOCK_CELLS // max(1, m * d))
     buf = np.empty((min(rows, n), m, d))
     for i in range(0, n, rows):
-        j = i if sym else 0      # first column this block computes
-        r = min(rows, n - i)
-        block = buf[:r, :m - j]
-        np.subtract(a[i:i + r, None, :], b[None, j:, :], out=block)
+        block = buf[:min(rows, n - i)]
+        np.subtract(a[i:i + rows, None, :], b[None, :, :], out=block)
         np.multiply(block, block, out=block)
-        block.sum(axis=2, out=out[i:i + r, j:])
-        if sym:
-            out[i + r:, i:i + r] = out[i:i + r, i + r:].T
+        block.sum(axis=2, out=out[i:i + rows])
     return np.sqrt(out, out=out)
 
 

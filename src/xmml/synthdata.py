@@ -112,11 +112,23 @@ class Rows:
         return len(self.sample_id)
 
 
-def _first_repeat(values: np.ndarray) -> int | None:
-    """Index of the first entry equal to an earlier one, or None."""
-    order = np.argsort(values, kind="stable")
-    later = order[1:][values[order[1:]] == values[order[:-1]]]
-    return int(later.min()) if later.size else None
+class RepeatedSampleIdError(ValueError):
+    """A sample_id given to Split twice; `row` and `first` index the input
+    row that repeats it and the one that holds it first."""
+
+    def __init__(self, sample_id: int, row: int, first: int):
+        super().__init__(f"sample_id {sample_id} repeats")
+        self.row, self.first = row, first
+
+
+def _check_unique(sample_id: np.ndarray) -> None:
+    """Raise RepeatedSampleIdError at the first entry equal to an earlier one."""
+    order = np.argsort(sample_id, kind="stable")
+    later = order[1:][sample_id[order[1:]] == sample_id[order[:-1]]]
+    if later.size:
+        row = int(later.min())
+        first = int(np.flatnonzero(sample_id == sample_id[row])[0])
+        raise RepeatedSampleIdError(sample_id[row], row, first)
 
 
 class Split:
@@ -132,9 +144,7 @@ class Split:
         unknown = sorted(set(modality.tolist()) - set(MODALITIES))
         if unknown:
             raise ValueError(f"unknown modality tag {unknown[0]!r}")
-        repeat = _first_repeat(sample_id)
-        if repeat is not None:
-            raise ValueError(f"sample_id {sample_id[repeat]} repeats")
+        _check_unique(sample_id)
         self.rows: dict[str, Rows] = {}
         for m in MODALITIES:
             picked = np.flatnonzero(modality == m)
@@ -306,19 +316,16 @@ def load_split(path: Path | str) -> Split:
     if len(dims) != 1:
         raise DimensionError(f"{path}: inconsistent feature dims {sorted(dims)}")
     line_nos, *columns, x_raw, l_raw = zip(*records)
-    sample_id = np.array(columns[0], dtype=np.int64)
-    repeat = _first_repeat(sample_id)
-    if repeat is not None:
-        first = line_nos[int(np.flatnonzero(sample_id == sample_id[repeat])[0])]
-        raise ValueError(f"{path}:{line_nos[repeat]}: sample_id {sample_id[repeat]} "
-                         f"repeats line {first}")
     x_raw, l_raw = np.stack(x_raw), np.stack(l_raw)
     for name, column in (("x_raw", x_raw), ("l_raw", l_raw)):
         # json.loads reads NaN, Infinity and 1e999; checked per column, not per record
         bad = np.flatnonzero(~np.isfinite(column).all(axis=1))
         if len(bad):
             raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} holds NaN or inf")
-    return Split(*columns, x_raw, l_raw)
+    try:
+        return Split(*columns, x_raw, l_raw)
+    except RepeatedSampleIdError as e:
+        raise ValueError(f"{path}:{line_nos[e.row]}: {e} line {line_nos[e.first]}") from None
 
 
 def save_meta(path: Path | str, meta: DatasetMeta) -> None:

@@ -55,28 +55,15 @@ class TestPairwiseDistances:
             for b in others:
                 assert np.array_equal(pairwise_distances(a, b), broadcast_distances(a, b))
 
-    @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 7, 8, 9, 64, 130, 512)
-                                      for d in (1, 7, 8, 9, 32, 129, 200)
-                                      if n * n * d <= 1 << 22])
-    def test_one_argument_form_equals_the_two_argument_form(self, monkeypatch, n, d):
-        a = derive_rng(n, "pairwise-sym", d).standard_normal((n, d))
-        # 1 and 100 cells split every n >= 2 over many blocks; at the default
-        # size n = 64 and 130 span several blocks too
-        for cells in (1, 100, numerics._BLOCK_CELLS):
-            monkeypatch.setattr(numerics, "_BLOCK_CELLS", cells)
-            dist = pairwise_distances(a)
-            assert np.array_equal(dist, pairwise_distances(a, a))
-            assert (np.diag(dist) == 0.0).all()
-
     def test_duplicate_rows_are_exactly_zero(self):
         rng = derive_rng(3, "pairwise-dup")
         a = rng.standard_normal((9, 32))
         a[5] = a[1]
-        for dist in (pairwise_distances(a, a), pairwise_distances(a)):
-            # the triplet's zero-distance subgradient rule needs exact zeros
-            assert (np.diag(dist) == 0.0).all()
-            assert dist[1, 5] == 0.0 and dist[5, 1] == 0.0
-            assert (dist[~np.eye(9, dtype=bool)] > 0.0).sum() == 9 * 8 - 2
+        dist = pairwise_distances(a, a)
+        # the triplet's zero-distance subgradient rule needs exact zeros
+        assert (np.diag(dist) == 0.0).all()
+        assert dist[1, 5] == 0.0 and dist[5, 1] == 0.0
+        assert (dist[~np.eye(9, dtype=bool)] > 0.0).sum() == 9 * 8 - 2
 
 
 # ------------------------------------------------------------- param store
