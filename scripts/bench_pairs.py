@@ -46,6 +46,14 @@ def _export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
 
 
+def make_workdir(parent: str | None) -> Path:
+    """A new temporary directory for the exports, inside `parent` (created
+    if missing) or the system's temporary directory."""
+    if parent is not None:
+        Path(parent).mkdir(parents=True, exist_ok=True)
+    return Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=parent))
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -132,7 +140,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.workdir))
+    tmp = make_workdir(args.workdir)
     sides = {"parent": {"rev": args.parent}, "change": {"rev": args.change or "working tree"}}
     checkouts = {}
     try:

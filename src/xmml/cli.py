@@ -236,8 +236,9 @@ def cmd_gradcheck(args, cfg: dict) -> int:
                           f"known: {', '.join(LOSS_NAMES)}")
     sizes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_SIZES
     seed = args.seed if args.seed is not None else 0
+    timings: dict[str, float] = {}
     summaries = run_all(names=names, n_batches=args.batches, sizes=sizes,
-                        h=args.h, tol=args.tol, seed=seed)
+                        h=args.h, tol=args.tol, seed=seed, timings=timings)
     print(f"{'loss':<16} {'batches':>7} {'max_rel_err':>12} status")
     for s in summaries:
         status = "ok" if s.n_failed == 0 else f"FAIL ({s.n_failed} batches)"
@@ -252,7 +253,7 @@ def cmd_gradcheck(args, cfg: dict) -> int:
                     "results": [asdict(s) for s in summaries]},
                    indent=2, sort_keys=True, allow_nan=False) + "\n")
     _write_manifest(out, "gradcheck", cfg, [seed], [],
-                    ["gradcheck_report.json"], t0)
+                    ["gradcheck_report.json"], t0, timings)
     failed = [s.name for s in summaries if s.n_failed]
     if failed:
         print(f"gradient check failed for: {', '.join(failed)}", file=sys.stderr)

@@ -10,7 +10,10 @@ analytic gradients describe. The `model` family runs the training step's
 own `model.forward`/`model.backward`, so it checks the wiring that trains.
 Every case is one `evaluate(store, need_grad)` closure: the analytic
 gradient comes from it with `need_grad=True`, and the perturbed evaluations
-call it value-only, through the same expressions.
+call it value-only, through the same expressions, on a probe view whose
+probed parameter is a stack of probe rows: the losses and the model carry
+that leading axis through, so one call evaluates a whole chunk of probes
+and returns one value per row.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .losses import (EmbeddingSet, FusedSet, LossWeights, contrastive_fused,
                      contrastive_single, distance_parity_loss, distill_loss,
                      fuse_multiview, identity_loss, total_loss,
                      weighted_triplet_loss)
-from .numerics import ParamStore, derive_rng, derive_seed, finite_difference_check
+from .numerics import ParamStore, derive_rng, derive_seed, finite_difference_check, timed
 
 LOSS_NAMES = ("identity", "triplet", "contrast_single", "contrast_fused",
               "distill", "parity", "total", "model")
@@ -73,7 +76,9 @@ def build_case(name: str, n: int, d: int, seed: int,
     `evaluate(store, need_grad)` returns the scalar. With `need_grad=True` it
     also rewrites the analytic gradients; with `need_grad=False` it gives the
     same scalar, bit for bit, without any gradient arithmetic and without
-    touching the gradient buffers.
+    touching the gradient buffers. Value-only, `store` may also be a probe
+    view (see `finite_difference_check`): the result is then one value per
+    probe row, each equal to the bit to the call on that row.
     """
     w = weights if weights is not None else LossWeights()
     n_classes = max(2, int(_labels_for(n).max()) + 1)
@@ -178,7 +183,7 @@ def _build_model_case(n: int, seed: int, w: LossWeights):
 
     def evaluate(s, need_grad):
         blocks, (logits_v, logits_r), caches = model.forward(s, *inputs)
-        emb = EmbeddingSet(np.stack(blocks), labels)
+        emb = EmbeddingSet(np.stack(np.broadcast_arrays(*blocks), axis=-3), labels)
         live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
         res = total_loss(emb, live, logits_v, logits_r, w, kd_teacher=fused0,
                          need_grad=need_grad)
@@ -223,7 +228,13 @@ def check_loss(name: str, n_batches: int = 50, sizes=DEFAULT_SIZES,
 
 def run_all(names=LOSS_NAMES, n_batches: int = 50, sizes=DEFAULT_SIZES,
             h: float = 1e-5, tol: float = 1e-4, seed: int = 0,
-            weights: LossWeights | None = None) -> list[CheckSummary]:
-    return [check_loss(name, n_batches=n_batches, sizes=sizes, h=h, tol=tol,
-                       seed=seed, weights=weights)
-            for name in names]
+            weights: LossWeights | None = None,
+            timings: dict[str, float] | None = None) -> list[CheckSummary]:
+    """One `check_loss` summary per name, in order; with `timings`, each
+    check's wall time is added under its name."""
+    summaries = []
+    for name in names:
+        with timed(timings, name):
+            summaries.append(check_loss(name, n_batches=n_batches, sizes=sizes, h=h,
+                                        tol=tol, seed=seed, weights=weights))
+    return summaries

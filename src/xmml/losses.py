@@ -20,6 +20,14 @@ the same expressions, returns before any gradient arithmetic, and hands back
 None in each gradient slot; the gradient check uses this for its perturbed
 evaluations.
 
+The value path takes leading probe axes: every input may carry extra
+leading axes (a P x ... stack of probe points of one parameter), and the op
+then returns one loss per leading index instead of a Python float, each
+equal to the bit to its own 2-D call. The gradient check evaluates all
+probes of a parameter chunk this way in one pass. Reductions run only over
+contiguous trailing axes, and the per-block losses are added in the 2-D
+order, so a stack sums each problem's terms exactly as its 2-D call does.
+
 A batch's embeddings are one contiguous float64 array, `EmbeddingSet.blocks`,
 of shape 4 x N x d in the order f_v, f_r, t_v, t_r, and their gradients are
 held the same way. Each term runs once over a stack of independent problems
@@ -42,6 +50,12 @@ from .numerics import (DegenerateInputError, DimensionError, ProtocolError, deri
                        pairwise_distances)
 
 
+def _value(loss):
+    """A loss as a Python float for 2-D inputs, as an array over the probe
+    axes for stacked ones."""
+    return float(loss) if np.ndim(loss) == 0 else loss
+
+
 def _logsumexp(s: np.ndarray, axis: int) -> np.ndarray:
     # inline rather than scipy: called in hot loops on tiny matrices
     m = s.max(axis=axis, keepdims=True)
@@ -60,8 +74,9 @@ BLOCK_NAMES = ("f_v", "f_r", "t_v", "t_r")
 class EmbeddingSet:
     """Row-aligned embeddings for one batch: images f_*, texts t_*.
 
-    `blocks` is one contiguous 4 x N x d float64 array in BLOCK_NAMES order;
-    `f_v`, `f_r`, `t_v` and `t_r` are views of it.
+    `blocks` is one contiguous 4 x N x d float64 array in BLOCK_NAMES order,
+    or a ... x 4 x N x d stack of such batches on the value path; `f_v`,
+    `f_r`, `t_v` and `t_r` are views of it.
     """
 
     blocks: np.ndarray
@@ -71,28 +86,28 @@ class EmbeddingSet:
         self.blocks = np.ascontiguousarray(self.blocks, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         shape = self.blocks.shape
-        if len(shape) != 3 or shape[0] != 4 or shape[1] < 1 or shape[2] < 1:
+        if len(shape) < 3 or shape[-3] != 4 or shape[-2] < 1 or shape[-1] < 1:
             raise DimensionError(f"blocks must be 4 x N x d with N,d >= 1, got {shape}")
-        if self.labels.shape != (shape[1],):
+        if self.labels.shape != (shape[-2],):
             raise DimensionError(
-                f"labels must have shape ({shape[1]},), got {self.labels.shape}")
-        finite = np.isfinite(self.blocks).all(axis=(1, 2))
+                f"labels must have shape ({shape[-2]},), got {self.labels.shape}")
+        finite = np.isfinite(self.blocks).all(axis=(-2, -1))
         if not finite.all():
-            name = BLOCK_NAMES[int(np.flatnonzero(~finite)[0])]
+            name = BLOCK_NAMES[int(np.flatnonzero(~finite)[0]) % 4]
             raise DegenerateInputError(f"block {name} has non-finite entries")
 
-    f_v = property(lambda self: self.blocks[0])
-    f_r = property(lambda self: self.blocks[1])
-    t_v = property(lambda self: self.blocks[2])
-    t_r = property(lambda self: self.blocks[3])
+    f_v = property(lambda self: self.blocks[..., 0, :, :])
+    f_r = property(lambda self: self.blocks[..., 1, :, :])
+    t_v = property(lambda self: self.blocks[..., 2, :, :])
+    t_r = property(lambda self: self.blocks[..., 3, :, :])
 
     @property
     def n(self) -> int:
-        return self.blocks.shape[1]
+        return self.blocks.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.blocks.shape[2]
+        return self.blocks.shape[-1]
 
 
 @dataclass
@@ -154,14 +169,15 @@ def identity_loss(logits_v, logits_r, labels, need_grad: bool = True):
     """Mean cross-entropy of both modality branches against shared labels.
 
     Returns (loss, grad_logits_v, grad_logits_r); each gradient is
-    (softmax - onehot) / N for its branch.
+    (softmax - onehot) / N for its branch. On the value path either branch
+    may carry leading probe axes.
     """
     lv = np.asarray(logits_v, dtype=np.float64)
     lr = np.asarray(logits_r, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if lv.ndim != 2 or lv.shape != lr.shape:
+    if lv.ndim < 2 or lr.ndim < 2 or lv.shape[-2:] != lr.shape[-2:]:
         raise DimensionError(f"logit blocks must share an N x C shape, got {lv.shape} vs {lr.shape}")
-    n, c = lv.shape
+    n, c = lv.shape[-2:]
     if c < 2:
         raise DimensionError(f"need at least 2 classes, got {c}")
     if y.shape != (n,):
@@ -174,13 +190,15 @@ def identity_loss(logits_v, logits_r, labels, need_grad: bool = True):
     grads = [None, None]
     rows = np.arange(n)
     for k, lg in enumerate((lv, lr)):
-        logp = lg - _logsumexp(lg, axis=1)
-        loss += -logp[rows, y].mean()
+        logp = lg - _logsumexp(lg, axis=-1)
+        # a stacked gather is not C-contiguous: copy it so that the mean
+        # adds each row's terms in the 2-D order
+        loss = loss + -np.ascontiguousarray(logp[..., rows, y]).mean(axis=-1)
         if need_grad:
             g = np.exp(logp)
             g[rows, y] -= 1.0
             grads[k] = g / n
-    return float(loss), grads[0], grads[1]
+    return _value(loss), grads[0], grads[1]
 
 
 def weighted_triplet_loss(stack, labels, need_grad: bool = True):
@@ -197,9 +215,9 @@ def weighted_triplet_loss(stack, labels, need_grad: bool = True):
     """
     f = np.asarray(stack, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if f.ndim != 2:
+    if f.ndim < 2:
         raise DimensionError(f"stack must be 2-D, got shape {f.shape}")
-    n = f.shape[0]
+    n = f.shape[-2]
     if y.shape != (n,):
         raise DimensionError(f"labels must have shape ({n},), got {y.shape}")
 
@@ -218,17 +236,17 @@ def weighted_triplet_loss(stack, labels, need_grad: bool = True):
 
     neg_inf = np.float64(-np.inf)
     wp_logits = np.where(pos, dist, neg_inf)
-    wp = np.exp(wp_logits - wp_logits.max(axis=1, keepdims=True))
-    wp /= wp.sum(axis=1, keepdims=True)
-    sp = (wp * dist).sum(axis=1)
+    wp = np.exp(wp_logits - wp_logits.max(axis=-1, keepdims=True))
+    wp /= wp.sum(axis=-1, keepdims=True)
+    sp = (wp * dist).sum(axis=-1)
 
     wn_logits = np.where(neg, -dist, neg_inf)
-    wn = np.exp(wn_logits - wn_logits.max(axis=1, keepdims=True))
-    wn /= wn.sum(axis=1, keepdims=True)
-    sn = (wn * dist).sum(axis=1)
+    wn = np.exp(wn_logits - wn_logits.max(axis=-1, keepdims=True))
+    wn /= wn.sum(axis=-1, keepdims=True)
+    sn = (wn * dist).sum(axis=-1)
 
     a = sp - sn
-    loss = float(np.logaddexp(0.0, a).mean())
+    loss = _value(np.logaddexp(0.0, a).mean(axis=-1))
     if not need_grad:
         return loss, None
 
@@ -270,14 +288,15 @@ def contrastive_pair_loss(f, t, tau: float, labels=None, need_grad: bool = True)
     column counts as a positive (mean log-prob over positives) instead of
     just the diagonal. Returns (loss, grad_f, grad_t).
 
-    `f` and `t` are N x d, or P x N x d stacks of P independent problems
-    sharing `labels`; a stack gives a length-P loss array and P x N x d
-    gradients, each problem equal to the bit to its own N x d call.
+    `f` and `t` are N x d, or ... x N x d stacks of independent problems
+    sharing `labels`; a stack gives a loss array over its leading axes and
+    ... x N x d gradients, each problem equal to the bit to its own N x d
+    call.
     """
     f = np.asarray(f, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if f.ndim not in (2, 3) or f.shape != t.shape:
-        raise DimensionError(f"sides must share an N x d or P x N x d shape, "
+    if f.ndim < 2 or f.shape != t.shape:
+        raise DimensionError(f"sides must share an N x d or ... x N x d shape, "
                              f"got {f.shape} vs {t.shape}")
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -301,9 +320,7 @@ def contrastive_pair_loss(f, t, tau: float, labels=None, need_grad: bool = True)
     log_a = s - _logsumexp(s, axis=-1)
     log_b = s - _logsumexp(s, axis=-2)
     cells = (-2, -1)
-    loss = -(q_row * log_a).sum(axis=cells) / n - (q_col * log_b).sum(axis=cells) / n
-    if f.ndim == 2:
-        loss = float(loss)
+    loss = _value(-(q_row * log_a).sum(axis=cells) / n - (q_col * log_b).sum(axis=cells) / n)
     if not need_grad:
         return loss, None, None
 
@@ -319,12 +336,12 @@ def contrastive_single(emb: EmbeddingSet, tau: float, labels=None,
     """One-to-one image-text contrastive term, summed over both modalities:
     one stacked call pairs the image blocks (f_v, f_r) with the text blocks
     (t_v, t_r)."""
-    loss, g_f, g_t = contrastive_pair_loss(emb.blocks[:2], emb.blocks[2:], tau, labels,
-                                           need_grad)
-    l_v, l_r = loss.tolist()
+    loss, g_f, g_t = contrastive_pair_loss(emb.blocks[..., :2, :, :], emb.blocks[..., 2:, :, :],
+                                           tau, labels, need_grad)
+    loss = _value(loss[..., 0] + loss[..., 1])
     if not need_grad:
-        return l_v + l_r, None
-    return l_v + l_r, EmbeddingGrads(np.concatenate([g_f, g_t]))
+        return loss, None
+    return loss, EmbeddingGrads(np.concatenate([g_f, g_t]))
 
 
 @dataclass
@@ -350,19 +367,20 @@ class FusedSet:
 
     @property
     def n(self) -> int:
-        return self.blocks.shape[1]
+        return self.blocks.shape[-2]
 
     @classmethod
     def from_mix(cls, emb: EmbeddingSet, mix_v: np.ndarray,
                  mix_r: np.ndarray) -> "FusedSet":
-        """Re-apply a fixed averaging pattern to (possibly new) embeddings."""
-        n, d = emb.n, emb.dim
-        stack_f = emb.blocks[:2].reshape(2 * n, d)
-        stack_t = emb.blocks[2:].reshape(2 * n, d)
+        """Re-apply a fixed averaging pattern to (possibly new) embeddings,
+        slice by slice when they carry leading probe axes."""
+        lead, n, d = emb.blocks.shape[:-3], emb.n, emb.dim
+        stack_f = emb.blocks[..., :2, :, :].reshape(lead + (2 * n, d))
+        stack_t = emb.blocks[..., 2:, :, :].reshape(lead + (2 * n, d))
         blocks = np.empty_like(emb.blocks)
         for k, (mix, stack) in enumerate(((mix_v, stack_f), (mix_r, stack_f),
                                           (mix_v, stack_t), (mix_r, stack_t))):
-            np.matmul(mix, stack, out=blocks[k])
+            np.matmul(mix, stack, out=blocks[..., k, :, :])
         return cls(blocks, mix_v, mix_r)
 
 
@@ -442,15 +460,15 @@ def contrastive_fused(fused: FusedSet, tau: float, labels=None,
     Returns (loss, grads w.r.t. the original single-view blocks).
     """
     n = fused.n
-    loss, g_f, g_t = contrastive_pair_loss(fused.blocks[:2], fused.blocks[2:], tau,
-                                           labels, need_grad)
-    l_v, l_r = loss.tolist()
+    loss, g_f, g_t = contrastive_pair_loss(fused.blocks[..., :2, :, :],
+                                           fused.blocks[..., 2:, :, :], tau, labels, need_grad)
+    loss = _value(loss[..., 0] + loss[..., 1])
     if not need_grad:
-        return l_v + l_r, None
+        return loss, None
     g_stack_f = fused.mix_v.T @ g_f[0] + fused.mix_r.T @ g_f[1]
     g_stack_t = fused.mix_v.T @ g_t[0] + fused.mix_r.T @ g_t[1]
     grads = EmbeddingGrads(np.concatenate([g_stack_f, g_stack_t]).reshape(4, n, -1))
-    return l_v + l_r, grads
+    return loss, grads
 
 
 def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True,
@@ -464,11 +482,13 @@ def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True,
         raise DimensionError(f"fused set has {fused.n} rows, batch has {emb.n}")
     n = emb.n
     k = 4 if include_text else 2    # f_v, f_r, then t_v, t_r
-    single, teacher = emb.blocks[:k], fused.blocks[:k]
+    single, teacher = emb.blocks[..., :k, :, :], fused.blocks[..., :k, :, :]
     resid = teacher - single
+    block_losses = (resid * resid).sum(axis=(-2, -1)) / n
     loss = 0.0
-    for block_loss in ((resid * resid).sum(axis=(1, 2)) / n).tolist():
-        loss += block_loss
+    for j in range(k):
+        loss = loss + block_losses[..., j]
+    loss = _value(loss)
     if not need_grad:
         return loss, None
     grads = EmbeddingGrads.zeros(emb)
@@ -490,11 +510,11 @@ def distance_parity_loss(emb: EmbeddingSet, need_grad: bool = True):
     subgradient for that distance.
     """
     n = emb.n
-    diffs = emb.blocks[_PARITY_IMAGES] - emb.blocks[_PARITY_TEXTS]
+    diffs = emb.blocks[..., _PARITY_IMAGES, :, :] - emb.blocks[..., _PARITY_TEXTS, :, :]
     dists = np.sqrt((diffs * diffs).sum(axis=-1))
-    gaps = dists[0::2] - dists[1::2]          # gap_v, gap_r
-    gap_v_loss, gap_r_loss = (gaps * gaps).mean(axis=1).tolist()
-    loss = gap_v_loss + gap_r_loss
+    gaps = dists[..., 0::2, :] - dists[..., 1::2, :]          # gap_v, gap_r
+    gap_losses = (gaps * gaps).mean(axis=-1)
+    loss = _value(gap_losses[..., 0] + gap_losses[..., 1])
     if not need_grad:
         return loss, None
 
@@ -528,7 +548,10 @@ def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
     distillation teacher to a snapshot distinct from `fused`; by default the
     teacher is `fused` itself (values only, never gradients). With
     `need_grad=False` every term is evaluated value-only: the breakdown is
-    the same to the bit, and `grads` and `grad_logits_*` are None.
+    the same to the bit, and `grads` and `grad_logits_*` are None. On that
+    path the embeddings and logits may carry leading probe axes; each
+    breakdown entry is then an array over them wherever its term reads a
+    stacked input.
     """
     weights.validate()
     n = emb.n
@@ -540,7 +563,7 @@ def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
 
     if weights.lambda1 > 0:
         # the image blocks [f_v; f_r] as one 2N x d stack, a view
-        stack = emb.blocks[:2].reshape(2 * n, emb.dim)
+        stack = emb.blocks[..., :2, :, :].reshape(emb.blocks.shape[:-3] + (2 * n, emb.dim))
         stack_labels = np.concatenate([emb.labels, emb.labels])
         l_wrt, g_stack = weighted_triplet_loss(stack, stack_labels, need_grad=need_grad)
         if need_grad:

@@ -6,6 +6,9 @@ the embedding geometry is shared. Text features from both modalities pass
 through a single text encoder, and one affine classifier scores all
 embeddings. Every input is a 2-D batch, one row per sample. Forward passes
 return caches; backward passes accumulate gradients into the ParamStore.
+A forward pass also takes a probe view of the store whose parameter is a
+P x shape stack (the gradient check's value-only passes): the outputs then
+carry that leading axis, and every matmul keeps its per-slice row count.
 `forward`/`backward` are the one batch pass through all branches, shared by
 training and the model gradient check.
 """
@@ -104,7 +107,7 @@ def _mlp_forward(store: ParamStore, layers: tuple[str, ...], x: np.ndarray):
     h = x
     for i, name in enumerate(layers):
         inputs.append(h)
-        a = h @ store.value(f"{name}.w").T + store.value(f"{name}.b")
+        a = h @ store.value(f"{name}.w").swapaxes(-1, -2) + store.value(f"{name}.b")[..., None, :]
         pre.append(a)
         h = np.maximum(a, 0.0) if i < len(layers) - 1 else a
     return h, MlpCache(layers=layers, inputs=inputs, pre=pre)
@@ -128,7 +131,7 @@ def encode_visual(store: ParamStore, x, modality: str):
     if modality not in STEM_BY_MODALITY:
         raise ValueError(f"unknown modality tag {modality!r}")
     stem = STEM_BY_MODALITY[modality]
-    arr = _as_batch(x, store.value(f"{stem}.w").shape[1], "visual input")
+    arr = _as_batch(x, store.value(f"{stem}.w").shape[-1], "visual input")
     return _mlp_forward(store, (stem,) + _VISUAL_LAYERS, arr)
 
 
@@ -139,7 +142,7 @@ def encode_visual_backward(store: ParamStore, cache: MlpCache, d_f) -> np.ndarra
 def encode_text(store: ParamStore, l):
     """Embed a batch of raw text features (shared across modalities);
     returns (t, cache)."""
-    arr = _as_batch(l, store.value("text1.w").shape[1], "text input")
+    arr = _as_batch(l, store.value("text1.w").shape[-1], "text input")
     return _mlp_forward(store, _TEXT_LAYERS, arr)
 
 
@@ -149,9 +152,14 @@ def encode_text_backward(store: ParamStore, cache: MlpCache, d_t) -> np.ndarray:
 
 def classify(store: ParamStore, f):
     """Identity logits for a batch of embeddings; shared head for every
-    branch. The cache is the embedding batch itself."""
-    arr = _as_batch(f, store.value("cls.w").shape[1], "embedding")
-    return arr @ store.value("cls.w").T + store.value("cls.b"), arr
+    branch. The cache is the embedding batch itself, which may carry
+    leading probe axes from a probed encoder."""
+    w, b = store.value("cls.w"), store.value("cls.b")
+    arr = np.asarray(f, dtype=np.float64)
+    if arr.ndim < 2 or arr.shape[-1] != w.shape[-1]:
+        raise DimensionError(f"embedding batch has shape {arr.shape}, "
+                             f"classifier expects ... x N x {w.shape[-1]}")
+    return arr @ w.swapaxes(-1, -2) + b[..., None, :], arr
 
 
 def classify_backward(store: ParamStore, f: np.ndarray, d_logits) -> np.ndarray:

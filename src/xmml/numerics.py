@@ -27,6 +27,7 @@ __all__ = [
     "timed",
     "FdEntry",
     "FdReport",
+    "ProbeMismatchError",
     "finite_difference_check",
 ]
 
@@ -111,27 +112,38 @@ class ParamStore:
 # 512-identity modality gap
 _BLOCK_CELLS = 1 << 14
 
+# float64 cells of the probe rows in one value-only pass of
+# finite_difference_check, chosen by a sweep (CHANGES.md)
+_PROBE_CELLS = 1 << 13
+
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of `a` (n x d) and `b` (m x d).
+    """Euclidean distances between the rows of `a` (... x n x d) and `b`
+    (... x m x d), with the same leading axes: ... x n x m.
 
-    Equal to the bit to np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2)),
-    but the n x m x d difference tensor is never built: blocks of rows of
-    `a`, at most _BLOCK_CELLS cells each (or one row when a row is larger),
-    are differenced, squared in place and summed over the last axis into the
-    result rows, with the same reduction the full tensor would use.
+    Equal to the bit to np.sqrt(((a[..., :, None, :] - b[..., None, :, :]) ** 2)
+    .sum(axis=-1)), but the n x m x d difference tensor is never built:
+    blocks of at most _BLOCK_CELLS cells (whole leading slices when one
+    slice fits, else rows of one slice, down to one row) are differenced,
+    squared in place and summed over the last axis into the result, with the
+    same reduction the full tensor would use.
     """
-    n, d = a.shape
-    m = b.shape[0]
-    out = np.empty((n, m))
+    n, d = a.shape[-2:]
+    m = b.shape[-2]
+    a3, b3 = a.reshape(-1, n, d), b.reshape(-1, m, d)
+    n_slices = a3.shape[0]
+    out = np.empty((n_slices, n, m))
     rows = max(1, _BLOCK_CELLS // max(1, m * d))
-    buf = np.empty((min(rows, n), m, d))
-    for i in range(0, n, rows):
-        block = buf[:min(rows, n - i)]
-        np.subtract(a[i:i + rows, None, :], b[None, :, :], out=block)
-        np.multiply(block, block, out=block)
-        block.sum(axis=2, out=out[i:i + rows])
-    return np.sqrt(out, out=out)
+    slices, rows = max(1, rows // n), min(rows, n)
+    buf = np.empty((min(slices, n_slices), rows, m, d))
+    for k in range(0, n_slices, slices):
+        for i in range(0, n, rows):
+            block = buf[:n_slices - k, :n - i]
+            np.subtract(a3[k:k + slices, i:i + rows, None, :], b3[k:k + slices, None, :, :],
+                        out=block)
+            np.multiply(block, block, out=block)
+            block.sum(axis=-1, out=out[k:k + slices, i:i + rows])
+    return np.sqrt(out, out=out).reshape(a.shape[:-1] + (m,))
 
 
 def rows_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -172,18 +184,46 @@ class FdReport:
         return max((e.max_rel_err for e in self.entries), default=0.0)
 
 
+class ProbeMismatchError(ArithmeticError):
+    """A stacked value-only evaluation at the unperturbed point differs from
+    the 2-D evaluation."""
+
+
+class _ProbeView:
+    """The store as one value-only pass sees it: `value(name)` of the probed
+    parameter is a P x shape stack of probe values, every other name gives
+    the store's own array. There is no `grad`: a value-only evaluation that
+    writes a gradient fails."""
+
+    def __init__(self, store: ParamStore, name: str, stack: np.ndarray):
+        self._store, self._name, self._stack = store, name, stack
+
+    def value(self, name: str) -> np.ndarray:
+        return self._stack if name == self._name else self._store.value(name)
+
+
 def finite_difference_check(evaluate, store: ParamStore, h: float = 1e-5,
                             tol: float = 1e-4) -> FdReport:
     """Compare analytic gradients against two-sided finite differences.
 
-    `evaluate(store, need_grad)` returns the scalar loss. With
-    `need_grad=True` it also writes the analytic gradients into the store's
-    grad buffers; it is called that way once, after the buffers are zeroed.
-    Both probes of every scalar call it with `need_grad=False`, which must
-    give the same value to the bit and leave the buffers alone. Relative
-    error per scalar parameter is |a - n| / max(1, |a|, |n|). Non-finite
-    loss values and analytic gradients are reported as check failures
-    rather than raised.
+    `evaluate(store, need_grad)` returns the loss. With `need_grad=True` it
+    gets the store itself and also writes the analytic gradients into its
+    grad buffers; it is called that way once, after the buffers are zeroed,
+    and must return a scalar. Every other call is value-only
+    (`need_grad=False`) and gets a probe view of the store: `value(name)` of
+    one parameter is a P x shape stack of probe rows, every other name gives
+    the store's own array, and there is no `grad`. Such a call returns the P
+    loss values, or one scalar when the loss does not read the parameter,
+    each equal to the bit to a 2-D call at that row.
+
+    A parameter's rows are, in order, its unperturbed value, then for each
+    scalar in flat order the value with that scalar moved by +h and by -h:
+    1 + 2·size rows, evaluated in chunks of at most _PROBE_CELLS cells (at
+    least one row), each built when it is evaluated. If the unperturbed row
+    does not give the 2-D value exactly, ProbeMismatchError is raised.
+    Relative error per scalar parameter is |a - n| / max(1, |a|, |n|).
+    Non-finite loss values and analytic gradients are reported as check
+    failures rather than raised.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"step size h={h:g} outside [1e-7, 1e-3]")
@@ -201,26 +241,33 @@ def finite_difference_check(evaluate, store: ParamStore, h: float = 1e-5,
         return FdReport(entries)
 
     for name in store.names():
-        flat = store.value(name).reshape(-1)
+        value = store.value(name)
+        flat = value.reshape(-1)
+        size = flat.size
+        # row r > 0 is probe r - 1: scalar (r - 1) // 2, +h for odd r, -h for even r
+        n_rows = 1 + 2 * size
+        chunk = max(1, _PROBE_CELLS // size)
+        values = np.empty(n_rows)
+        for r0 in range(0, n_rows, chunk):
+            r = np.arange(r0, min(r0 + chunk, n_rows))
+            stack = np.repeat(flat[None, :], r.size, axis=0)
+            probed = r > 0
+            cols = (r[probed] - 1) // 2
+            stack[probed, cols] = np.where(r[probed] % 2 == 1, flat[cols] + h, flat[cols] - h)
+            view = _ProbeView(store, name, stack.reshape((r.size,) + value.shape))
+            values[r0:r0 + r.size] = evaluate(view, False)
+        if values[0] != base:
+            raise ProbeMismatchError(
+                f"parameter {name!r}: the stacked evaluation at the unperturbed point "
+                f"gives {float(values[0])!r}, the 2-D evaluation {base!r}")
+        lp, lm = values[1::2], values[2::2]
         g = analytic[name].reshape(-1)
-        max_rel = 0.0
-        flagged = 0
-        nonfinite = False
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = float(evaluate(store, False))
-            flat[i] = orig - h
-            lm = float(evaluate(store, False))
-            flat[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm) and np.isfinite(g[i])):
-                nonfinite = True
-                flagged += 1
-                continue
-            num = (lp - lm) / (2.0 * h)
-            rel = abs(g[i] - num) / max(1.0, abs(g[i]), abs(num))
-            max_rel = max(max_rel, rel)
-            if rel > tol:
-                flagged += 1
-        entries.append(FdEntry(name, max_rel, flagged, nonfinite))
+        finite = np.isfinite(lp) & np.isfinite(lm) & np.isfinite(g)
+        num = (lp[finite] - lm[finite]) / (2.0 * h)
+        a = g[finite]
+        rel = np.abs(a - num) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(num))
+        # fmax skips a NaN ratio (an overflowed difference) as max() did per scalar
+        max_rel = float(np.fmax.reduce(rel, initial=0.0))
+        flagged = int(size - finite.sum() + (rel > tol).sum())
+        entries.append(FdEntry(name, max_rel, flagged, not finite.all()))
     return FdReport(entries)

@@ -291,6 +291,8 @@ def _parse_record(line: str) -> list:
             raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
         if name == "modality" and value not in MODALITIES:
             raise ValueError(f"unknown modality tag {value!r}")
+        if kind is int and not -2**63 <= value < 2**63:
+            raise ValueError(f"{name} {value} is outside the int64 range")
         if kind is list:
             value = np.asarray(value)
             if value.ndim != 1 or value.dtype.kind not in "iuf":

@@ -61,3 +61,10 @@ def test_unpaired_runs_and_failures():
     summary = bench_pairs.summarize(runs, BETTER)
     assert summary["metrics"]["op_s"]["n_pairs"] == 1
     assert summary["failed_ops"] == {"parent": 0, "change": 1}
+
+
+def test_workdir_is_created_when_missing(tmp_path):
+    parent = tmp_path / "new" / "work"
+    made = bench_pairs.make_workdir(str(parent))
+    assert made.is_dir() and made.parent == parent
+    assert bench_pairs.make_workdir(str(parent)) != made

@@ -338,6 +338,21 @@ class TestEval:
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("field, value", [("sample_id", 2**70), ("identity", -2**63 - 1),
+                                              ("view", 2**63)])
+    def test_int_outside_int64_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys,
+                                             command, field, value):
+        data = edited_dataset(gen_dir, tmp_path / "data", lambda rec: {**rec, field: value})
+        args = (["--checkpoint", str(train_dir / "checkpoint.jsonl")] if command == "eval"
+                else TINY_TRAIN_ARGS)
+        assert main([command, "--data", str(data), "--out", str(tmp_path / "out")]
+                    + args) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {data / 'test.jsonl'}:1: "
+                       f"{field} {value} is outside the int64 range\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
     def test_repeated_sample_id_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys,
                                               command):
         data = tmp_path / "data"
@@ -470,6 +485,40 @@ class TestGradcheck:
         assert err.startswith("runtime failure: ")
         assert "identity" in err
         assert not (tmp_path / "gc").exists()
+
+    def test_stacked_probe_off_the_2d_value_exits_2_without_output(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        build_case = gradcheck.build_case
+
+        def drifting_build_case(*args, **kwargs):
+            evaluate, store = build_case(*args, **kwargs)
+
+            def drifting(s, need_grad):
+                val = evaluate(s, need_grad)
+                return val if need_grad else np.nextafter(val, np.inf)
+            return drifting, store
+        monkeypatch.setattr(gradcheck, "build_case", drifting_build_case)
+        assert main(["gradcheck", "--out", str(tmp_path / "gc"), "--batches", "1",
+                     "--losses", "identity"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("runtime failure: parameter 'logits_v'")
+        assert not (tmp_path / "gc").exists()
+
+    def test_family_times_in_manifest_not_in_report(self, tmp_path):
+        names = ["identity", "triplet", "model"]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["gradcheck", "--out", str(out), "--batches", "2",
+                         "--losses", ",".join(names)]) == 0
+        a, b = ((out / "gradcheck_report.json").read_bytes() for out in outs)
+        assert a == b
+        assert set(json.loads(a)) == {"h", "tol", "seed", "results"}
+        for out in outs:
+            m = manifest(out)
+            assert set(m["phase_sec"]) == set(names)
+            assert all(seconds >= 0.0 for seconds in m["phase_sec"].values())
+            assert sum(m["phase_sec"].values()) <= m["wall_clock_sec"]
 
     def test_unknown_loss_name_fails_cleanly(self, tmp_path, capsys):
         assert main(["gradcheck", "--out", str(tmp_path / "gc"),

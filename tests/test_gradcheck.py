@@ -11,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from xmml import gradcheck
+from xmml import gradcheck, numerics
 from xmml.losses import (EmbeddingSet, FusedSet, LossWeights, contrastive_fused,
                          contrastive_pair_loss, contrastive_single,
                          distance_parity_loss, distill_loss, fuse_multiview,
@@ -125,3 +125,31 @@ def test_live_fused_views_built_only_where_read(monkeypatch, name):
     evaluate(store, False)
     reads_live = name in ("contrast_fused", "total", "model")
     assert len(calls) == (2 if reads_live else 0)
+
+
+@pytest.mark.parametrize("switch", SWITCHES)
+@pytest.mark.parametrize("name", gradcheck.LOSS_NAMES)
+def test_stacked_probes_equal_single_probe_calls(name, switch):
+    # every probe row of every parameter in one stacked value-only pass,
+    # against one 2-D call per row on the store itself
+    h = 1e-5
+    for n, d in gradcheck.DEFAULT_SIZES:
+        evaluate, store = gradcheck.build_case(name, n, d, seed=5, weights=SWITCHES[switch])
+        for param in store.names():
+            value = store.value(param)
+            base = value.copy()
+            rows = [base.reshape(-1)]
+            for i in range(base.size):
+                for moved in (base.flat[i] + h, base.flat[i] - h):
+                    row = base.reshape(-1).copy()
+                    row[i] = moved
+                    rows.append(row)
+            stack = np.array(rows).reshape((len(rows),) + base.shape)
+            view = numerics._ProbeView(store, param, stack)
+            stacked = np.broadcast_to(evaluate(view, False), (len(rows),))
+            single = []
+            for row in stack:
+                value[...] = row
+                single.append(evaluate(store, False))
+            value[...] = base
+            assert np.array_equal(stacked, single), (param, n, d)

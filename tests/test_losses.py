@@ -47,7 +47,7 @@ class TestEmbeddingSet:
             assert np.array_equal(getattr(emb, name), blocks[k])
 
     @pytest.mark.parametrize("shape", [(3, 2, 4), (5, 2, 4), (1, 2, 4), (4, 2),
-                                       (4, 0, 3), (4, 2, 0), (1, 4, 2, 4)])
+                                       (4, 0, 3), (4, 2, 0), (2, 3, 2, 4)])
     def test_blocks_must_be_four_by_n_by_d(self, shape):
         with pytest.raises(DimensionError, match="4 x N x d"):
             EmbeddingSet(np.ones(shape), np.zeros(2, dtype=np.int64))

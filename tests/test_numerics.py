@@ -55,6 +55,21 @@ class TestPairwiseDistances:
             for b in others:
                 assert np.array_equal(pairwise_distances(a, b), broadcast_distances(a, b))
 
+    @pytest.mark.parametrize("lead", [(1,), (3,), (2, 5)])
+    def test_leading_axes_equal_the_2d_calls(self, monkeypatch, lead):
+        rng = derive_rng(len(lead), "pairwise-stack", *lead)
+        a = rng.standard_normal(lead + (9, 8))
+        b = rng.standard_normal(lead + (7, 8))
+        # whole slices per block, one slice per block, rows of one slice
+        for cells in (1, 100, 7 * 8 * 9 * 2, numerics._BLOCK_CELLS):
+            monkeypatch.setattr(numerics, "_BLOCK_CELLS", cells)
+            for other in (a, b):
+                got = pairwise_distances(a, other)
+                want = [pairwise_distances(x, y) for x, y in
+                        zip(a.reshape(-1, 9, 8), other.reshape((-1,) + other.shape[-2:]))]
+                assert got.shape == lead + (9, other.shape[-2])
+                assert np.array_equal(got.reshape((-1,) + got.shape[-2:]), want)
+
     def test_duplicate_rows_are_exactly_zero(self):
         rng = derive_rng(3, "pairwise-dup")
         a = rng.standard_normal((9, 32))
@@ -104,14 +119,15 @@ def _cubic_store():
     return store
 
 
-def _cubic_evaluate(store: ParamStore, need_grad: bool) -> float:
-    """sum(w^3 - 2w) + sum(v^2); gradient 3w^2 - 2 and 2v."""
+def _cubic_evaluate(store: ParamStore, need_grad: bool):
+    """sum(w^3 - 2w) + sum(v^2); gradient 3w^2 - 2 and 2v. A probe stack of
+    w or v gives one value per probe row."""
     w = store.value("w")
     v = store.value("v")
     if need_grad:
         store.grad("w")[...] = 3.0 * w * w - 2.0
         store.grad("v")[...] = 2.0 * v
-    return float((w ** 3 - 2.0 * w).sum() + (v * v).sum())
+    return (w ** 3 - 2.0 * w).sum(axis=-1) + (v * v).sum(axis=(-2, -1))
 
 
 class TestFiniteDifferenceCheck:
@@ -170,7 +186,26 @@ class TestFiniteDifferenceCheck:
         assert entries["v"].nonfinite and entries["v"].n_flagged == 1
         assert not entries["w"].nonfinite and entries["w"].n_flagged == 0
 
-    def test_evaluate_contract(self):
+    def test_stacked_value_off_the_2d_value_raises(self):
+        # a stacked path that drifts from the 2-D one stops the check before
+        # it reports any gradient error
+        def drifting(store, need_grad):
+            val = _cubic_evaluate(store, need_grad)
+            return val if need_grad else np.nextafter(val, np.inf)
+
+        with pytest.raises(numerics.ProbeMismatchError, match="'w'"):
+            finite_difference_check(drifting, _cubic_store())
+        assert issubclass(numerics.ProbeMismatchError, ArithmeticError)
+
+    def test_evaluate_contract(self, monkeypatch):
+        # w has 3 scalars (7 probe rows), v has 4 (9 rows): one row per call,
+        # two rows per call, and all of a parameter's rows in one call
+        for cells, n_chunks in ((1, 7 + 9), (8, 4 + 5), (numerics._PROBE_CELLS, 1 + 1)):
+            monkeypatch.setattr(numerics, "_PROBE_CELLS", cells)
+            self._check_evaluate_contract(n_chunks)
+
+    @staticmethod
+    def _check_evaluate_contract(n_chunks):
         store = _cubic_store()
         start = {name: store.value(name).copy() for name in store.names()}
         for name in store.names():
@@ -178,15 +213,34 @@ class TestFiniteDifferenceCheck:
         calls = []
 
         def recording(s, need_grad):
-            calls.append((need_grad, all(not s.grad(n).any() for n in s.names())))
+            if need_grad:
+                calls.append((True, all(not s.grad(n).any() for n in s.names())))
+            else:
+                # a probe view: no gradient buffers, exactly one parameter
+                # stacked, every other one the store's own array
+                assert not hasattr(s, "grad")
+                stacked = [n for n in store.names() if s.value(n) is not store.value(n)]
+                assert len(stacked) == 1
+                calls.append((stacked[0], s.value(stacked[0]).copy()))
             return _cubic_evaluate(s, need_grad)
 
         finite_difference_check(recording, store)
-        n_scalars = sum(store.value(name).size for name in store.names())
         # the first call computes the gradient from zeroed buffers
         assert calls[0] == (True, True)
-        # then value-only calls, two probes per scalar: 1 + 2 * n_scalars in all
-        assert len(calls) == 1 + 2 * n_scalars
-        assert all(not need_grad for need_grad, _ in calls[1:])
+        # then one value-only call per chunk of each parameter's probe rows:
+        # its unperturbed value, then +h and -h at every scalar
+        assert len(calls) == 1 + n_chunks
+        assert [name for name, _ in calls[1:]] == sorted(
+            (name for name, _ in calls[1:]), key=store.names().index)
         for name in store.names():
+            base = start[name].reshape(-1)
+            want = [base.copy()]
+            for i in range(base.size):
+                for moved in (base[i] + 1e-5, base[i] - 1e-5):
+                    row = base.copy()
+                    row[i] = moved
+                    want.append(row)
+            rows = np.concatenate([stack.reshape(len(stack), -1)
+                                   for n, stack in calls[1:] if n == name])
+            assert rows.tobytes() == np.array(want).tobytes()
             assert store.value(name).tobytes() == start[name].tobytes()
