@@ -79,7 +79,7 @@ class CellResult:
     def component_flags(self, base: LossWeights) -> dict[str, int]:
         w = replace(base, **self.overrides)
         return {"align": int(w.lambda2 > 0),
-                "fusion": int(w.n_fuse > 0 and (w.lambda2 > 0 or w.lambda3 > 0)),
+                "fusion": int(w.n_fuse > 0 and w.reads_fused),
                 "parity": int(w.lambda4 > 0)}
 
     def as_row(self, base: LossWeights) -> dict[str, object]:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, model
-from .bench import (ABLATION_LABELS, grid_overrides, run_ablation, run_sweep,
-                    summarize, write_ablation_csv, write_sweep_csv)
+from .bench import (ABLATION_LABELS, run_ablation, run_sweep, summarize,
+                    write_ablation_csv, write_sweep_csv)
 from .config import (LONG_SCHEDULE, ConfigError, generator_config, load_config_file,
                      parse_override_args, protocol, resolve, train_config)
 from .evaluator import REPORTED_METRICS, Protocol, as_written, evaluate
@@ -85,38 +85,37 @@ def _load_data(args):
     return load_dataset(data_dir), [data_dir / n for n in DATASET_FILES]
 
 
-def _parse_seed_list(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as e:
-        raise ConfigError(f"bad seed list {text!r}: {e}") from e
-    if not seeds:
-        raise ConfigError("seed list is empty")
-    return seeds
-
-
-def _parse_value_list(text: str) -> list[str]:
-    """The comma-separated values; `run_sweep` coerces them to their field's type."""
-    values = [x.strip() for x in text.split(",") if x.strip()]
-    if not values:
-        raise ConfigError("value list is empty")
-    return values
-
-
-def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
-    sizes = []
+def _parse_list(text: str, what: str, convert=str, repeats: bool = False,
+                known: tuple[str, ...] | None = None) -> tuple:
+    """The entries of a comma list, each stripped and passed to `convert`;
+    empty entries are skipped. Raises ConfigError for an entry `convert`
+    rejects or not in `known` (when given), an empty list, or, unless
+    `repeats`, an entry that repeats."""
+    items = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
-        try:
-            n, d = part.lower().split("x")
-            sizes.append((int(n), int(d)))
-        except ValueError as e:
-            raise ConfigError(f"bad size {part!r} (want NxD, e.g. 4x8): {e}") from e
-    if not sizes:
-        raise ConfigError("size list is empty")
-    return tuple(sizes)
+        if part:
+            try:
+                items.append(convert(part))
+            except ValueError as e:
+                raise ConfigError(f"bad {what} {part!r}: {e}") from e
+    if not items:
+        raise ConfigError(f"{what} list is empty")
+    unknown = [x for x in items if known is not None and x not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what}(s): {', '.join(unknown)}; "
+                          f"known: {', '.join(known)}")
+    if not repeats:
+        repeated = [x for i, x in enumerate(items) if x in items[:i]]
+        if repeated:
+            raise ConfigError(f"{what} {repeated[0]} repeats in {text!r}")
+    return tuple(items)
+
+
+def _size(text: str) -> tuple[int, int]:
+    """An NxD batch size, e.g. 4x8."""
+    n, _, d = text.lower().partition("x")
+    return int(n), int(d)
 
 
 def _train_config(args, cfg: dict):
@@ -229,12 +228,11 @@ def cmd_eval(args, cfg: dict) -> int:
 
 def cmd_gradcheck(args, cfg: dict) -> int:
     t0 = time.perf_counter()
-    names = tuple(args.losses.split(",")) if args.losses else LOSS_NAMES
-    unknown = [n for n in names if n not in LOSS_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown loss name(s): {', '.join(unknown)}; "
-                          f"known: {', '.join(LOSS_NAMES)}")
-    sizes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_SIZES
+    names = (_parse_list(args.losses, "loss name", known=LOSS_NAMES) if args.losses
+             else LOSS_NAMES)
+    # a repeated size weights the batch rotation
+    sizes = (_parse_list(args.sizes, "NxD size", _size, repeats=True) if args.sizes
+             else DEFAULT_SIZES)
     seed = args.seed if args.seed is not None else 0
     timings: dict[str, float] = {}
     summaries = run_all(names=names, n_batches=args.batches, sizes=sizes,
@@ -265,13 +263,9 @@ def cmd_ablate(args, cfg: dict) -> int:
     t0 = time.perf_counter()
     tcfg = _train_config(args, cfg)
     proto = protocol(cfg)
-    seeds = _parse_seed_list(args.seeds)
-    labels = tuple(args.labels.split(",")) if args.labels else ABLATION_LABELS
-    for label in labels:
-        try:
-            grid_overrides(label)
-        except KeyError as e:
-            raise ConfigError(str(e.args[0])) from e
+    seeds = _parse_list(args.seeds, "seed", int)
+    labels = (_parse_list(args.labels, "ablation label", known=ABLATION_LABELS)
+              if args.labels else ABLATION_LABELS)
     data, inputs = _load_data(args)
     cells = run_ablation(data, tcfg, proto, labels=labels, seeds=seeds)
     out = _prepare_out(args)
@@ -287,8 +281,9 @@ def cmd_sweep(args, cfg: dict) -> int:
     t0 = time.perf_counter()
     tcfg = _train_config(args, cfg)
     proto = protocol(cfg)
-    seeds = _parse_seed_list(args.seeds)
-    values = _parse_value_list(args.values)
+    seeds = _parse_list(args.seeds, "seed", int)
+    # run_sweep coerces each value to its field's type
+    values = list(_parse_list(args.values, "value"))
     data, inputs = _load_data(args)
     try:
         cells = run_sweep(data, tcfg, proto, args.param, values, seeds=seeds)
@@ -385,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse exits 0 for --help/--version; anything else is a usage error
         return 0 if e.code in (0, None) else 1
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (ProtocolError, TrainingDivergedError, ArithmeticError) as e:

@@ -102,10 +102,9 @@ def cmc_map(sim: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarra
     if gallery_labels.shape != (n_g,) or query_labels.shape != (n_q,):
         raise ProtocolError("label shapes do not match the similarity matrix")
     k_max = min(k_max, n_g)
-    cols_of: dict[int, list[int]] = {}
-    for col, label in enumerate(gallery_labels.tolist()):
-        cols_of.setdefault(label, []).append(col)
-    rel_lists = [cols_of.get(label, []) for label in query_labels.tolist()]
+    cols_of = rows_by_label(gallery_labels)
+    none = np.zeros(0, dtype=np.int64)
+    rel_lists = [cols_of.get(label, none) for label in query_labels.tolist()]
     n_rel = np.array([len(c) for c in rel_lists], dtype=np.int64)
     n_valid = int(np.count_nonzero(n_rel))
     if n_valid == 0:
@@ -114,7 +113,7 @@ def cmc_map(sim: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarra
     width = int(n_rel.max())
     is_rel = np.arange(width) < n_rel[:, None]
     rel_cols = np.zeros((n_q, width), dtype=np.int64)
-    rel_cols[is_rel] = [col for cols in rel_lists for col in cols]
+    rel_cols[is_rel] = np.concatenate(rel_lists)
 
     step = max(1, _CHUNK_CELLS // (width * n_g))
     first_hit_counts = np.zeros(k_max, dtype=np.int64)

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .losses import (EmbeddingSet, FusedSet, LossWeights, contrastive_fused,
-                     contrastive_single, distance_parity_loss, distill_loss,
-                     fuse_multiview, identity_loss, total_loss,
-                     weighted_triplet_loss)
+from .losses import (TERMS, EmbeddingSet, FusedSet, LossWeights, fuse_multiview,
+                     identity_loss, total_loss, weighted_triplet_loss)
+# unused here; perfbench/selftest.py requires these bindings to stay
+from .losses import contrastive_fused, distance_parity_loss, distill_loss  # noqa: F401
 from .numerics import ParamStore, derive_rng, derive_seed, finite_difference_check, timed
 
-LOSS_NAMES = ("identity", "triplet", "contrast_single", "contrast_fused",
-              "distill", "parity", "total", "model")
+LOSS_NAMES = ("identity", *TERMS, "total", "model")
 
 # every (N, d) combination the loss contracts are stated over
 DEFAULT_SIZES = ((2, 4), (4, 4), (8, 4), (2, 8), (4, 8), (8, 8))
@@ -49,24 +48,6 @@ def _random_case(n: int, d: int, seed: int, n_classes: int):
     logits_v = rng.standard_normal((n, n_classes))
     logits_r = rng.standard_normal((n, n_classes))
     return blocks, logits_v, logits_r, labels
-
-
-# embedding-only families: (emb, live fused views, frozen teacher, weights,
-# contrast labels, need_grad) -> (value, EmbeddingGrads or None). The loss
-# functions are looked up by module-level name at call time.
-_EMB_FAMILIES = {
-    "contrast_single": lambda emb, live, teacher, w, cl, ng: contrastive_single(
-        emb, w.tau, cl, need_grad=ng),
-    "contrast_fused": lambda emb, live, teacher, w, cl, ng: contrastive_fused(
-        live, w.tau, cl, need_grad=ng),
-    "distill": lambda emb, live, teacher, w, cl, ng: distill_loss(
-        emb, teacher, include_text=w.distill_text, need_grad=ng),
-    "parity": lambda emb, live, teacher, w, cl, ng: distance_parity_loss(emb, need_grad=ng),
-}
-
-
-# the families whose loss reads the live fused views
-_READS_LIVE_VIEWS = ("contrast_fused", "total")
 
 
 def build_case(name: str, n: int, d: int, seed: int,
@@ -112,13 +93,14 @@ def build_case(name: str, n: int, d: int, seed: int,
             return val
         return evaluate, store
 
-    if name in _EMB_FAMILIES or name == "total":
+    # triplet is checked above on its 2N x d stack; the other TERMS families
+    # and total take the embeddings as one 4 x N x d parameter
+    if name in TERMS or name == "total":
         store = ParamStore()
         store.add("emb", blocks)    # 4 x N x d, probed block by block in order
         fused0 = fuse_multiview(EmbeddingSet(store.value("emb"), labels), w.n_fuse,
                                 derive_seed(seed, "gradcheck-fuse", n, d),
                                 cross_modal=w.cross_modal_fusion)
-        contrast_labels = labels if w.label_aware_contrast else None
         if name == "total":
             # logits are parameters too
             store.add("logits_v", logits_v)
@@ -130,7 +112,7 @@ def build_case(name: str, n: int, d: int, seed: int,
             # semantics)
             emb = EmbeddingSet(s.value("emb"), labels)   # a view of the store
             live = (FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
-                    if name in _READS_LIVE_VIEWS else None)
+                    if name in ("contrast_fused", "total") else None)
             if name == "total":
                 res = total_loss(emb, live, s.value("logits_v"), s.value("logits_r"),
                                  w, kd_teacher=fused0, need_grad=need_grad)
@@ -139,8 +121,7 @@ def build_case(name: str, n: int, d: int, seed: int,
                     s.grad("logits_r")[...] = res.grad_logits_r
                 val, grads = res.breakdown.total, res.grads
             else:
-                val, grads = _EMB_FAMILIES[name](emb, live, fused0, w, contrast_labels,
-                                                 need_grad)
+                val, grads = TERMS[name].call(emb, live, fused0, w, need_grad)
             if need_grad:
                 s.grad("emb")[...] = grads.blocks
             return val

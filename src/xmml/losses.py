@@ -42,6 +42,8 @@ order, as Python floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -122,13 +124,6 @@ class EmbeddingGrads:
     t_v = property(lambda self: self.blocks[2])
     t_r = property(lambda self: self.blocks[3])
 
-    @classmethod
-    def zeros(cls, emb: EmbeddingSet) -> "EmbeddingGrads":
-        return cls(np.zeros_like(emb.blocks))
-
-    def add_scaled(self, other: "EmbeddingGrads", coeff: float) -> None:
-        self.blocks += coeff * other.blocks
-
 
 @dataclass
 class LossWeights:
@@ -152,6 +147,11 @@ class LossWeights:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.n_fuse < 0 or int(self.n_fuse) != self.n_fuse:
             raise ValueError(f"n_fuse must be a non-negative integer, got {self.n_fuse}")
+
+    @property
+    def reads_fused(self) -> bool:
+        """Whether an active term of TERMS reads the fused views."""
+        return any(getattr(self, t.weight) > 0 for t in TERMS.values() if t.reads_fused)
 
 
 @dataclass
@@ -331,11 +331,11 @@ def contrastive_pair_loss(f, t, tau: float, labels=None, need_grad: bool = True)
     return loss, grad_f, grad_t
 
 
-def contrastive_single(emb: EmbeddingSet, tau: float, labels=None,
+def contrastive_single(emb: EmbeddingSet | FusedSet, tau: float, labels=None,
                        need_grad: bool = True):
     """One-to-one image-text contrastive term, summed over both modalities:
     one stacked call pairs the image blocks (f_v, f_r) with the text blocks
-    (t_v, t_r)."""
+    (t_v, t_r) of an EmbeddingSet, or the fused blocks of a FusedSet."""
     loss, g_f, g_t = contrastive_pair_loss(emb.blocks[..., :2, :, :], emb.blocks[..., 2:, :, :],
                                            tau, labels, need_grad)
     loss = _value(loss[..., 0] + loss[..., 1])
@@ -455,20 +455,15 @@ def fuse_multiview(emb: EmbeddingSet, n_fuse: int, rng_seed: int,
 
 def contrastive_fused(fused: FusedSet, tau: float, labels=None,
                       need_grad: bool = True):
-    """Contrastive term on fused views; gradients flow through the averaging.
-
-    Returns (loss, grads w.r.t. the original single-view blocks).
+    """`contrastive_single` on the fused views; gradients flow back through
+    the averaging. Returns (loss, grads w.r.t. the original single-view blocks).
     """
-    n = fused.n
-    loss, g_f, g_t = contrastive_pair_loss(fused.blocks[..., :2, :, :],
-                                           fused.blocks[..., 2:, :, :], tau, labels, need_grad)
-    loss = _value(loss[..., 0] + loss[..., 1])
+    loss, g = contrastive_single(fused, tau, labels, need_grad)
     if not need_grad:
         return loss, None
-    g_stack_f = fused.mix_v.T @ g_f[0] + fused.mix_r.T @ g_f[1]
-    g_stack_t = fused.mix_v.T @ g_t[0] + fused.mix_r.T @ g_t[1]
-    grads = EmbeddingGrads(np.concatenate([g_stack_f, g_stack_t]).reshape(4, n, -1))
-    return loss, grads
+    # images [fm_v; fm_r] and texts [tm_v; tm_r] back onto their stacked blocks
+    back = [fused.mix_v.T @ g.blocks[k] + fused.mix_r.T @ g.blocks[k + 1] for k in (0, 2)]
+    return loss, EmbeddingGrads(np.concatenate(back).reshape(4, fused.n, -1))
 
 
 def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True,
@@ -491,7 +486,7 @@ def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True,
     loss = _value(loss)
     if not need_grad:
         return loss, None
-    grads = EmbeddingGrads.zeros(emb)
+    grads = EmbeddingGrads(np.zeros_like(emb.blocks))
     grads.blocks[:k] += (2.0 / n) * (single - teacher)
     return loss, grads
 
@@ -529,6 +524,51 @@ def distance_parity_loss(emb: EmbeddingSet, need_grad: bool = True):
     return loss, grads
 
 
+# one weighted term of the objective: its LossBreakdown field, the LossWeights
+# field that scales it, whether it reads the fused views, and `call(emb, fused,
+# teacher, weights, need_grad) -> (value, EmbeddingGrads or None)`, which
+# finds its loss function by module-level name at call time
+class Term(NamedTuple):
+    name: str
+    weight: str
+    reads_fused: bool
+    call: Callable[..., tuple]
+
+
+def _triplet_term(emb, fused, teacher, w, need_grad):
+    # the image blocks [f_v; f_r] as one 2N x d stack, a view; texts get no gradient
+    stack = emb.blocks[..., :2, :, :].reshape(emb.blocks.shape[:-3] + (2 * emb.n, emb.dim))
+    loss, g = weighted_triplet_loss(stack, np.tile(emb.labels, 2), need_grad=need_grad)
+    return loss, g if g is None else EmbeddingGrads(
+        np.concatenate([g, np.zeros_like(g)]).reshape(emb.blocks.shape))
+
+
+def _views(views: FusedSet | None, weight: str) -> FusedSet:
+    if views is None:
+        raise ProtocolError(f"fused views required when {weight} > 0")
+    return views
+
+
+def _contrast_labels(emb: EmbeddingSet, w: LossWeights):
+    return emb.labels if w.label_aware_contrast else None
+
+
+# in the order the gradients are accumulated
+TERMS = {t.name: t for t in (
+    Term("triplet", "lambda1", False, _triplet_term),
+    Term("contrast_single", "lambda2", False, lambda emb, fused, teacher, w, ng:
+         contrastive_single(emb, w.tau, _contrast_labels(emb, w), need_grad=ng)),
+    Term("contrast_fused", "lambda2", True, lambda emb, fused, teacher, w, ng:
+         contrastive_fused(_views(fused, "lambda2"), w.tau, _contrast_labels(emb, w),
+                           need_grad=ng)),
+    Term("distill", "lambda3", True, lambda emb, fused, teacher, w, ng:
+         distill_loss(emb, _views(teacher, "lambda3"), include_text=w.distill_text,
+                      need_grad=ng)),
+    Term("parity", "lambda4", False, lambda emb, fused, teacher, w, ng:
+         distance_parity_loss(emb, need_grad=ng)),
+)}
+
+
 @dataclass
 class TotalLoss:
     breakdown: LossBreakdown
@@ -540,66 +580,37 @@ class TotalLoss:
 def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
                weights: LossWeights, kd_teacher: FusedSet | None = None,
                need_grad: bool = True) -> TotalLoss:
-    """Weighted combination of all terms, with aggregated analytic gradients.
+    """The identity loss plus every TERMS entry times its weight, with
+    aggregated analytic gradients.
 
-    Components with a zero coefficient are skipped (their breakdown entry is
-    0.0). `fused` may be None only when neither the fused contrastive nor
-    the distillation term is active. `kd_teacher` optionally pins the
-    distillation teacher to a snapshot distinct from `fused`; by default the
-    teacher is `fused` itself (values only, never gradients). With
-    `need_grad=False` every term is evaluated value-only: the breakdown is
-    the same to the bit, and `grads` and `grad_logits_*` are None. On that
-    path the embeddings and logits may carry leading probe axes; each
-    breakdown entry is then an array over them wherever its term reads a
-    stacked input.
+    Terms with a zero weight are skipped (their breakdown entry is 0.0).
+    `fused` may be None only when no active term reads the fused views.
+    `kd_teacher` optionally pins the distillation teacher to a snapshot
+    distinct from `fused`; by default the teacher is `fused` itself (values
+    only, never gradients). With `need_grad=False` every term is evaluated
+    value-only: the breakdown is the same to the bit, and `grads` and
+    `grad_logits_*` are None. On that path the embeddings and logits may
+    carry leading probe axes; each breakdown entry is then an array over
+    them wherever its term reads a stacked input.
     """
     weights.validate()
-    n = emb.n
-
     l_id, g_logits_v, g_logits_r = identity_loss(logits_v, logits_r, emb.labels,
                                                  need_grad=need_grad)
-    grads = EmbeddingGrads.zeros(emb) if need_grad else None
-    l_wrt = l_single = l_fused = l_kd = l_par = 0.0
-
-    if weights.lambda1 > 0:
-        # the image blocks [f_v; f_r] as one 2N x d stack, a view
-        stack = emb.blocks[..., :2, :, :].reshape(emb.blocks.shape[:-3] + (2 * n, emb.dim))
-        stack_labels = np.concatenate([emb.labels, emb.labels])
-        l_wrt, g_stack = weighted_triplet_loss(stack, stack_labels, need_grad=need_grad)
-        if need_grad:
-            grads.blocks[:2] += weights.lambda1 * g_stack.reshape(2, n, -1)
-
-    if weights.lambda2 > 0:
-        contrast_labels = emb.labels if weights.label_aware_contrast else None
-        l_single, g_single = contrastive_single(emb, weights.tau, contrast_labels,
-                                                need_grad=need_grad)
-        if fused is None:
-            raise ProtocolError("fused views required when lambda2 > 0")
-        l_fused, g_fused = contrastive_fused(fused, weights.tau, contrast_labels,
-                                             need_grad=need_grad)
-        if need_grad:
-            grads.add_scaled(g_single, weights.lambda2)
-            grads.add_scaled(g_fused, weights.lambda2)
-
-    if weights.lambda3 > 0:
-        teacher = kd_teacher if kd_teacher is not None else fused
-        if teacher is None:
-            raise ProtocolError("fused views required when lambda3 > 0")
-        l_kd, g_kd = distill_loss(emb, teacher, include_text=weights.distill_text,
-                                  need_grad=need_grad)
-        if need_grad:
-            grads.add_scaled(g_kd, weights.lambda3)
-
-    if weights.lambda4 > 0:
-        l_par, g_par = distance_parity_loss(emb, need_grad=need_grad)
-        if need_grad:
-            grads.add_scaled(g_par, weights.lambda4)
-
-    total = (l_id + weights.lambda1 * l_wrt
-             + weights.lambda2 * (l_single + l_fused)
-             + weights.lambda3 * l_kd + weights.lambda4 * l_par)
-    breakdown = LossBreakdown(identity=l_id, triplet=l_wrt,
-                              contrast_single=l_single, contrast_fused=l_fused,
-                              distill=l_kd, parity=l_par, total=total)
-    return TotalLoss(breakdown=breakdown, grads=grads,
-                     grad_logits_v=g_logits_v, grad_logits_r=g_logits_r)
+    grads = EmbeddingGrads(np.zeros_like(emb.blocks)) if need_grad else None
+    teacher = kd_teacher if kd_teacher is not None else fused
+    values = dict.fromkeys(TERMS, 0.0)
+    for term in TERMS.values():
+        coeff = getattr(weights, term.weight)
+        if coeff > 0:
+            values[term.name], g = term.call(emb, fused, teacher, weights, need_grad)
+            if need_grad:
+                grads.blocks += coeff * g.blocks
+    # terms that share a weight are added before it scales their sum (as
+    # lambda2 does both contrastive terms), though their gradients are scaled
+    # one by one
+    total = l_id
+    for weight, group in groupby(TERMS.values(), key=lambda t: t.weight):
+        parts = [values[t.name] for t in group]
+        total = total + getattr(weights, weight) * sum(parts[1:], parts[0])
+    return TotalLoss(breakdown=LossBreakdown(identity=l_id, **values, total=total),
+                     grads=grads, grad_logits_v=g_logits_v, grad_logits_r=g_logits_r)

@@ -16,7 +16,8 @@ training and the model gradient check.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,10 @@ class EncoderConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):   # a float field also takes an integer, none a boolean
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, Real if f.type == "float" else Integral):
+                raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
         for name in ("d_in_visual", "d_in_text", "d_hidden", "d_embed"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -232,6 +237,7 @@ def load_checkpoint(path: Path | str):
                 kind = rec.pop("kind", None)
                 if kind == "encoder_config":
                     cfg = EncoderConfig(**rec)
+                    cfg.validate()
                 elif kind == "tensor":
                     arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
                     store.add(rec["name"], arr)

@@ -98,9 +98,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._values
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def zero_grads(self) -> None:
         for g in self._grads.values():
             g[...] = 0.0

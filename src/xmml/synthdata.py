@@ -337,9 +337,18 @@ def save_meta(path: Path | str, meta: DatasetMeta) -> None:
 
 
 def load_meta(path: Path | str) -> DatasetMeta:
-    rec = json.loads(Path(path).read_text())
-    cfg = GeneratorConfig(**rec["config"])
-    return DatasetMeta(config=cfg, mix_seed=int(rec["mix_seed"]))
+    """save_meta's record; raises ValueError, naming `path`, for any other."""
+    try:
+        rec = json.loads(Path(path).read_text())   # a JSONDecodeError is a ValueError
+        if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION:
+            raise ValueError(f"not a meta object of schema {SCHEMA_VERSION}")
+        cfg = GeneratorConfig(**rec["config"])   # a TypeError for unknown keys
+        cfg.validate()
+        return DatasetMeta(config=cfg, mix_seed=int(rec["mix_seed"]))
+    except KeyError as e:
+        raise ValueError(f"{path}: meta lacks {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def save_dataset(out_dir: Path | str, bundle: DatasetBundle) -> list[str]:

@@ -69,7 +69,7 @@ class TrainConfig:
         if w.lambda1 > 0 and self.n_ids_per_batch < 2:
             raise ValueError(f"n_ids_per_batch must be >= 2 when lambda1 > 0, "
                              f"got {self.n_ids_per_batch}")
-        if w.n_fuse > 0 and (w.lambda2 > 0 or w.lambda3 > 0) and self.k_per_modality < 2:
+        if w.n_fuse > 0 and w.reads_fused and self.k_per_modality < 2:
             raise ValueError(f"k_per_modality must be >= 2 when n_fuse > 0 and "
                              f"lambda2 or lambda3 > 0, got {self.k_per_modality}")
 
@@ -147,7 +147,7 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
         raise TrainingDivergedError(f"non-finite embeddings: {e}",
                                     _divergence_diagnostics(batch, emb_blocks, None)) from e
     fused = None
-    if weights.lambda2 > 0 or weights.lambda3 > 0:
+    if weights.reads_fused:
         with timed(timings, "fuse_multiview"):
             fused = fuse_multiview(emb, weights.n_fuse, fuse_seed,
                                    cross_modal=weights.cross_modal_fusion)

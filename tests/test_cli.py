@@ -112,6 +112,12 @@ class TestGen:
                      "--gen.bogus", "3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_out_below_a_file_fails_cleanly(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["gen", "--out", str(tmp_path / "file" / "x")] + TINY_GEN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_flag_missing_value_fails_cleanly(self, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "x"), "--gen.d_id"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -217,6 +223,33 @@ class TestTrain:
                     + TINY_TRAIN_ARGS + [flag, "1"]) == 1
         err = capsys.readouterr().err
         assert message in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        ("[]", "not a meta object of schema 1"),
+        ('{"schema": 1, "mix_seed": 0}', "meta lacks 'config'"),
+        ('{"schema": 2, "config": {}, "mix_seed": 0}', "not a meta object of schema 1"),
+        ('{"config": {}, "mix_seed": 0}', "not a meta object of schema 1"),
+        ('{"schema": 1, "config": {"d_idd": 6}, "mix_seed": 0}', "unexpected keyword"),
+    ])
+    def test_malformed_meta_fails_cleanly(self, gen_dir, tmp_path, capsys, text, message):
+        data = tmp_path / "data"
+        shutil.copytree(gen_dir, data)
+        (data / "meta.json").write_text(text)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                    + TINY_TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {data / 'meta.json'}: ")
+        assert message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_directory_fails_cleanly(self, gen_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(gen_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(tmp_path)] + TINY_TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys):
@@ -392,6 +425,30 @@ class TestEval:
                      "--out", str(tmp_path / "eval")]) == 1
         assert "missing trunk1.w" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [8.0, True, "8", 0])
+    def test_malformed_encoder_config_fails_cleanly(self, train_dir, gen_dir, tmp_path,
+                                                     capsys, value):
+        lines = (train_dir / "checkpoint.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        assert rec["kind"] == "encoder_config"
+        lines[0] = json.dumps({**rec, "d_hidden": value}) + "\n"
+        ckpt = tmp_path / "checkpoint.jsonl"
+        ckpt.write_text("".join(lines))
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {ckpt}:1: bad record: ")
+        assert "d_hidden" in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_checkpoint_directory_fails_cleanly(self, gen_dir, tmp_path, capsys):
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(tmp_path),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_k_max_below_one_fails_cleanly(self, train_dir, gen_dir, tmp_path,
                                            capsys, k_max):
@@ -520,6 +577,31 @@ class TestGradcheck:
             assert all(seconds >= 0.0 for seconds in m["phase_sec"].values())
             assert sum(m["phase_sec"].values()) <= m["wall_clock_sec"]
 
+    def test_out_at_an_existing_file_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        out.write_text("")
+        assert main(["gradcheck", "--out", str(out), "--batches", "1",
+                     "--losses", "identity"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert out.read_text() == ""
+
+    def test_empty_list_entries_are_skipped(self, tmp_path):
+        # a repeated size is legal: it weights the batch rotation
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--out", str(out), "--batches", "2",
+                     "--losses", "identity,,", "--sizes", ",2x4,,2x4"]) == 0
+        report = json.loads((out / "gradcheck_report.json").read_text())
+        assert [r["name"] for r in report["results"]] == ["identity"]
+
+    def test_repeated_loss_name_fails_cleanly(self, tmp_path, capsys):
+        assert main(["gradcheck", "--out", str(tmp_path / "gc"), "--batches", "1",
+                     "--losses", "identity, identity"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "loss name identity repeats" in err
+        assert not (tmp_path / "gc").exists()
+
     def test_unknown_loss_name_fails_cleanly(self, tmp_path, capsys):
         assert main(["gradcheck", "--out", str(tmp_path / "gc"),
                      "--losses", "identity,nonsense"]) == 1
@@ -567,6 +649,34 @@ class TestAblateSweep:
         m = manifest(out)
         assert m["config"]["train.epochs"] == 120
         assert m["config"]["train.decay_epochs"] == [40, 70]
+
+    def test_ablate_skips_empty_labels(self, gen_dir, tmp_path):
+        out = tmp_path / "ab"
+        assert main(["ablate", "--data", str(gen_dir), "--out", str(out),
+                     "--labels", "baseline,", "--seeds", "0,"] + TINY_TRAIN_ARGS) == 0
+        rows = read_tagged_csv(out / "ablation.csv", "# xmml-ablation-csv v1")
+        assert [(r["method"], r["seed"]) for r in rows] == [("baseline", "0")]
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("ablate", ["--labels", "baseline", "--seeds", "0,0"], "seed 0 repeats"),
+        ("ablate", ["--labels", "baseline,baseline", "--seeds", "0"],
+         "ablation label baseline repeats"),
+        ("sweep", ["--param", "tau", "--values", "0.1,0.1", "--seeds", "0"],
+         "value 0.1 repeats"),
+        ("sweep", ["--param", "tau", "--values", "0.1", "--seeds", "1,2,1"],
+         "seed 1 repeats"),
+    ])
+    def test_repeated_entry_fails_before_any_cell(self, gen_dir, tmp_path, capsys,
+                                                  monkeypatch, command, args, message):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(bench, "run_cell", no_cell)
+        out = tmp_path / "out"
+        assert main([command, "--data", str(gen_dir), "--out", str(out)] + args
+                    + TINY_TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
 
     def test_ablate_unknown_label_fails_cleanly(self, gen_dir, tmp_path, capsys):
         assert main(["ablate", "--data", str(gen_dir),

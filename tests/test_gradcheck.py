@@ -6,13 +6,14 @@ themselves on purpose stay quiet."""
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from xmml import gradcheck, numerics
-from xmml.losses import (EmbeddingSet, FusedSet, LossWeights, contrastive_fused,
+from xmml.losses import (TERMS, EmbeddingSet, FusedSet, LossBreakdown, LossWeights,
+                         contrastive_fused,
                          contrastive_pair_loss, contrastive_single,
                          distance_parity_loss, distill_loss, fuse_multiview,
                          identity_loss, total_loss, weighted_triplet_loss)
@@ -27,6 +28,13 @@ SWITCHES = {
     "n_fuse_3": LossWeights(n_fuse=3),
     "all": LossWeights(label_aware_contrast=True, cross_modal_fusion=True,
                        distill_text=False, n_fuse=3),
+}
+
+# the switches, every weight at zero, and each weight at zero alone
+WEIGHT_CASES = {
+    **SWITCHES,
+    "all_zero": LossWeights(lambda1=0.0, lambda2=0.0, lambda3=0.0, lambda4=0.0),
+    **{f"{k}_zero": LossWeights(**{k: 0.0}) for k in ("lambda1", "lambda2", "lambda3", "lambda4")},
 }
 
 
@@ -67,6 +75,67 @@ def _terms(w: LossWeights):
         "parity": (distance_parity_loss, (emb,), {}),
         "total": (total_loss, (emb, fused, lv, lr, w), {}),
     }
+
+
+def _total_as_written(emb, fused, lv, lr, w):
+    """The objective written out term by term: l_id + l1 l_wrt + l2 (l_single
+    + l_fused) + l3 l_kd + l4 l_par, each active term's gradient scaled and
+    added in that order. The reference the term table is pinned to."""
+    n = emb.n
+    l_id, g_lv, g_lr = identity_loss(lv, lr, emb.labels)
+    grads = np.zeros_like(emb.blocks)
+    l_wrt = l_single = l_fused = l_kd = l_par = 0.0
+    cl = emb.labels if w.label_aware_contrast else None
+    if w.lambda1 > 0:
+        l_wrt, g = weighted_triplet_loss(np.vstack([emb.f_v, emb.f_r]),
+                                         np.concatenate([emb.labels, emb.labels]))
+        grads[:2] += w.lambda1 * g.reshape(2, n, -1)
+    if w.lambda2 > 0:
+        l_single, g_single = contrastive_single(emb, w.tau, cl)
+        l_fused, g_fused = contrastive_fused(fused, w.tau, cl)
+        grads += w.lambda2 * g_single.blocks
+        grads += w.lambda2 * g_fused.blocks
+    if w.lambda3 > 0:
+        l_kd, g = distill_loss(emb, fused, include_text=w.distill_text)
+        grads += w.lambda3 * g.blocks
+    if w.lambda4 > 0:
+        l_par, g = distance_parity_loss(emb)
+        grads += w.lambda4 * g.blocks
+    total = (l_id + w.lambda1 * l_wrt + w.lambda2 * (l_single + l_fused)
+             + w.lambda3 * l_kd + w.lambda4 * l_par)
+    breakdown = LossBreakdown(identity=l_id, triplet=l_wrt, contrast_single=l_single,
+                              contrast_fused=l_fused, distill=l_kd, parity=l_par,
+                              total=total)
+    return breakdown, grads, g_lv, g_lr
+
+
+def test_terms_follow_the_breakdown_order():
+    assert list(TERMS) == [f.name for f in fields(LossBreakdown)][1:-1]
+
+
+@pytest.mark.parametrize("case", WEIGHT_CASES)
+def test_total_loss_is_the_objective_as_written(case):
+    w = WEIGHT_CASES[case]
+    for seed in range(4):
+        for n, d in gradcheck.DEFAULT_SIZES:
+            rng = derive_rng(seed, "as-written", n, d)
+            labels = np.arange(n) % max(2, n // 2)
+            emb = EmbeddingSet(rng.standard_normal((4, n, d)), labels)
+            fused = fuse_multiview(emb, w.n_fuse, seed, cross_modal=w.cross_modal_fusion)
+            lv, lr = rng.standard_normal((2, n, max(2, n // 2)))
+            breakdown, grads, g_lv, g_lr = _total_as_written(emb, fused, lv, lr, w)
+            res = total_loss(emb, fused, lv, lr, w)
+            for name, value in asdict(breakdown).items():
+                assert getattr(res.breakdown, name) == value, (name, seed, n, d)
+            assert np.array_equal(res.grads.blocks, grads)
+            assert np.array_equal(res.grad_logits_v, g_lv)
+            assert np.array_equal(res.grad_logits_r, g_lr)
+
+
+@pytest.mark.parametrize("case", WEIGHT_CASES)
+def test_fusion_predicate_is_lambda2_or_lambda3(case):
+    w = WEIGHT_CASES[case]
+    assert w.reads_fused == (w.lambda2 > 0 or w.lambda3 > 0)
 
 
 @pytest.mark.parametrize("switch", SWITCHES)
