@@ -13,8 +13,7 @@ import pytest
 
 from xmml import gradcheck, numerics
 from xmml.losses import (TERMS, EmbeddingSet, FusedSet, LossBreakdown, LossWeights,
-                         contrastive_fused,
-                         contrastive_pair_loss, contrastive_single,
+                         contrastive_fused, contrastive_pair_loss, contrastive_single,
                          distance_parity_loss, distill_loss, fuse_multiview,
                          identity_loss, total_loss, weighted_triplet_loss)
 from xmml.numerics import derive_rng
