@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import model
-from .config import coerce
+from .config import ConfigError, coerce
 from .evaluator import REPORTED_METRICS, Protocol, embed_split, evaluate, modality_gap
 from .losses import LossWeights
 from .synthdata import DatasetBundle
@@ -220,12 +220,17 @@ def run_sweep(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
               seeds: tuple[int, ...] = (0,)) -> list[CellResult]:
     """One cell per value and seed. Each value is coerced like the config
     key of its LossWeights field, and the run it configures is validated,
-    before the first cell trains: a bad value fails the sweep up front."""
+    before the first cell trains: a bad value, or two that coerce to one,
+    fails the sweep up front."""
     if param not in SWEEP_PARAMS:
         raise KeyError(f"unknown sweep parameter {param!r}; "
                        f"known: {', '.join(sorted(SWEEP_PARAMS))}")
     target = SWEEP_PARAMS[param]
     casts = [coerce(f"weights.{target}", value) for value in values]
+    for i, cast in enumerate(casts):
+        if cast in casts[:i]:
+            raise ConfigError(f"values {values[casts.index(cast)]} and {values[i]} "
+                              f"are both {param}={cast}")
     for cast in casts:
         replace(train_cfg, weights=replace(train_cfg.weights, **{target: cast})).validate()
     cells = []

@@ -23,7 +23,8 @@ cross-modality queries badly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +54,15 @@ class GeneratorConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):   # an integer field takes no boolean and no float
+            v = getattr(self, f.name)
+            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, Integral)):
+                raise ValueError(f"{f.name} must be int, got {v!r}")
         for name in ("n_identities_train", "n_identities_test",
                      "samples_per_identity_per_modality",
                      "d_id", "d_view", "d_conflict"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("sigma_view", "sigma_noise"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

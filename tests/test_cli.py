@@ -245,6 +245,21 @@ class TestTrain:
         assert message in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", [True, 6.5])
+    def test_meta_with_a_non_integer_size_fails_cleanly(self, gen_dir, tmp_path, capsys,
+                                                        value):
+        data = tmp_path / "data"
+        shutil.copytree(gen_dir, data)
+        meta = json.loads((data / "meta.json").read_text())
+        meta["config"]["d_id"] = value
+        (data / "meta.json").write_text(json.dumps(meta))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                    + TINY_TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {data / 'meta.json'}: d_id must be int")
+        assert not (tmp_path / "run").exists()
+
     def test_config_directory_fails_cleanly(self, gen_dir, tmp_path, capsys):
         assert main(["train", "--data", str(gen_dir), "--out", str(tmp_path / "run"),
                      "--config", str(tmp_path)] + TINY_TRAIN_ARGS) == 1
@@ -676,6 +691,22 @@ class TestAblateSweep:
                     + TINY_TRAIN_ARGS) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("tau", "0.1,0.10", "values 0.1 and 0.10 are both tau=0.1"),
+        ("M", "1,0,1.0", "values 1 and 1.0 are both M=1"),
+    ])
+    def test_values_that_coerce_to_one_fail_before_any_cell(
+            self, gen_dir, tmp_path, capsys, monkeypatch, param, values, message):
+        calls = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: calls.append(k))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--data", str(gen_dir), "--out", str(out),
+                     "--param", param, "--values", values] + TINY_TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert calls == []
         assert not out.exists()
 
     def test_ablate_unknown_label_fails_cleanly(self, gen_dir, tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import embedding_set, random_embedding_set
-from xmml.losses import (BLOCK_NAMES, EmbeddingSet, FusedSet, LossWeights,
+from xmml.losses import (BLOCK_NAMES, EmbeddingSet, FusedSet, LossWeights, _expit,
                          contrastive_fused, contrastive_pair_loss,
                          contrastive_single, distance_parity_loss,
                          distill_loss, fuse_multiview, identity_loss,
@@ -195,6 +195,19 @@ class TestWeightedTriplet:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20
+
+    def test_expit_equals_scipy_to_the_bit(self):
+        # the triplet gradient's logistic function must not move the
+        # trajectory the package had when it called scipy.special.expit
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(16)
+        sweep = np.concatenate([rng.standard_normal(20_000) * scale
+                                for scale in (1e-300, 1e-8, 1.0, 10.0, 40.0, 800.0, 1e300)])
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                          709.0, -709.0, 710.0, -710.0, 745.0, -745.0,
+                          1e308, -1e308, np.inf, -np.inf])
+        a = np.concatenate([sweep, edges])
+        assert (_expit(a).view(np.int64) == special.expit(a).view(np.int64)).all()
 
 
 # ------------------------------------------------------ pairwise contrastive

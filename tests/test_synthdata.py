@@ -182,6 +182,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize("field", ["d_id", "n_identities_test", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_integer_field_takes_only_an_integer(self, field, value):
+        cfg = dataclasses.replace(TINY, **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be int"):
+            cfg.validate()
+        dataclasses.replace(TINY, **{field: np.int64(2)}).validate()
+
 
 # ----------------------------------------------------------- serialization
 
