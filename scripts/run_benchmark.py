@@ -31,17 +31,23 @@ CLAIMS = (
 )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fixture", default=None,
                         help="fixture path (default: tests/fixtures/reference_margins.json)")
     parser.add_argument("--seeds", default=",".join(str(s) for s in BENCHMARK_SEEDS))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        parser.error(f"--seeds: every entry of {args.seeds!r} must be an integer")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        parser.error(f"--seeds: seed {repeated[0]} repeats in {args.seeds!r}")
 
     repo = Path(__file__).resolve().parent.parent
     fixture = Path(args.fixture) if args.fixture else (
         repo / "tests" / "fixtures" / "reference_margins.json")
-    seeds = tuple(int(s) for s in args.seeds.split(","))
 
     data = generate_dataset(GeneratorConfig(seed=0))
     train_cfg = benchmark_train_config()

@@ -219,9 +219,9 @@ def run_sweep(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
               param: str, values: list[float | str],
               seeds: tuple[int, ...] = (0,)) -> list[CellResult]:
     """One cell per value and seed. Each value is coerced like the config
-    key of its LossWeights field, and the run it configures is validated,
-    before the first cell trains: a bad value, or two that coerce to one,
-    fails the sweep up front."""
+    key of its LossWeights field, and the run it configures is built, which
+    checks it, before the first cell trains: a bad value, or two that coerce
+    to one, fails the sweep up front."""
     if param not in SWEEP_PARAMS:
         raise KeyError(f"unknown sweep parameter {param!r}; "
                        f"known: {', '.join(sorted(SWEEP_PARAMS))}")
@@ -231,8 +231,8 @@ def run_sweep(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
         if cast in casts[:i]:
             raise ConfigError(f"values {values[casts.index(cast)]} and {values[i]} "
                               f"are both {param}={cast}")
-    for cast in casts:
-        replace(train_cfg, weights=replace(train_cfg.weights, **{target: cast})).validate()
+    for cast in casts:   # building the config checks it
+        replace(train_cfg, weights=replace(train_cfg.weights, **{target: cast}))
     cells = []
     for cast in casts:
         for seed in seeds:

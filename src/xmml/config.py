@@ -163,25 +163,17 @@ def section(cfg: dict[str, object], prefix: str) -> dict[str, object]:
 
 
 def generator_config(cfg: dict[str, object]) -> GeneratorConfig:
-    g = GeneratorConfig(**section(cfg, "gen"))
-    g.validate()
-    return g
+    return GeneratorConfig(**section(cfg, "gen"))
 
 
 def loss_weights(cfg: dict[str, object]) -> LossWeights:
-    w = LossWeights(**section(cfg, "weights"))
-    w.validate()
-    return w
+    return LossWeights(**section(cfg, "weights"))
 
 
 def train_config(cfg: dict[str, object]) -> TrainConfig:
-    tc = TrainConfig(weights=loss_weights(cfg), **section(cfg, "model"),
-                     **section(cfg, "train"))
-    tc.validate()
-    return tc
+    return TrainConfig(weights=loss_weights(cfg), **section(cfg, "model"),
+                       **section(cfg, "train"))
 
 
 def protocol(cfg: dict[str, object]) -> Protocol:
-    p = Protocol(**section(cfg, "eval"))
-    p.validate()
-    return p
+    return Protocol(**section(cfg, "eval"))

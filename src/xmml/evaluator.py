@@ -22,15 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .numerics import (ParamStore, ProtocolError, derive_rng, pairwise_distances,
-                       rows_by_label, timed)
+from .numerics import (ParamStore, ProtocolError, check_field_types, derive_rng,
+                       pairwise_distances, rows_by_label, timed)
 from .synthdata import MODALITIES, DatasetMeta, Split
 
 # the numbers eval.csv, train-log snapshots, ablation and sweep CSVs report
 REPORTED_METRICS = ("rank1", "rank5", "rank10", "map", "gap_ratio", "conflict_sensitivity")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Protocol:
     query_modality: str = "R"
     gallery_modality: str = "V"
@@ -38,7 +38,8 @@ class Protocol:
     seed: int = 0          # gallery subsampling seed for single-shot
     k_max: int = 20        # length of the reported CMC curve
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_field_types(self)
         if self.query_modality not in MODALITIES or self.gallery_modality not in MODALITIES:
             raise ValueError(
                 f"modalities must be in {MODALITIES}, got "
@@ -215,8 +216,6 @@ def evaluate(store: ParamStore, split: Split, protocols: Sequence[Protocol],
     time of the phases embed, cmc_map (over all protocols), modality_gap
     and conflict_sensitivity is added to it, in seconds.
     """
-    for protocol in protocols:
-        protocol.validate()
     with timed(timings, "embed"):
         rows = embed_split(store, split)
     for protocol in protocols:

@@ -48,8 +48,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import (DegenerateInputError, DimensionError, ProtocolError, derive_rng,
-                       pairwise_distances)
+from .numerics import (DegenerateInputError, DimensionError, ProtocolError,
+                       check_field_types, derive_rng, pairwise_distances)
 
 
 def _value(loss):
@@ -139,7 +139,7 @@ class EmbeddingGrads:
     t_r = property(lambda self: self.blocks[3])
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     """Coefficients and knobs of the combined objective."""
 
@@ -153,13 +153,14 @@ class LossWeights:
     cross_modal_fusion: bool = False
     distill_text: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.n_fuse < 0 or int(self.n_fuse) != self.n_fuse:
+        if self.n_fuse < 0:
             raise ValueError(f"n_fuse must be a non-negative integer, got {self.n_fuse}")
 
     @property
@@ -607,7 +608,6 @@ def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
     carry leading probe axes; each breakdown entry is then an array over
     them wherever its term reads a stacked input.
     """
-    weights.validate()
     l_id, g_logits_v, g_logits_r = identity_loss(logits_v, logits_r, emb.labels,
                                                  need_grad=need_grad)
     grads = EmbeddingGrads(np.zeros_like(emb.blocks)) if need_grad else None

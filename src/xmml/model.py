@@ -16,13 +16,12 @@ training and the model gradient check.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import DimensionError, ParamStore, derive_rng
+from .numerics import DimensionError, ParamStore, check_field_types, derive_rng
 
 STEM_BY_MODALITY = {"V": "stem_v", "R": "stem_r"}
 
@@ -30,7 +29,7 @@ _VISUAL_LAYERS = ("trunk1", "trunk2")
 _TEXT_LAYERS = ("text1", "text2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     d_in_visual: int
     d_in_text: int
@@ -40,11 +39,8 @@ class EncoderConfig:
     init_scale: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
-        for f in fields(self):   # a float field also takes an integer, none a boolean
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, Real if f.type == "float" else Integral):
-                raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
+    def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("d_in_visual", "d_in_text", "d_hidden", "d_embed"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -70,7 +66,6 @@ _LAYERS = (
 
 def init_params(cfg: EncoderConfig) -> ParamStore:
     """Uniform(-init_scale, init_scale) init, fixed draw order, seeded."""
-    cfg.validate()
     rng = derive_rng(cfg.seed, "encoder-init")
     store = ParamStore()
     for layer, _, rows, cols in _LAYERS:
@@ -237,7 +232,6 @@ def load_checkpoint(path: Path | str):
                 kind = rec.pop("kind", None)
                 if kind == "encoder_config":
                     cfg = EncoderConfig(**rec)
-                    cfg.validate()
                 elif kind == "tensor":
                     arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
                     store.add(rec["name"], arr)

@@ -1,6 +1,6 @@
 """Float64 numeric substrate: seeded RNG streams, a named parameter store,
-exact blocked pairwise distances, phase timers, and a central-difference
-gradient checker.
+exact blocked pairwise distances, phase timers, a central-difference
+gradient checker, and check_field_types, the config dataclasses' type rule.
 
 Everything downstream assumes 64-bit floats. 32-bit arithmetic is too noisy
 for reliable central-difference verification at h=1e-5.
@@ -8,10 +8,14 @@ for reliable central-difference verification at h=1e-5.
 
 from __future__ import annotations
 
+import functools
 import time
+import types
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -19,6 +23,7 @@ __all__ = [
     "DimensionError",
     "DegenerateInputError",
     "ProtocolError",
+    "check_field_types",
     "derive_rng",
     "derive_seed",
     "ParamStore",
@@ -62,6 +67,34 @@ def derive_seed(root_seed: int, *tags) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
+# get_type_hints evaluates the string annotations anew on each call, several
+# times the cost of the check itself
+_type_hints = functools.cache(get_type_hints)
+_NUMBERS = {int: Integral, float: Real}
+
+
+def _holds(hint, value) -> bool:
+    if hint in _NUMBERS:
+        return isinstance(value, _NUMBERS[hint]) and not isinstance(value, bool)
+    if isinstance(hint, types.UnionType):   # `T | None`
+        return any(_holds(a, value) for a in get_args(hint))
+    if get_origin(hint) is tuple:   # `tuple[T, ...]`
+        return isinstance(value, tuple) and all(_holds(get_args(hint)[0], v) for v in value)
+    return isinstance(value, hint)
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the first field of dataclass `obj` whose value
+    does not match its annotation. An int field takes an Integral and a float
+    field a Real, neither a bool; `T | None` takes None or a T; `tuple[T, ...]`
+    a tuple of T; any other annotation an instance of it."""
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _holds(hints[f.name], value):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+
+
 class ParamStore:
     """Ordered name -> value map with a like-shaped gradient buffer per entry.
 
@@ -94,9 +127,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self._values)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
 
     def zero_grads(self) -> None:
         for g in self._grads.values():

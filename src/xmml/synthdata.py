@@ -23,13 +23,13 @@ cross-modality queries badly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from numbers import Integral
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import DimensionError, ProtocolError, derive_rng, rows_by_label
+from .numerics import (DimensionError, ProtocolError, check_field_types, derive_rng,
+                       rows_by_label)
 
 MODALITIES = ("V", "R")
 
@@ -39,7 +39,7 @@ SCHEMA_VERSION = 1
 DATASET_FILES = ("train.jsonl", "test.jsonl", "meta.json")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     n_identities_train: int = 32
     n_identities_test: int = 16
@@ -53,11 +53,8 @@ class GeneratorConfig:
     mask_keep_prob: float = 0.7
     seed: int = 0
 
-    def validate(self) -> None:
-        for f in fields(self):   # an integer field takes no boolean and no float
-            v = getattr(self, f.name)
-            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, Integral)):
-                raise ValueError(f"{f.name} must be int, got {v!r}")
+    def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("n_identities_train", "n_identities_test",
                      "samples_per_identity_per_modality",
                      "d_id", "d_view", "d_conflict"):
@@ -224,7 +221,6 @@ def _generate_split(cfg: GeneratorConfig, identities: range, split_tag: str,
 
 def generate_dataset(cfg: GeneratorConfig) -> DatasetBundle:
     """Deterministic train/test bundle with disjoint identity sets."""
-    cfg.validate()
     meta = DatasetMeta(config=cfg, mix_seed=cfg.seed)
     n_train = cfg.n_identities_train
     train, _, _ = _generate_split(cfg, range(n_train), "train", meta, id_offset=0)
@@ -347,7 +343,6 @@ def load_meta(path: Path | str) -> DatasetMeta:
         if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"not a meta object of schema {SCHEMA_VERSION}")
         cfg = GeneratorConfig(**rec["config"])   # a TypeError for unknown keys
-        cfg.validate()
         return DatasetMeta(config=cfg, mix_seed=int(rec["mix_seed"]))
     except KeyError as e:
         raise ValueError(f"{path}: meta lacks {e}") from e

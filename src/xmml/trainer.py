@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evaluator, model
 from .losses import EmbeddingSet, LossBreakdown, LossWeights, fuse_multiview, total_loss
-from .numerics import DegenerateInputError, ParamStore, derive_seed, timed
+from .numerics import DegenerateInputError, ParamStore, check_field_types, derive_seed, timed
 from .synthdata import Batch, DatasetBundle, sample_batch
 
 
@@ -31,7 +31,7 @@ class TrainingDivergedError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
     batches_per_epoch: int = 20
@@ -49,7 +49,8 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("epochs", "batches_per_epoch", "n_ids_per_batch",
                      "k_per_modality", "eval_every"):
             if getattr(self, name) < 1:
@@ -63,7 +64,6 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValueError(f"decay_epochs must be strictly increasing, got {self.decay_epochs}")
-        self.weights.validate()
         w = self.weights
         # the triplet needs a negative per anchor; fusion needs a partner per row
         if w.lambda1 > 0 and self.n_ids_per_batch < 2:
@@ -196,7 +196,6 @@ def run_training(cfg: TrainConfig, data: DatasetBundle,
     on the test split every `eval_every` epochs. With `timings`, the wall
     time of sample_batch, evaluate and train_step's phases is added to it,
     in seconds; the result does not depend on it."""
-    cfg.validate()
     enc_cfg = encoder_config_for(cfg, data)
     store = model.init_params(enc_cfg)
     state = TrainState.for_store(store)

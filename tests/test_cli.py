@@ -232,6 +232,10 @@ class TestTrain:
         ('{"schema": 2, "config": {}, "mix_seed": 0}', "not a meta object of schema 1"),
         ('{"config": {}, "mix_seed": 0}', "not a meta object of schema 1"),
         ('{"schema": 1, "config": {"d_idd": 6}, "mix_seed": 0}', "unexpected keyword"),
+        ('{"schema": 1, "config": {"mask_keep_prob": true}, "mix_seed": 0}',
+         "mask_keep_prob must be float, got True"),
+        ('{"schema": 1, "config": {"sigma_view": "0.5"}, "mix_seed": 0}',
+         "sigma_view must be float, got '0.5'"),
     ])
     def test_malformed_meta_fails_cleanly(self, gen_dir, tmp_path, capsys, text, message):
         data = tmp_path / "data"

@@ -1,14 +1,20 @@
 """Flat dotted-key configuration: the table derived from the dataclass
-defaults, type-driven coercion, and the section builders."""
+defaults, type-driven coercion, the section builders, and the field checks
+every config dataclass runs when it is built."""
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
+import numpy as np
 import pytest
 
 from xmml.config import (DEFAULTS, ConfigError, generator_config, loss_weights,
                          protocol, resolve, train_config)
 from xmml.evaluator import Protocol
 from xmml.losses import LossWeights
+from xmml.model import EncoderConfig
 from xmml.synthdata import GeneratorConfig
 from xmml.trainer import TrainConfig
 
@@ -68,3 +74,37 @@ class TestCoercion:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             resolve(file_cfg={"train.bogus": 1})
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("cls, required, int_field, field, value, annotation", [
+        (GeneratorConfig, {}, "d_id", "sigma_view", "0.5", "float"),
+        (EncoderConfig, {"d_in_visual": 6, "d_in_text": 6, "n_classes": 3},
+         "d_hidden", "init_scale", "0.1", "float"),
+        (TrainConfig, {}, "epochs", "lr_visual", "3e-4", "float"),
+        (LossWeights, {}, "n_fuse", "tau", "0.07", "float"),
+        # Protocol has no float field: a number in a str field instead
+        (Protocol, {}, "k_max", "shots", 1, "str"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_fields_checked_when_built_and_frozen(self, cls, required, int_field, field,
+                                                  value, annotation):
+        with pytest.raises(ValueError, match=f"^{int_field} must be int, got True$"):
+            cls(**required, **{int_field: True})
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be {annotation}, got {value!r}")):
+            cls(**required, **{field: value})
+        cfg = cls(**required, **{int_field: np.int64(3)})
+        assert getattr(cfg, int_field) == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, int_field, 4)
+
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (TrainConfig, {"decay_epochs": (20, True)},
+         "decay_epochs must be tuple[int, ...], got (20, True)"),
+        (TrainConfig, {"decay_epochs": [20, 35]}, "decay_epochs must be tuple[int, ...]"),
+        (GeneratorConfig, {"sigma_text": "x"}, "sigma_text must be float | None, got 'x'"),
+        (TrainConfig, {"weights": {}}, "weights must be LossWeights, got {}"),
+    ])
+    def test_compound_annotations(self, cls, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**kwargs)

@@ -249,11 +249,11 @@ class TestCountingRanks:
 class TestProtocolValidation:
     def test_same_modality_rejected(self):
         with pytest.raises(ValueError):
-            Protocol(query_modality="V", gallery_modality="V").validate()
+            Protocol(query_modality="V", gallery_modality="V")
 
     def test_unknown_shots_rejected(self):
         with pytest.raises(ValueError):
-            Protocol(shots="triple").validate()
+            Protocol(shots="triple")
 
 
 # ------------------------------------------------------------ evaluate()

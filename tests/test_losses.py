@@ -784,10 +784,9 @@ class TestTotalLoss:
         assert abs(base - permuted) < 1e-10
 
     def test_weight_validation_errors(self):
-        for bad in (LossWeights(lambda1=-0.1), LossWeights(tau=0.0),
-                    LossWeights(n_fuse=-1), LossWeights(n_fuse=1.5)):
+        for bad in ({"lambda1": -0.1}, {"tau": 0.0}, {"n_fuse": -1}, {"n_fuse": 1.5}):
             with pytest.raises(ValueError):
-                bad.validate()
+                LossWeights(**bad)
 
     def test_weights_with_replaces_fields(self):
         w = replace(LossWeights(), lambda2=0.0, n_fuse=3)

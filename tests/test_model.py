@@ -46,9 +46,9 @@ class TestInitialization:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EncoderConfig(d_in_visual=0, d_in_text=4, n_classes=3).validate()
+            EncoderConfig(d_in_visual=0, d_in_text=4, n_classes=3)
         with pytest.raises(ValueError):
-            EncoderConfig(d_in_visual=4, d_in_text=4, n_classes=1).validate()
+            EncoderConfig(d_in_visual=4, d_in_text=4, n_classes=1)
 
 
 class TestForward:

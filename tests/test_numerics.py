@@ -87,7 +87,6 @@ class TestParamStore:
     def test_add_and_lookup(self):
         store = ParamStore()
         store.add("w", np.ones((2, 3)))
-        assert "w" in store
         assert store.value("w").shape == (2, 3)
         assert store.grad("w").shape == (2, 3)
 

@@ -75,15 +75,15 @@ class TestConfigValidation:
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            dataclasses.replace(TrainConfig(), **kwargs).validate()
+            dataclasses.replace(TrainConfig(), **kwargs)
 
     def test_degenerate_batch_shapes_allowed_when_no_term_needs_them(self):
         base = TrainConfig()
         no_triplet = dataclasses.replace(base.weights, lambda1=0.0)
-        dataclasses.replace(base, n_ids_per_batch=1, weights=no_triplet).validate()
+        dataclasses.replace(base, n_ids_per_batch=1, weights=no_triplet)
         for unfused in (dataclasses.replace(base.weights, n_fuse=0),
                         dataclasses.replace(base.weights, lambda2=0.0, lambda3=0.0)):
-            dataclasses.replace(base, k_per_modality=1, weights=unfused).validate()
+            dataclasses.replace(base, k_per_modality=1, weights=unfused)
 
 
 # -------------------------------------------------------------- train_step
