@@ -21,6 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:   # not a Unix platform: manifests omit peak_rss_mb
+    resource = None
+
 from . import __version__, model
 from .bench import (ABLATION_LABELS, run_ablation, run_sweep, summarize,
                     write_ablation_csv, write_sweep_csv)
@@ -51,6 +56,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """The process's resident-set high-water mark so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # bytes on macOS, KiB on Linux and the BSDs
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def _write_manifest(out_dir: Path, command: str, cfg: dict, seeds: list[int],
                     inputs: list[Path], outputs: list[str], t0: float,
                     timings: dict[str, float] | None = None) -> None:
@@ -65,8 +77,11 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seeds: list[int],
         "wall_clock_sec": round(time.perf_counter() - t0, 3),
     }
     if timings is not None:
-        # phase wall times live here, outside the byte-identical artifacts
+        # phase wall times and the memory peak live here, outside the
+        # byte-identical artifacts
         manifest["phase_sec"] = {k: round(v, 4) for k, v in timings.items()}
+        if resource is not None:
+            manifest["peak_rss_mb"] = round(_peak_rss_mb(), 1)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 

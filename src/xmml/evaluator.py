@@ -178,7 +178,7 @@ def embed_split(store: ParamStore, split: Split) -> dict[str, EmbeddedRows]:
     for modality, rows in split.rows.items():
         if not len(rows):
             continue
-        emb, _ = model.encode_visual(store, rows.x_raw, modality)
+        emb, _ = model.encode_visual(store, rows.x_raw, modality, need_grad=False)
         out[modality] = EmbeddedRows(x=rows.x_raw, emb=emb, labels=rows.identity,
                                      ids=rows.sample_id)
     return out
@@ -255,39 +255,51 @@ def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
 
     `rows` is the output of `embed_split`. gap_ratio = inter / intra.
     Identities present in only one modality are skipped and counted in
-    n_skipped. Sums run over identities in ascending order.
+    n_skipped. Identities with the same (V, R) sample counts are measured as
+    one stack, one distance call per kind; each identity's sums are those of
+    its own slice, and they are added over identities in ascending order.
     """
-    inter_sum = 0.0
-    inter_n = 0
-    intra_sum = 0.0
-    intra_n = 0
-    n_skipped = 0
     groups_v, groups_r = (rows_by_label(rows[m].labels) if m in rows else {}
                           for m in ("V", "R"))
-    upper: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # triu indices by group size
-    for identity in sorted(groups_v.keys() | groups_r.keys()):
-        if identity not in groups_v or identity not in groups_r:
-            n_skipped += 1
-            continue
-        e_v = rows["V"].emb[groups_v[identity]]
-        e_r = rows["R"].emb[groups_r[identity]]
-        d = pairwise_distances(e_v, e_r)
-        inter_sum += float(d.sum())
+    identities = sorted(groups_v.keys() | groups_r.keys())
+    shared = [y for y in identities if y in groups_v and y in groups_r]
+    by_counts: dict[tuple[int, int], list[int]] = {}
+    for y in shared:
+        by_counts.setdefault((len(groups_v[y]), len(groups_r[y])), []).append(y)
+
+    sums: dict[int, tuple[float, ...]] = {}   # identity -> inter, then intra V, R sums
+    inter_n = 0
+    intra_n = 0
+    for ids in by_counts.values():
+        e_v = rows["V"].emb[np.stack([groups_v[y] for y in ids])]   # ids x k_v x d
+        e_r = rows["R"].emb[np.stack([groups_r[y] for y in ids])]
+        d = pairwise_distances(e_v, e_r).reshape(len(ids), -1)
+        parts = [d.sum(axis=1)]
         inter_n += d.size
         for e in (e_v, e_r):
-            k = e.shape[0]
+            k = e.shape[1]
             if k >= 2:
-                if k not in upper:
-                    upper[k] = np.triu_indices(k, k=1)
-                iu = upper[k]
-                intra_sum += float(pairwise_distances(e, e)[iu].sum())
-                intra_n += len(iu[0])
+                i, j = np.triu_indices(k, k=1)
+                # take keeps each identity's pairs contiguous (the [:, i, j]
+                # gather does not), so each row sums as its 1-D gather did
+                pairs = np.take(pairwise_distances(e, e).reshape(len(ids), -1), i * k + j,
+                                axis=1)
+                parts.append(pairs.sum(axis=1))
+                intra_n += pairs.size
+        sums.update(zip(ids, zip(*(part.tolist() for part in parts))))
+
+    inter_sum = 0.0
+    intra_sum = 0.0
+    for y in shared:
+        inter_sum += sums[y][0]
+        for value in sums[y][1:]:
+            intra_sum += value
 
     inter_mean = inter_sum / inter_n if inter_n else 0.0
     intra_mean = intra_sum / intra_n if intra_n else 0.0
     ratio = inter_mean / intra_mean if intra_mean > 0 else float("inf")
     return {"intra_mean": intra_mean, "inter_mean": inter_mean,
-            "gap_ratio": ratio, "n_skipped": float(n_skipped)}
+            "gap_ratio": ratio, "n_skipped": float(len(identities) - len(shared))}
 
 
 # length of each conflict-latent probe in conflict_sensitivity
@@ -316,7 +328,7 @@ def conflict_sensitivity(store: ParamStore, meta: DatasetMeta,
         axes = np.arange(len(r.x)) % d_conflict
         deltas = _DELTA_SCALE * np.eye(d_conflict)[axes]
         x_pert = r.x + deltas @ by_mod[modality].T
-        f1, _ = model.encode_visual(store, x_pert, modality)
+        f1, _ = model.encode_visual(store, x_pert, modality, need_grad=False)
         resp = np.linalg.norm(f1 - r.emb, axis=1) / _DELTA_SCALE
         total += float(resp.sum())
         count += len(r.x)

@@ -163,7 +163,7 @@ def _build_model_case(n: int, seed: int, w: LossWeights):
                             cross_modal=w.cross_modal_fusion)
 
     def evaluate(s, need_grad):
-        blocks, (logits_v, logits_r), caches = model.forward(s, *inputs)
+        blocks, (logits_v, logits_r), caches = model.forward(s, *inputs, need_grad=need_grad)
         emb = EmbeddingSet(np.stack(np.broadcast_arrays(*blocks), axis=-3), labels)
         live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
         res = total_loss(emb, live, logits_v, logits_r, w, kd_teacher=fused0,

@@ -6,11 +6,15 @@ the embedding geometry is shared. Text features from both modalities pass
 through a single text encoder, and one affine classifier scores all
 embeddings. Every input is a 2-D batch, one row per sample. Forward passes
 return caches; backward passes accumulate gradients into the ParamStore.
-A forward pass also takes a probe view of the store whose parameter is a
-P x shape stack (the gradient check's value-only passes): the outputs then
-carry that leading axis, and every matmul keeps its per-slice row count.
-`forward`/`backward` are the one batch pass through all branches, shared by
-training and the model gradient check.
+With `need_grad=False` (evaluation and the gradient check's perturbed
+passes) a forward pass keeps no per-layer input or pre-activation, returns
+None for its cache, and adds the bias and applies relu in place on each
+layer's fresh matmul output; its values are equal to the bit to the cached
+pass. A forward pass also takes a probe view of the store whose parameter
+is a P x shape stack (the gradient check's value-only passes): the outputs
+then carry that leading axis, and every matmul keeps its per-slice row
+count. `forward`/`backward` are the one batch pass through all branches,
+shared by training and the model gradient check.
 """
 
 from __future__ import annotations
@@ -101,16 +105,24 @@ def _as_batch(x, d_expected: int, what: str) -> np.ndarray:
     return arr
 
 
-def _mlp_forward(store: ParamStore, layers: tuple[str, ...], x: np.ndarray):
+def _mlp_forward(store: ParamStore, layers: tuple[str, ...], x: np.ndarray,
+                 need_grad: bool = True):
     # relu between layers, none after the last
     inputs, pre = [], []
     h = x
     for i, name in enumerate(layers):
-        inputs.append(h)
-        a = h @ store.value(f"{name}.w").swapaxes(-1, -2) + store.value(f"{name}.b")[..., None, :]
-        pre.append(a)
-        h = np.maximum(a, 0.0) if i < len(layers) - 1 else a
-    return h, MlpCache(layers=layers, inputs=inputs, pre=pre)
+        a = h @ store.value(f"{name}.w").swapaxes(-1, -2)
+        b = store.value(f"{name}.b")[..., None, :]
+        if need_grad:
+            inputs.append(h)
+            a = a + b
+            pre.append(a)
+        elif np.broadcast_shapes(a.shape, b.shape) == a.shape:
+            np.add(a, b, out=a)   # value-only: the matmul output is this layer's own
+        else:
+            a = a + b             # a probed bias (P x 1 x rows) widens it
+        h = np.maximum(a, 0.0, out=None if need_grad else a) if i < len(layers) - 1 else a
+    return h, MlpCache(layers=layers, inputs=inputs, pre=pre) if need_grad else None
 
 
 def _mlp_backward(store: ParamStore, cache: MlpCache, d_out: np.ndarray) -> np.ndarray:
@@ -126,24 +138,25 @@ def _mlp_backward(store: ParamStore, cache: MlpCache, d_out: np.ndarray) -> np.n
     return g
 
 
-def encode_visual(store: ParamStore, x, modality: str):
-    """Embed a batch of raw image features of one modality; returns (f, cache)."""
+def encode_visual(store: ParamStore, x, modality: str, need_grad: bool = True):
+    """Embed a batch of raw image features of one modality; returns (f,
+    cache), the cache None when not `need_grad`."""
     if modality not in STEM_BY_MODALITY:
         raise ValueError(f"unknown modality tag {modality!r}")
     stem = STEM_BY_MODALITY[modality]
     arr = _as_batch(x, store.value(f"{stem}.w").shape[-1], "visual input")
-    return _mlp_forward(store, (stem,) + _VISUAL_LAYERS, arr)
+    return _mlp_forward(store, (stem,) + _VISUAL_LAYERS, arr, need_grad)
 
 
 def encode_visual_backward(store: ParamStore, cache: MlpCache, d_f) -> np.ndarray:
     return _mlp_backward(store, cache, d_f)
 
 
-def encode_text(store: ParamStore, l):
+def encode_text(store: ParamStore, l, need_grad: bool = True):
     """Embed a batch of raw text features (shared across modalities);
-    returns (t, cache)."""
+    returns (t, cache), the cache None when not `need_grad`."""
     arr = _as_batch(l, store.value("text1.w").shape[-1], "text input")
-    return _mlp_forward(store, _TEXT_LAYERS, arr)
+    return _mlp_forward(store, _TEXT_LAYERS, arr, need_grad)
 
 
 def encode_text_backward(store: ParamStore, cache: MlpCache, d_t) -> np.ndarray:
@@ -169,19 +182,21 @@ def classify_backward(store: ParamStore, f: np.ndarray, d_logits) -> np.ndarray:
     return g @ store.value("cls.w")
 
 
-def forward(store: ParamStore, x_v, x_r, l_v, l_r):
+def forward(store: ParamStore, x_v, x_r, l_v, l_r, need_grad: bool = True):
     """One batch through all four branches and the classifier.
 
     Returns ((f_v, f_r, t_v, t_r), (logits_v, logits_r), caches); the first
-    four caches are the encoders' MlpCaches in embedding order.
+    four caches are the encoders' MlpCaches in embedding order. Without
+    `need_grad` the encoders keep no cache and `caches` is None.
     """
-    f_v, c_fv = encode_visual(store, x_v, "V")
-    f_r, c_fr = encode_visual(store, x_r, "R")
-    t_v, c_tv = encode_text(store, l_v)
-    t_r, c_tr = encode_text(store, l_r)
+    f_v, c_fv = encode_visual(store, x_v, "V", need_grad)
+    f_r, c_fr = encode_visual(store, x_r, "R", need_grad)
+    t_v, c_tv = encode_text(store, l_v, need_grad)
+    t_r, c_tr = encode_text(store, l_r, need_grad)
     logits_v, c_cv = classify(store, f_v)
     logits_r, c_cr = classify(store, f_r)
-    return (f_v, f_r, t_v, t_r), (logits_v, logits_r), (c_fv, c_fr, c_tv, c_tr, c_cv, c_cr)
+    caches = (c_fv, c_fr, c_tv, c_tr, c_cv, c_cr) if need_grad else None
+    return (f_v, f_r, t_v, t_r), (logits_v, logits_r), caches
 
 
 def backward(store: ParamStore, caches, d_emb, d_logits) -> None:

@@ -77,12 +77,15 @@ class GeneratorConfig:
         return self.sigma_noise if self.sigma_text is None else self.sigma_text
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetMeta:
     """Sidecar needed to rebuild the fixed mixing matrices exactly."""
 
     config: GeneratorConfig
     mix_seed: int
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
 
     def mixing_matrices(self):
         """(W_V, W_R, U); W_V != W_R, U shared across modalities."""
@@ -302,30 +305,45 @@ def _parse_record(line: str) -> list:
 
 
 def load_split(path: Path | str) -> Split:
-    """A split from save_split's format, lines in any order, each record's
-    vectors read into arrays with its line; raises ValueError at a bad line."""
-    records = []
+    """A split from save_split's format, lines in any order; raises
+    ValueError at a bad line. Streams: one pass counts the records, the
+    next checks each record and copies its vectors into its row of the
+    preallocated feature matrices."""
+    with Path(path).open() as fh:
+        n = sum(1 for line in fh if line.strip())
+    if not n:
+        raise ValueError(f"{path}: no samples")
+    line_nos = np.empty(n, dtype=np.int64)
+    ints = np.empty((3, n), dtype=np.int64)   # sample_id, identity, view
+    modality = np.empty(n, dtype="<U1")
+    dims: set[tuple[int, ...]] = set()
+    row = 0
     with Path(path).open() as fh:
         for line_no, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    records.append((line_no, *_parse_record(line)))
-                except ValueError as e:
-                    raise ValueError(f"{path}:{line_no}: {e}") from e
-    if not records:
-        raise ValueError(f"{path}: no samples")
-    dims = {vec.shape for rec in records for vec in rec[5:]}
+            if not line.strip():
+                continue
+            try:
+                sample_id, identity, m, view, x, l = _parse_record(line)
+            except ValueError as e:
+                raise ValueError(f"{path}:{line_no}: {e}") from e
+            if not dims:
+                x_raw, l_raw = np.empty((n,) + x.shape), np.empty((n,) + x.shape)
+            dims.update((x.shape, l.shape))
+            if len(dims) == 1:
+                x_raw[row], l_raw[row] = x, l
+            line_nos[row], modality[row] = line_no, m
+            ints[:, row] = sample_id, identity, view
+            row += 1
     if len(dims) != 1:
         raise DimensionError(f"{path}: inconsistent feature dims {sorted(dims)}")
-    line_nos, *columns, x_raw, l_raw = zip(*records)
-    x_raw, l_raw = np.stack(x_raw), np.stack(l_raw)
     for name, column in (("x_raw", x_raw), ("l_raw", l_raw)):
         # json.loads reads NaN, Infinity and 1e999; checked per column, not per record
         bad = np.flatnonzero(~np.isfinite(column).all(axis=1))
         if len(bad):
             raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} holds NaN or inf")
+    sample_id, identity, view = ints
     try:
-        return Split(*columns, x_raw, l_raw)
+        return Split(sample_id, identity, modality, view, x_raw, l_raw)
     except RepeatedSampleIdError as e:
         raise ValueError(f"{path}:{line_nos[e.row]}: {e} line {line_nos[e.first]}") from None
 
@@ -343,7 +361,7 @@ def load_meta(path: Path | str) -> DatasetMeta:
         if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"not a meta object of schema {SCHEMA_VERSION}")
         cfg = GeneratorConfig(**rec["config"])   # a TypeError for unknown keys
-        return DatasetMeta(config=cfg, mix_seed=int(rec["mix_seed"]))
+        return DatasetMeta(config=cfg, mix_seed=rec["mix_seed"])
     except KeyError as e:
         raise ValueError(f"{path}: meta lacks {e}") from e
     except (TypeError, ValueError) as e:

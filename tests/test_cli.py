@@ -139,6 +139,7 @@ class TestTrain:
                                        "total_loss", "backward", "update", "evaluate"}
         assert all(seconds >= 0.0 for seconds in m["phase_sec"].values())
         assert sum(m["phase_sec"].values()) <= m["wall_clock_sec"]
+        assert isinstance(m["peak_rss_mb"], float) and m["peak_rss_mb"] > 0
 
     def test_prints_loss_and_final_metrics(self, gen_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -236,6 +237,9 @@ class TestTrain:
          "mask_keep_prob must be float, got True"),
         ('{"schema": 1, "config": {"sigma_view": "0.5"}, "mix_seed": 0}',
          "sigma_view must be float, got '0.5'"),
+        ('{"schema": 1, "config": {}, "mix_seed": true}', "mix_seed must be int, got True"),
+        ('{"schema": 1, "config": {}, "mix_seed": 1.7}', "mix_seed must be int, got 1.7"),
+        ('{"schema": 1, "config": {}, "mix_seed": "1"}', "mix_seed must be int, got '1'"),
     ])
     def test_malformed_meta_fails_cleanly(self, gen_dir, tmp_path, capsys, text, message):
         data = tmp_path / "data"
@@ -389,6 +393,27 @@ class TestEval:
         assert err.startswith(f"error: {data / 'test.jsonl'}:1: {message}")
         assert not (tmp_path / "eval").exists()
 
+    def test_split_of_blank_lines_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(gen_dir, data)
+        (data / "test.jsonl").write_text("\n  \n\t\n")
+        assert main(["eval", "--data", str(data),
+                     "--checkpoint", str(train_dir / "checkpoint.jsonl"),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == f"error: {data / 'test.jsonl'}: no samples\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_short_feature_vector_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys):
+        d = len(json.loads((gen_dir / "test.jsonl").read_text().splitlines()[0])["x_raw"])
+        data = edited_dataset(gen_dir, tmp_path / "data",
+                              lambda rec: {**rec, "x_raw": rec["x_raw"][:-1]})
+        assert main(["eval", "--data", str(data),
+                     "--checkpoint", str(train_dir / "checkpoint.jsonl"),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == (f"error: {data / 'test.jsonl'}: "
+                                           f"inconsistent feature dims [({d - 1},), ({d},)]\n")
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("command", ["eval", "train"])
     @pytest.mark.parametrize("field, value", [("sample_id", 2**70), ("identity", -2**63 - 1),
                                               ("view", 2**63)])
@@ -493,6 +518,8 @@ class TestEval:
         phases = manifest(out)["phase_sec"]
         assert set(phases) == {"embed", "cmc_map", "modality_gap", "conflict_sensitivity"}
         assert all(seconds >= 0.0 for seconds in phases.values())
+        peak = manifest(out)["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
 
     def test_non_finite_embeddings_exit_2_without_warnings(self, train_dir, gen_dir,
                                                            tmp_path, capsys, recwarn):

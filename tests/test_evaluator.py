@@ -4,6 +4,8 @@ diagnostics with analytically constructed encoders."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from xmml.evaluator import (REPORTED_METRICS, EmbeddedRows, Protocol, RetrievalR
                             modality_gap)
 from xmml.model import EncoderConfig, init_params
 from xmml.numerics import ProtocolError, derive_rng
-from xmml.synthdata import Split
+from xmml.synthdata import GeneratorConfig, Split, generate_dataset
 
 
 # ------------------------------------------------------- constructed stores
@@ -472,6 +474,19 @@ class TestModalityGapReference:
         assert modality_gap(rows) == modality_gap_per_identity(rows)
 
 
+class TestStackedModalityGap:
+    # numpy sums a run of more than 8 floats pairwise, in an order that
+    # depends on the run's memory layout; these counts give each identity
+    # up to 144 inter and 66 intra distances
+    @pytest.mark.parametrize("counts", [(8, 8), (12, 5), (9, 1)])
+    def test_equals_the_per_identity_loop_at_larger_counts(self, counts):
+        rng = derive_rng(11, "gap-stacked", *counts)
+        k_v, k_r = counts
+        rows = {"V": shuffled_rows(rng, {y: k_v for y in range(48)}, 32),
+                "R": shuffled_rows(rng, {y: k_r if y % 3 else k_v for y in range(48)}, 32)}
+        assert modality_gap(rows) == modality_gap_per_identity(rows)
+
+
 # ---------------------------------------------------- conflict sensitivity
 
 class TestConflictSensitivity:
@@ -578,9 +593,9 @@ class TestEmbeddingPass:
         calls = []
         encode = model.encode_visual
 
-        def counting(store, x, modality):
+        def counting(store, x, modality, **kwargs):
             calls.append(len(x))
-            return encode(store, x, modality)
+            return encode(store, x, modality, **kwargs)
         monkeypatch.setattr(model, "encode_visual", counting)
         return calls
 
@@ -601,6 +616,23 @@ class TestEmbeddingPass:
         evaluate(store, default_bundle.test, protocols, meta=default_bundle.meta)
         # the two extra calls encode the conflict-perturbed features
         assert len(calls) == 4
+
+    def test_peak_memory_stays_below_three_hidden_layers(self):
+        # value-only encodes: the V embeddings (half a layer) and two layers
+        # of the R pass are live at once; keeping the V pass's per-layer
+        # cache alive took about 9.6 layers
+        split = generate_dataset(GeneratorConfig(n_identities_train=2,
+                                                 n_identities_test=128)).test
+        store = init_params(EncoderConfig(d_in_visual=24, d_in_text=24, n_classes=2,
+                                          d_hidden=64, seed=0))
+        layer = len(split.rows["R"]) * 64 * 8   # bytes of one rows x d_hidden float64 array
+        tracemalloc.start()
+        try:
+            embed_split(store, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * layer
 
     def test_one_call_matches_one_call_per_protocol(self, tiny_bundle):
         store = init_params(EncoderConfig(

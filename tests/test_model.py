@@ -10,9 +10,9 @@ import pytest
 
 from xmml.model import (EncoderConfig, classify, classify_backward,
                         encode_text, encode_text_backward, encode_visual,
-                        encode_visual_backward, init_params, load_checkpoint,
+                        encode_visual_backward, forward, init_params, load_checkpoint,
                         param_groups, save_checkpoint)
-from xmml.numerics import DimensionError, finite_difference_check
+from xmml.numerics import DimensionError, _ProbeView, finite_difference_check
 
 CFG = EncoderConfig(d_in_visual=6, d_in_text=6, n_classes=3,
                     d_hidden=8, d_embed=4, init_scale=0.1, seed=0)
@@ -117,6 +117,52 @@ class TestForward:
     def test_unknown_modality_rejected(self):
         with pytest.raises(ValueError):
             encode_visual(fresh_store(), np.ones(6), "X")
+
+
+class TestValueOnly:
+    @staticmethod
+    def inputs(seed: int):
+        rng = np.random.default_rng(seed)
+        return tuple(rng.standard_normal((5, 6)) for _ in range(4))   # x_v, x_r, l_v, l_r
+
+    def test_encoders_equal_the_cached_pass_and_keep_no_cache(self):
+        store = fresh_store()
+        x_v, x_r, l_v, _ = self.inputs(10)
+        for encode, args in ((encode_visual, (x_v, "V")), (encode_visual, (x_r, "R")),
+                             (encode_text, (l_v,))):
+            cached, cache = encode(store, *args)
+            value, none = encode(store, *args, need_grad=False)
+            assert cache is not None and none is None
+            assert np.array_equal(value, cached)
+
+    def test_forward_equals_the_cached_pass_and_keeps_no_cache(self):
+        store = fresh_store()
+        emb, logits, caches = forward(store, *self.inputs(11))
+        emb0, logits0, none = forward(store, *self.inputs(11), need_grad=False)
+        assert len(caches) == 6 and none is None
+        for a, b in zip(emb + logits, emb0 + logits0):
+            assert np.array_equal(a, b)
+
+    def test_inputs_are_not_written(self):
+        store = fresh_store()
+        inputs = self.inputs(12)
+        copies = [x.copy() for x in inputs]
+        forward(store, *inputs, need_grad=False)
+        assert all(np.array_equal(x, c) for x, c in zip(inputs, copies))
+
+    @pytest.mark.parametrize("name", ["stem_v.w", "stem_v.b", "trunk1.b", "text2.w",
+                                      "text1.b"])
+    def test_probe_views_equal_the_cached_pass(self, name):
+        # a probed bias widens its layer's output to P x N x rows
+        store = fresh_store()
+        value = store.value(name)
+        stack = value + np.random.default_rng(13).standard_normal((3,) + value.shape)
+        view = _ProbeView(store, name, stack)
+        emb, logits, _ = forward(view, *self.inputs(14))
+        emb0, logits0, none = forward(view, *self.inputs(14), need_grad=False)
+        assert none is None
+        for a, b in zip(emb + logits, emb0 + logits0):
+            assert np.array_equal(a, b)
 
 
 class TestClassifier:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from xmml.evaluator import Protocol, evaluate
 from xmml.model import EncoderConfig, init_params
 from xmml.numerics import ProtocolError, derive_rng
 from xmml.synthdata import (Batch, DatasetMeta, GeneratorConfig, Split, _generate_split,
-                            generate_dataset, load_dataset, sample_batch, save_dataset)
+                            generate_dataset, load_dataset, load_split, sample_batch,
+                            save_dataset, save_split)
 
 TINY = GeneratorConfig(n_identities_train=4, n_identities_test=3,
                        samples_per_identity_per_modality=2,
@@ -255,6 +257,22 @@ class TestSerialization:
         (tmp_path / "test.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"test\.jsonl:2: Expecting"):
             load_dataset(tmp_path)
+
+    def test_load_peak_memory_stays_below_three_times_the_features(self, tmp_path):
+        # the feature matrices and Split's per-modality copies of them are
+        # 2x; a list of per-record arrays, then np.stack, took about 4.3x
+        split = generate_dataset(GeneratorConfig(n_identities_train=2,
+                                                 n_identities_test=64)).test
+        save_split(tmp_path / "test.jsonl", split)
+        features = sum(r.x_raw.nbytes + r.l_raw.nbytes for r in split.rows.values())
+        tracemalloc.start()
+        try:
+            loaded = load_split(tmp_path / "test.jsonl")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == len(split)
+        assert peak < 3 * features
 
     def test_rewrites_are_byte_identical(self, tiny_bundle, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
