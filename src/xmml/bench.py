@@ -18,13 +18,12 @@ beats the baseline at rank-1).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 from . import model
 from .config import ConfigError, coerce
-from .evaluator import REPORTED_METRICS, Protocol, embed_split, evaluate, modality_gap
+from .evaluator import (REPORTED_METRICS, Protocol, embed_split, evaluate, modality_gap,
+                        write_csv)
 from .losses import LossWeights
 from .synthdata import DatasetBundle
 from .trainer import TrainConfig, TrainResult, encoder_config_for, run_training
@@ -120,7 +119,7 @@ def untrained_gap_ratio(data: DatasetBundle, train_cfg: TrainConfig,
     if seed is not None:
         train_cfg = replace(train_cfg, seed=seed)
     store = model.init_params(encoder_config_for(train_cfg, data))
-    return modality_gap(embed_split(store, data.test))["gap_ratio"]
+    return modality_gap(data.test, embed_split(store, data.test))["gap_ratio"]
 
 
 def run_ablation(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
@@ -197,14 +196,8 @@ ABLATION_CSV_FIELDS = (("method", "align", "fusion", "parity", "seed") + REPORTE
                        + ("first_epoch_loss", "last_epoch_loss"))
 
 
-def write_ablation_csv(path: Path | str, cells: list[CellResult],
-                       base: LossWeights) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write("# xmml-ablation-csv v1\n")
-        writer = csv.DictWriter(fh, fieldnames=ABLATION_CSV_FIELDS)
-        writer.writeheader()
-        for c in cells:
-            writer.writerow(c.as_row(base))
+def write_ablation_csv(path, cells: list[CellResult], base: LossWeights) -> None:
+    write_csv(path, "ablation", ABLATION_CSV_FIELDS, [c.as_row(base) for c in cells])
 
 
 SWEEP_CSV_FIELDS = ("param", "value", "seed") + REPORTED_METRICS + ("last_epoch_loss",)
@@ -242,12 +235,8 @@ def run_sweep(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
     return cells
 
 
-def write_sweep_csv(path: Path | str, cells: list[CellResult], param: str) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write("# xmml-sweep-csv v1\n")
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_FIELDS)
-        writer.writeheader()
-        target = SWEEP_PARAMS[param]
-        for c in cells:
-            writer.writerow({"param": param, "value": c.overrides[target], "seed": c.seed,
-                             **c.metrics, "last_epoch_loss": c.last_epoch_loss})
+def write_sweep_csv(path, cells: list[CellResult], param: str) -> None:
+    target = SWEEP_PARAMS[param]
+    write_csv(path, "sweep", SWEEP_CSV_FIELDS,
+              [{"param": param, "value": c.overrides[target], "seed": c.seed,
+                **c.metrics, "last_epoch_loss": c.last_epoch_loss} for c in cells])

@@ -30,15 +30,14 @@ from . import __version__, model
 from .bench import (ABLATION_LABELS, run_ablation, run_sweep, summarize,
                     write_ablation_csv, write_sweep_csv)
 from .config import (LONG_SCHEDULE, ConfigError, generator_config, load_config_file,
-                     parse_override_args, protocol, resolve, train_config)
-from .evaluator import REPORTED_METRICS, Protocol, as_written, evaluate
+                     loss_weights, parse_override_args, protocol, resolve, train_config)
+from .evaluator import REPORTED_METRICS, Protocol, as_written, evaluate, write_csv
 from .gradcheck import DEFAULT_SIZES, LOSS_NAMES, run_all
 from .numerics import ProtocolError
 from .synthdata import DATASET_FILES, generate_dataset, load_dataset, save_dataset
 from .trainer import TrainingDivergedError, run_training, save_train_log
 
 MANIFEST_SCHEMA = "xmml-manifest v1"
-EVAL_CSV_HEADER = "# xmml-eval-csv v1"
 EVAL_CSV_FIELDS = ("protocol", "shots", "seed") + REPORTED_METRICS
 
 
@@ -196,8 +195,6 @@ def _first_non_finite(diagnostics: dict[str, float]) -> str | None:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    import csv
-
     t0 = time.perf_counter()
     if args.seed is not None:
         cfg["eval.seed"] = args.seed
@@ -219,12 +216,8 @@ def cmd_eval(args, cfg: dict) -> int:
         raise ProtocolError(f"diagnostic {bad} is {diagnostics[bad]}")
 
     out = _prepare_out(args)
-    with (out / "eval.csv").open("w", newline="") as fh:
-        fh.write(EVAL_CSV_HEADER + "\n")
-        writer = csv.DictWriter(fh, fieldnames=EVAL_CSV_FIELDS)
-        writer.writeheader()
-        for r in reports:
-            writer.writerow({**_protocol_fields(r.protocol), **as_written(r.metrics())})
+    write_csv(out / "eval.csv", "eval", EVAL_CSV_FIELDS,
+              [{**_protocol_fields(r.protocol), **r.metrics()} for r in reports])
 
     record = [{**_protocol_fields(r.protocol),
                "cmc": [float(c) for c in r.cmc], "map": r.map,
@@ -251,7 +244,8 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     seed = args.seed if args.seed is not None else 0
     timings: dict[str, float] = {}
     summaries = run_all(names=names, n_batches=args.batches, sizes=sizes,
-                        h=args.h, tol=args.tol, seed=seed, timings=timings)
+                        h=args.h, tol=args.tol, seed=seed, weights=loss_weights(cfg),
+                        timings=timings)
     print(f"{'loss':<16} {'batches':>7} {'max_rel_err':>12} status")
     for s in summaries:
         status = "ok" if s.n_failed == 0 else f"FAIL ({s.n_failed} batches)"

@@ -82,6 +82,18 @@ def as_written(values: dict[str, float]) -> dict[str, float | None]:
             for name, value in values.items()}
 
 
+def write_csv(path, kind: str, fields: Sequence[str], rows) -> None:
+    """The one CSV format: a `# xmml-<kind>-csv v1` line, the header of
+    `fields`, then each row (a dict keyed by `fields`) as `as_written`."""
+    import csv
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# xmml-{kind}-csv v1\n")
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(as_written(row))
+
+
 # booleans in one comparison temporary (chunk rows x relevant items x
 # gallery): 512 KiB ranked faster than 256 KiB, 1 MiB or 2 MiB
 _CHUNK_CELLS = 1 << 19
@@ -159,35 +171,17 @@ def _ranks(block: np.ndarray, cols: np.ndarray, hits: np.ndarray,
     return ranks
 
 
-@dataclass
-class EmbeddedRows:
-    """One modality of a split, encoded once; rows sorted by sample_id."""
-
-    x: np.ndarray        # raw image features
-    emb: np.ndarray      # their embeddings
-    labels: np.ndarray   # identity of each row
-    ids: np.ndarray      # sample_id of each row
-
-    def take(self, rows: np.ndarray) -> "EmbeddedRows":
-        return EmbeddedRows(self.x[rows], self.emb[rows], self.labels[rows], self.ids[rows])
+def embed_split(store: ParamStore, split: Split) -> dict[str, np.ndarray]:
+    """The evaluation embedding pass: one encode per modality present. Each
+    modality's embeddings are row-aligned with `split.rows[modality]`."""
+    return {m: model.encode_visual(store, rows.x_raw, m, need_grad=False)[0]
+            for m, rows in split.rows.items() if len(rows)}
 
 
-def embed_split(store: ParamStore, split: Split) -> dict[str, EmbeddedRows]:
-    """The evaluation embedding pass: one encode per modality present."""
-    out = {}
-    for modality, rows in split.rows.items():
-        if not len(rows):
-            continue
-        emb, _ = model.encode_visual(store, rows.x_raw, modality, need_grad=False)
-        out[modality] = EmbeddedRows(x=rows.x_raw, emb=emb, labels=rows.identity,
-                                     ids=rows.sample_id)
-    return out
-
-
-def _single_shot_rows(labels: np.ndarray, seed: int) -> np.ndarray:
+def _single_shot_rows(groups: dict[int, np.ndarray], seed: int) -> np.ndarray:
     # one row per identity, drawn in identity order over rows in sample_id order
     rng = derive_rng(seed, "single-shot")
-    chosen = [group[int(rng.integers(len(group)))] for group in rows_by_label(labels).values()]
+    chosen = [group[int(rng.integers(len(group)))] for group in groups.values()]
     return np.sort(np.asarray(chosen))
 
 
@@ -217,50 +211,52 @@ def evaluate(store: ParamStore, split: Split, protocols: Sequence[Protocol],
     and conflict_sensitivity is added to it, in seconds.
     """
     with timed(timings, "embed"):
-        rows = embed_split(store, split)
+        emb = embed_split(store, split)
     for protocol in protocols:
-        if protocol.query_modality not in rows or protocol.gallery_modality not in rows:
+        if protocol.query_modality not in emb or protocol.gallery_modality not in emb:
             raise ProtocolError(
                 f"split lacks samples for protocol {protocol.query_modality}->"
                 f"{protocol.gallery_modality}")
 
     with timed(timings, "modality_gap"):
-        gap = modality_gap(rows)
+        gap = modality_gap(split, emb)
     diagnostics = {name: gap[name] for name in ("intra_mean", "inter_mean", "gap_ratio")}
     if meta is not None:
         with timed(timings, "conflict_sensitivity"):
-            diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, rows)
-    return [_rank(rows, protocol, diagnostics, timings) for protocol in protocols]
+            diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, split, emb)
+    return [_rank(split, emb, protocol, diagnostics, timings) for protocol in protocols]
 
 
-def _rank(rows: dict[str, EmbeddedRows], protocol: Protocol, diagnostics: dict[str, float],
-          timings: dict[str, float] | None) -> RetrievalReport:
+def _rank(split: Split, emb: dict[str, np.ndarray], protocol: Protocol,
+          diagnostics: dict[str, float], timings: dict[str, float] | None) -> RetrievalReport:
     """One protocol's report; its similarity matrix lives only inside this call."""
-    queries = rows[protocol.query_modality]
-    gallery = rows[protocol.gallery_modality]
+    queries = split.rows[protocol.query_modality]
+    gallery = split.rows[protocol.gallery_modality]
+    e_g, g_labels, g_ids = emb[protocol.gallery_modality], gallery.identity, gallery.sample_id
     if protocol.shots == "single":
-        gallery = gallery.take(_single_shot_rows(gallery.labels, protocol.seed))
+        keep = _single_shot_rows(split.by_identity[protocol.gallery_modality], protocol.seed)
+        e_g, g_labels, g_ids = e_g[keep], g_labels[keep], g_ids[keep]
 
-    sim = _cosine_matrix(queries.emb, gallery.emb)
+    sim = _cosine_matrix(emb[protocol.query_modality], e_g)
     with timed(timings, "cmc_map"):
-        cmc, mean_ap, n_excluded = cmc_map(sim, queries.labels, gallery.labels,
-                                           gallery.ids, protocol.k_max)
+        cmc, mean_ap, n_excluded = cmc_map(sim, queries.identity, g_labels, g_ids,
+                                           protocol.k_max)
     return RetrievalReport(protocol=protocol, cmc=cmc, map=mean_ap,
-                           n_queries=len(queries.ids), n_gallery=len(gallery.ids),
+                           n_queries=len(queries), n_gallery=len(g_ids),
                            n_excluded=n_excluded, diagnostics=dict(diagnostics))
 
 
-def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
+def modality_gap(split: Split, emb: dict[str, np.ndarray]) -> dict[str, float]:
     """Mean same-identity embedding distances, within and across modalities.
 
-    `rows` is the output of `embed_split`. gap_ratio = inter / intra.
+    `emb` is `embed_split`'s output for `split`; identities are grouped by
+    the split's own `by_identity` index. gap_ratio = inter / intra.
     Identities present in only one modality are skipped and counted in
     n_skipped. Identities with the same (V, R) sample counts are measured as
     one stack, one distance call per kind; each identity's sums are those of
     its own slice, and they are added over identities in ascending order.
     """
-    groups_v, groups_r = (rows_by_label(rows[m].labels) if m in rows else {}
-                          for m in ("V", "R"))
+    groups_v, groups_r = split.by_identity["V"], split.by_identity["R"]
     identities = sorted(groups_v.keys() | groups_r.keys())
     shared = [y for y in identities if y in groups_v and y in groups_r]
     by_counts: dict[tuple[int, int], list[int]] = {}
@@ -271,8 +267,8 @@ def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
     inter_n = 0
     intra_n = 0
     for ids in by_counts.values():
-        e_v = rows["V"].emb[np.stack([groups_v[y] for y in ids])]   # ids x k_v x d
-        e_r = rows["R"].emb[np.stack([groups_r[y] for y in ids])]
+        e_v = emb["V"][np.stack([groups_v[y] for y in ids])]   # ids x k_v x d
+        e_r = emb["R"][np.stack([groups_r[y] for y in ids])]
         d = pairwise_distances(e_v, e_r).reshape(len(ids), -1)
         parts = [d.sum(axis=1)]
         inter_n += d.size
@@ -306,12 +302,12 @@ def modality_gap(rows: dict[str, EmbeddedRows]) -> dict[str, float]:
 _DELTA_SCALE = 1e-3
 
 
-def conflict_sensitivity(store: ParamStore, meta: DatasetMeta,
-                         rows: dict[str, EmbeddedRows]) -> float:
+def conflict_sensitivity(store: ParamStore, meta: DatasetMeta, split: Split,
+                         emb: dict[str, np.ndarray]) -> float:
     """Mean embedding response to small perturbations of the conflict latent.
 
-    `rows` is the output of `embed_split`; only the perturbed features are
-    encoded here. Raw features are rebuilt through the stored mixing
+    `emb` is `embed_split`'s output for `split`; only the perturbed features
+    are encoded here. Raw features are rebuilt through the stored mixing
     matrices: perturbing the conflict latent by delta shifts x_raw by
     W_m[:, conflict] @ delta. Probes cycle deterministically through the
     conflict basis vectors (sample i probes axis i mod d_conflict), and the
@@ -324,14 +320,15 @@ def conflict_sensitivity(store: ParamStore, meta: DatasetMeta,
 
     total = 0.0
     count = 0
-    for modality, r in rows.items():
-        axes = np.arange(len(r.x)) % d_conflict
+    for modality, f0 in emb.items():
+        x = split.rows[modality].x_raw
+        axes = np.arange(len(x)) % d_conflict
         deltas = _DELTA_SCALE * np.eye(d_conflict)[axes]
-        x_pert = r.x + deltas @ by_mod[modality].T
+        x_pert = x + deltas @ by_mod[modality].T
         f1, _ = model.encode_visual(store, x_pert, modality, need_grad=False)
-        resp = np.linalg.norm(f1 - r.emb, axis=1) / _DELTA_SCALE
+        resp = np.linalg.norm(f1 - f0, axis=1) / _DELTA_SCALE
         total += float(resp.sum())
-        count += len(r.x)
+        count += len(x)
     if count == 0:
         raise ProtocolError("split has no samples to probe")
     return total / count

@@ -248,6 +248,9 @@ def load_checkpoint(path: Path | str):
                 if kind == "encoder_config":
                     cfg = EncoderConfig(**rec)
                 elif kind == "tensor":
+                    # as float64, numpy would read true as 1.0, "2" as 2.0, null as nan
+                    if not set(map(type, rec["data"])) <= {int, float}:
+                        raise ValueError("data is not a flat list of numbers")
                     arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
                     store.add(rec["name"], arr)
                 else:

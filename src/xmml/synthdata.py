@@ -138,7 +138,9 @@ def _check_unique(sample_id: np.ndarray) -> None:
 class Split:
     """A split as one `Rows` store per modality, plus identity indexing and
     class labels. Built from six equal-length columns in any row order; a
-    sample_id may occur only once in a split."""
+    sample_id may occur only once in a split. `by_identity[m]` maps each
+    identity, ascending, to the indices into rows[m] of its rows, by
+    sample_id."""
 
     def __init__(self, sample_id, identity, modality, view, x_raw, l_raw):
         sample_id, identity, view = (np.asarray(c, dtype=np.int64)
@@ -155,13 +157,13 @@ class Split:
             picked = picked[np.argsort(sample_id[picked], kind="stable")]
             self.rows[m] = Rows(sample_id[picked], identity[picked], view[picked],
                                 x_raw[picked], l_raw[picked])
-        self._rows_of = {m: rows_by_label(rows.identity) for m, rows in self.rows.items()}
+        self.by_identity = {m: rows_by_label(rows.identity) for m, rows in self.rows.items()}
         self.identities: list[int] = np.unique(identity).tolist()
         self.label_index: dict[int, int] = {y: i for i, y in enumerate(self.identities)}
 
     def of(self, identity: int, modality: str) -> np.ndarray:
         """Indices into rows[modality] of the identity's rows, by sample_id."""
-        return self._rows_of[modality].get(identity, np.zeros(0, dtype=np.int64))
+        return self.by_identity[modality].get(identity, np.zeros(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -297,8 +299,10 @@ def _parse_record(line: str) -> list:
         if kind is int and not -2**63 <= value < 2**63:
             raise ValueError(f"{name} {value} is outside the int64 range")
         if kind is list:
+            # numpy reads a JSON true or false among numbers as 1 or 0
+            numbers = bool not in map(type, value)
             value = np.asarray(value)
-            if value.ndim != 1 or value.dtype.kind not in "iuf":
+            if value.ndim != 1 or value.dtype.kind not in "iuf" or not numbers:
                 raise ValueError(f"{name} is not a flat list of numbers")
         values.append(value)
     return values

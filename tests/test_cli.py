@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,11 @@ class TestEval:
         (lambda rec: {**rec, "l_raw": [rec["l_raw"]]}, "l_raw is not a flat list"),
         (lambda rec: [rec], "record lacks 'sample_id'"),
         (lambda rec: {**rec, "modality": "X"}, "unknown modality tag 'X'"),
+        # numpy reads a JSON boolean among numbers as 1 or 0
+        (lambda rec: {**rec, "x_raw": [True] + rec["x_raw"][1:]},
+         "x_raw is not a flat list of numbers"),
+        (lambda rec: {**rec, "l_raw": rec["l_raw"][:-1] + [False]},
+         "l_raw is not a flat list of numbers"),
     ])
     def test_malformed_record_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys,
                                             edit, message):
@@ -484,6 +490,23 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {ckpt}:1: bad record: ")
         assert "d_hidden" in err
+        assert not (tmp_path / "eval").exists()
+
+    # as float64, numpy reads true as 1.0, "0.5" as 0.5 and null as nan
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_non_number_in_tensor_data_fails_cleanly(self, train_dir, gen_dir, tmp_path,
+                                                     capsys, value):
+        lines = (train_dir / "checkpoint.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        assert rec["kind"] == "tensor"
+        rec["data"][0] = value
+        lines[1] = json.dumps(rec) + "\n"
+        ckpt = tmp_path / "checkpoint.jsonl"
+        ckpt.write_text("".join(lines))
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}:2: bad record: data is not a flat list of numbers\n"
         assert not (tmp_path / "eval").exists()
 
     def test_checkpoint_directory_fails_cleanly(self, gen_dir, tmp_path, capsys):
@@ -672,6 +695,19 @@ class TestGradcheck:
         assert main(["gradcheck", "--batches", "1", "--losses", "identity"]) == 0
         assert (tmp_path / "root" / "gradcheck" / "gradcheck_report.json").exists()
 
+    def test_weight_keys_reach_the_checks(self, tmp_path):
+        names = ("contrast_fused", "total")
+        args = ["--batches", "2", "--losses", ",".join(names)]
+        default, fused = tmp_path / "default", tmp_path / "fused"
+        assert main(["gradcheck", "--out", str(default)] + args) == 0
+        assert main(["gradcheck", "--out", str(fused), "--weights.n_fuse", "3"] + args) == 0
+        report = (default / "gradcheck_report.json").read_bytes()
+        # the default weights check what run_all checks without any
+        plain = gradcheck.run_all(names=names, n_batches=2)
+        assert json.loads(report)["results"] == [asdict(s) for s in plain]
+        assert (fused / "gradcheck_report.json").read_bytes() != report
+        assert manifest(fused)["config"]["weights.n_fuse"] == 3
+
 
 class TestAblateSweep:
     def test_ablate_subset_writes_csv(self, gen_dir, tmp_path, capsys):
@@ -745,6 +781,23 @@ class TestAblateSweep:
                      "--out", str(tmp_path / "ab"), "--labels", "nonsense"]
                     + TINY_TRAIN_ARGS) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["ablate", "--labels", "baseline", "--seeds", "0"],
+        ["sweep", "--param", "lambda4", "--values", "0"],
+    ])
+    def test_undefined_gap_ratio_is_an_empty_field(self, tmp_path, command):
+        # one sample per identity and modality: no intra pair, so the gap
+        # ratio is undefined and written as an empty field, as in eval.csv
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["gen", "--out", str(data), "--gen.samples_per_identity_per_modality", "1",
+                     "--gen.n_identities_train", "8", "--gen.n_identities_test", "4"]) == 0
+        assert main(command + ["--data", str(data), "--out", str(out),
+                               "--train.k_per_modality", "1", "--weights.n_fuse", "0",
+                               "--train.epochs", "2", "--train.batches_per_epoch", "2"]) == 0
+        kind = {"ablate": "ablation", "sweep": "sweep"}[command[0]]
+        rows = read_tagged_csv(out / f"{kind}.csv", f"# xmml-{kind}-csv v1")
+        assert [r["gap_ratio"] for r in rows] == [""]
 
     def test_sweep_fusion_counts(self, gen_dir, tmp_path):
         out = tmp_path / "sw"

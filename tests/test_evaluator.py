@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from xmml import evaluator, model
-from xmml.evaluator import (REPORTED_METRICS, EmbeddedRows, Protocol, RetrievalReport,
+from xmml.evaluator import (REPORTED_METRICS, Protocol, RetrievalReport,
                             cmc_map, conflict_sensitivity, embed_split, evaluate,
                             modality_gap)
 from xmml.model import EncoderConfig, init_params
@@ -356,7 +356,8 @@ class TestModalityGap:
         d = 4
         rows = [(0, 0, "V", c * np.eye(d)[0]), (1, 0, "V", c * np.eye(d)[1]),
                 (2, 0, "R", c * np.eye(d)[2]), (3, 0, "R", c * np.eye(d)[3])]
-        gap = modality_gap(embed_split(identity_map_store(d), make_split(rows)))
+        split = make_split(rows)
+        gap = modality_gap(split, embed_split(identity_map_store(d), split))
         assert abs(gap["gap_ratio"] - 1.0) < 1e-9
         assert gap["intra_mean"] > 0
 
@@ -368,7 +369,8 @@ class TestModalityGap:
         xs = [rng.standard_normal(d) for _ in range(k)]
         rows = [(i, 0, "V", xs[i]) for i in range(k)]
         rows += [(k + i, 0, "R", xs[i].copy()) for i in range(k)]
-        gap = modality_gap(embed_split(identity_map_store(d), make_split(rows)))
+        split = make_split(rows)
+        gap = modality_gap(split, embed_split(identity_map_store(d), split))
         assert abs(gap["gap_ratio"] - (k - 1) / k) < 1e-9
 
     def test_disjoint_stem_supports_give_large_ratio(self):
@@ -382,7 +384,8 @@ class TestModalityGap:
         for i in range(3):
             rows.append((i, 0, "V", base + 1e-3 * rng.standard_normal(d)))
             rows.append((3 + i, 0, "R", base + 1e-3 * rng.standard_normal(d)))
-        gap = modality_gap(embed_split(store, make_split(rows)))
+        split = make_split(rows)
+        gap = modality_gap(split, embed_split(store, split))
         assert gap["gap_ratio"] > 10.0
 
     def test_single_modality_identities_are_skipped(self):
@@ -392,11 +395,12 @@ class TestModalityGap:
                 (1, 0, "V", rng.standard_normal(d)),
                 (2, 0, "R", rng.standard_normal(d)),
                 (3, 1, "V", rng.standard_normal(d))]
-        gap = modality_gap(embed_split(identity_map_store(d), make_split(rows)))
+        split = make_split(rows)
+        gap = modality_gap(split, embed_split(identity_map_store(d), split))
         assert gap["n_skipped"] == 1.0
 
 
-def modality_gap_per_identity(rows):
+def modality_gap_per_identity(split, emb):
     """The per-identity loop modality_gap replaced: boolean masks and a
     broadcast difference tensor per identity, sums in ascending identity
     order. Kept as the reference its floats must equal."""
@@ -405,17 +409,16 @@ def modality_gap_per_identity(rows):
     intra_sum = 0.0
     intra_n = 0
     n_skipped = 0
-    empty = np.zeros(0, dtype=np.int64)
-    labels_v = rows["V"].labels if "V" in rows else empty
-    labels_r = rows["R"].labels if "R" in rows else empty
+    labels_v = split.rows["V"].identity
+    labels_r = split.rows["R"].identity
     for identity in np.unique(np.concatenate([labels_v, labels_r])):
         in_v = labels_v == identity
         in_r = labels_r == identity
         if not (in_v.any() and in_r.any()):
             n_skipped += 1
             continue
-        e_v = rows["V"].emb[in_v]
-        e_r = rows["R"].emb[in_r]
+        e_v = emb["V"][in_v]
+        e_r = emb["R"][in_r]
         diff = e_v[:, None, :] - e_r[None, :, :]
         d = np.sqrt((diff * diff).sum(axis=2))
         inter_sum += float(d.sum())
@@ -434,13 +437,17 @@ def modality_gap_per_identity(rows):
             "gap_ratio": ratio, "n_skipped": float(n_skipped)}
 
 
-def shuffled_rows(rng, counts: dict[int, int], d: int) -> EmbeddedRows:
-    """Rows of one modality, `counts[identity]` per identity, in a random
-    order with sample_ids out of order."""
-    labels = rng.permutation(np.repeat(list(counts), list(counts.values())))
-    return EmbeddedRows(x=np.zeros((len(labels), 1)), emb=rng.standard_normal((len(labels), d)),
-                        labels=labels.astype(np.int64),
-                        ids=rng.permutation(len(labels)).astype(np.int64))
+def shuffled_split(rng, counts_v: dict[int, int], counts_r: dict[int, int], d: int):
+    """(split, emb): a split with `counts_m[identity]` rows per identity in
+    modality m, built from columns in a random order with sample_ids out of
+    order, and random embeddings row-aligned with its rows."""
+    labels = [rng.permutation(np.repeat(list(c), list(c.values()))).astype(np.int64)
+              for c in (counts_v, counts_r)]
+    n = len(labels[0]) + len(labels[1])
+    modality = ["V"] * len(labels[0]) + ["R"] * len(labels[1])
+    split = Split(rng.permutation(n), np.concatenate(labels), modality, np.zeros(n),
+                  np.zeros((n, 1)), np.zeros((n, 1)))
+    return split, {m: rng.standard_normal((len(split.rows[m]), d)) for m in ("V", "R")}
 
 
 class TestModalityGapReference:
@@ -452,26 +459,25 @@ class TestModalityGapReference:
             # 0 leaves an identity out of that modality; 1 has no intra pair
             counts_v = {y: int(rng.integers(0, 6)) for y in range(n_ids)}
             counts_r = {y: int(rng.integers(0, 6)) for y in range(n_ids)}
-            rows = {"V": shuffled_rows(rng, {y: k for y, k in counts_v.items() if k}, d),
-                    "R": shuffled_rows(rng, {y: k for y, k in counts_r.items() if k}, d)}
-            assert modality_gap(rows) == modality_gap_per_identity(rows)
+            split, emb = shuffled_split(rng, {y: k for y, k in counts_v.items() if k},
+                                        {y: k for y, k in counts_r.items() if k}, d)
+            assert modality_gap(split, emb) == modality_gap_per_identity(split, emb)
 
     def test_skipped_and_one_sample_identities(self):
         rng = derive_rng(10, "gap-reference")
-        rows = {"V": shuffled_rows(rng, {0: 3, 1: 1, 2: 2, 5: 1}, 8),
-                "R": shuffled_rows(rng, {0: 1, 1: 1, 3: 4, 5: 2}, 8)}
-        gap = modality_gap(rows)
+        split, emb = shuffled_split(rng, {0: 3, 1: 1, 2: 2, 5: 1}, {0: 1, 1: 1, 3: 4, 5: 2}, 8)
+        gap = modality_gap(split, emb)
         assert gap["n_skipped"] == 2.0           # identities 2 and 3
-        assert gap == modality_gap_per_identity(rows)
-        ones = {"V": shuffled_rows(rng, {0: 1, 1: 1}, 8),
-                "R": shuffled_rows(rng, {0: 1, 1: 1}, 8)}
-        assert modality_gap(ones) == modality_gap_per_identity(ones)
-        assert modality_gap(ones)["gap_ratio"] == np.inf
+        assert gap == modality_gap_per_identity(split, emb)
+        ones = shuffled_split(rng, {0: 1, 1: 1}, {0: 1, 1: 1}, 8)
+        assert modality_gap(*ones) == modality_gap_per_identity(*ones)
+        assert modality_gap(*ones)["gap_ratio"] == np.inf
 
     def test_equals_the_per_identity_loop_on_an_embedded_split(self, tiny_bundle):
         store = init_params(EncoderConfig(d_in_visual=10, d_in_text=10, n_classes=4, seed=0))
-        rows = embed_split(store, tiny_bundle.test)
-        assert modality_gap(rows) == modality_gap_per_identity(rows)
+        split = tiny_bundle.test
+        emb = embed_split(store, split)
+        assert modality_gap(split, emb) == modality_gap_per_identity(split, emb)
 
 
 class TestStackedModalityGap:
@@ -482,9 +488,9 @@ class TestStackedModalityGap:
     def test_equals_the_per_identity_loop_at_larger_counts(self, counts):
         rng = derive_rng(11, "gap-stacked", *counts)
         k_v, k_r = counts
-        rows = {"V": shuffled_rows(rng, {y: k_v for y in range(48)}, 32),
-                "R": shuffled_rows(rng, {y: k_r if y % 3 else k_v for y in range(48)}, 32)}
-        assert modality_gap(rows) == modality_gap_per_identity(rows)
+        split, emb = shuffled_split(rng, {y: k_v for y in range(48)},
+                                    {y: k_r if y % 3 else k_v for y in range(48)}, 32)
+        assert modality_gap(split, emb) == modality_gap_per_identity(split, emb)
 
 
 # ---------------------------------------------------- conflict sensitivity
@@ -495,7 +501,7 @@ class TestConflictSensitivity:
         split = tiny_bundle.test
         d = meta.config.d_feature
         store = identity_map_store(d)
-        measured = conflict_sensitivity(store, meta, embed_split(store, split))
+        measured = conflict_sensitivity(store, meta, split, embed_split(store, split))
 
         w_v, w_r, _ = meta.mixing_matrices()
         cols = meta.conflict_slice
@@ -518,21 +524,23 @@ class TestConflictSensitivity:
         w_v, w_r, _ = meta.mixing_matrices()
         store = linear_store(keep @ np.linalg.inv(w_v),
                              keep @ np.linalg.inv(w_r))
-        measured = conflict_sensitivity(store, meta, embed_split(store, tiny_bundle.test))
+        split = tiny_bundle.test
+        measured = conflict_sensitivity(store, meta, split, embed_split(store, split))
         assert measured < 1e-6
 
     def test_sensitive_vs_blind_orders_correctly(self, tiny_bundle):
         d = tiny_bundle.meta.config.d_feature
         store = identity_map_store(d)
-        sensitive = conflict_sensitivity(store, tiny_bundle.meta,
-                                         embed_split(store, tiny_bundle.test))
+        split = tiny_bundle.test
+        sensitive = conflict_sensitivity(store, tiny_bundle.meta, split,
+                                         embed_split(store, split))
         assert sensitive > 0.1
 
     def test_empty_split_rejected(self, tiny_bundle):
         with pytest.raises(ProtocolError):
             store = identity_map_store(10)
             empty = Split([], [], [], [], np.zeros((0, 10)), np.zeros((0, 10)))
-            conflict_sensitivity(store, tiny_bundle.meta, embed_split(store, empty))
+            conflict_sensitivity(store, tiny_bundle.meta, empty, embed_split(store, empty))
 
 
 # -------------------------------------------------- diagnostics via evaluate
@@ -607,7 +615,8 @@ class TestEmbeddingPass:
         calls = self.count_encodes(monkeypatch)
         gaps = []
         gap = evaluator.modality_gap
-        monkeypatch.setattr(evaluator, "modality_gap", lambda rows: gaps.append(1) or gap(rows))
+        monkeypatch.setattr(evaluator, "modality_gap",
+                            lambda split, emb: gaps.append(1) or gap(split, emb))
         protocols = [Protocol(shots=s) for s in shots.split(",")]
         evaluate(store, default_bundle.test, protocols)
         assert len(calls) == 2
