@@ -13,9 +13,12 @@ ones, so slow spells of the host hit both sides alike.
 
 The output holds the machine record, every run's raw record and result
 lines, and per workload and end-to-end metric: min, quartiles and median of
-each side, the median change, the parent's interquartile range, and the
-pairs the change won. `fingerprints_match` says whether every pair gave
-identical fingerprints (bit-preserving) or not (trajectory-changing).
+each side, the median change, the parent's interquartile range, the pairs
+the change won, and `beyond_bound`: whether the change's median is worse
+than the parent's by more than the metric's `bound` in BENCHMARK.json (each
+such metric is also printed to stderr). `fingerprints_match` says whether
+every pair gave identical fingerprints (bit-preserving) or not
+(trajectory-changing).
 """
 
 from __future__ import annotations
@@ -90,8 +93,10 @@ def _stats(values: list[float]) -> dict[str, float]:
             "max": max(values), "n": len(values)}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric statistics of one workload's paired runs."""
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per-metric statistics of one workload's paired runs; `bounds` maps a
+    metric to the fraction its median may worsen by (no bound if absent)."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
@@ -102,9 +107,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 for s in ("parent", "change")}
         sign = 1.0 if direction == "higher" else -1.0
         parent, change = _stats(side["parent"]), _stats(side["change"])
+        rel = change["median"] / parent["median"] - 1.0
+        bound = (bounds or {}).get(name)
         metrics[name] = {
             "better": direction, "parent": parent, "change": change,
-            "median_change_pct": 100.0 * (change["median"] / parent["median"] - 1.0),
+            "median_change_pct": 100.0 * rel,
+            "beyond_bound": bound is not None and -sign * rel > bound,
             "median_gap": change["median"] - parent["median"],
             "parent_iqr": parent["q3"] - parent["q1"],
             "pairs_won_by_change": sum(1 for c, p in zip(side["change"], side["parent"])
@@ -140,6 +148,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     tmp = make_workdir(args.workdir)
     sides = {"parent": {"rev": args.parent}, "change": {"rev": args.change or "working tree"}}
     checkouts = {}
@@ -170,7 +179,13 @@ def main(argv=None) -> int:
                                      for n, m in run["result"]["metrics"].items()),
                           file=sys.stderr, flush=True)
             report["machine"] = report["machine"] or runs[0]["record"]["machine"]
-            report["workloads"][workload] = {**summarize(runs, better), "runs": runs}
+            summary = summarize(runs, better, bounds)
+            report["workloads"][workload] = {**summary, "runs": runs}
+            for name, m in summary["metrics"].items():
+                if m["beyond_bound"]:
+                    print(f"{workload} {name}: median {m['parent']['median']:.4g} -> "
+                          f"{m['change']['median']:.4g} ({m['median_change_pct']:+.1f}%), "
+                          f"beyond the {bounds[name]:.0%} bound", file=sys.stderr, flush=True)
         Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -101,7 +101,7 @@ def coerce(key: str, raw) -> object:
     field behind config key `key`."""
     try:
         return _convert(raw, _TYPES[key])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:   # an int beyond float range
         raise ConfigError(f"bad value for {key}: {e}") from e
 
 

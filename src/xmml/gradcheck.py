@@ -45,9 +45,8 @@ def _random_case(n: int, d: int, seed: int, n_classes: int):
     rng = derive_rng(seed, "gradcheck-case", n, d)
     labels = _labels_for(n)
     blocks = rng.standard_normal((4, n, d))     # f_v, f_r, t_v, t_r
-    logits_v = rng.standard_normal((n, n_classes))
-    logits_r = rng.standard_normal((n, n_classes))
-    return blocks, logits_v, logits_r, labels
+    logits = rng.standard_normal((2, n, n_classes))
+    return blocks, logits, labels
 
 
 def build_case(name: str, n: int, d: int, seed: int,
@@ -63,19 +62,16 @@ def build_case(name: str, n: int, d: int, seed: int,
     """
     w = weights if weights is not None else LossWeights()
     n_classes = max(2, int(_labels_for(n).max()) + 1)
-    blocks, logits_v, logits_r, labels = _random_case(n, d, seed, n_classes)
+    blocks, logits, labels = _random_case(n, d, seed, n_classes)
 
     if name == "identity":
         store = ParamStore()
-        store.add("logits_v", logits_v)
-        store.add("logits_r", logits_r)
+        store.add("logits", logits)
 
         def evaluate(s, need_grad):
-            val, gv, gr = identity_loss(s.value("logits_v"), s.value("logits_r"), labels,
-                                        need_grad=need_grad)
+            val, g = identity_loss(s.value("logits"), labels, need_grad=need_grad)
             if need_grad:
-                s.grad("logits_v")[...] = gv
-                s.grad("logits_r")[...] = gr
+                s.grad("logits")[...] = g
             return val
         return evaluate, store
 
@@ -102,9 +98,7 @@ def build_case(name: str, n: int, d: int, seed: int,
                                 derive_seed(seed, "gradcheck-fuse", n, d),
                                 cross_modal=w.cross_modal_fusion)
         if name == "total":
-            # logits are parameters too
-            store.add("logits_v", logits_v)
-            store.add("logits_r", logits_r)
+            store.add("logits", logits)   # 2 x N x C, a parameter too
 
         def evaluate(s, need_grad):
             # fused views re-applied live where the family reads them,
@@ -114,16 +108,15 @@ def build_case(name: str, n: int, d: int, seed: int,
             live = (FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
                     if name in ("contrast_fused", "total") else None)
             if name == "total":
-                res = total_loss(emb, live, s.value("logits_v"), s.value("logits_r"),
-                                 w, kd_teacher=fused0, need_grad=need_grad)
+                res = total_loss(emb, live, s.value("logits"), w, kd_teacher=fused0,
+                                 need_grad=need_grad)
                 if need_grad:
-                    s.grad("logits_v")[...] = res.grad_logits_v
-                    s.grad("logits_r")[...] = res.grad_logits_r
+                    s.grad("logits")[...] = res.grad_logits
                 val, grads = res.breakdown.total, res.grads
             else:
                 val, grads = TERMS[name].call(emb, live, fused0, w, need_grad)
             if need_grad:
-                s.grad("emb")[...] = grads.blocks
+                s.grad("emb")[...] = grads
             return val
         return evaluate, store
 
@@ -154,23 +147,21 @@ def _build_model_case(n: int, seed: int, w: LossWeights):
     for attempt in range(64):
         rng = derive_rng(seed, "gradcheck-model-data", n, attempt)
         inputs = tuple(rng.standard_normal((n, d_in)) for _ in range(4))  # x_v, x_r, l_v, l_r
-        blocks0, _, caches = model.forward(store, *inputs)
+        emb0, _, caches = model.forward(store, *inputs)
         # caches[:4] are the encoders'; every pre-activation but the last feeds a relu
         if min(np.abs(a).min() for c in caches[:4] for a in c.pre[:-1]) > _KINK_MARGIN:
             break
-    fused0 = fuse_multiview(EmbeddingSet(np.stack(blocks0), labels), w.n_fuse,
+    fused0 = fuse_multiview(EmbeddingSet(emb0, labels), w.n_fuse,
                             derive_seed(seed, "gradcheck-model-fuse", n),
                             cross_modal=w.cross_modal_fusion)
 
     def evaluate(s, need_grad):
-        blocks, (logits_v, logits_r), caches = model.forward(s, *inputs, need_grad=need_grad)
-        emb = EmbeddingSet(np.stack(np.broadcast_arrays(*blocks), axis=-3), labels)
+        blocks, logits, caches = model.forward(s, *inputs, need_grad=need_grad)
+        emb = EmbeddingSet(blocks, labels)
         live = FusedSet.from_mix(emb, fused0.mix_v, fused0.mix_r)
-        res = total_loss(emb, live, logits_v, logits_r, w, kd_teacher=fused0,
-                         need_grad=need_grad)
+        res = total_loss(emb, live, logits, w, kd_teacher=fused0, need_grad=need_grad)
         if need_grad:
-            model.backward(s, caches, tuple(res.grads.blocks),
-                           (res.grad_logits_v, res.grad_logits_r))
+            model.backward(s, caches, res.grads, res.grad_logits)
         return res.breakdown.total
 
     return evaluate, store

@@ -4,7 +4,7 @@ A batch row carries four embeddings of one identity: an image embedding and
 a text embedding from each of the two modalities (tagged V and R). On top of
 these the suite provides
 
-  * a softmax identity loss over per-modality classifier logits,
+  * a softmax identity loss over both branches' classifier logits,
   * a softmax-weighted triplet objective over the stacked two-modality batch,
   * bidirectional image-text contrastive terms, one-to-one and on fused
     multi-view representations,
@@ -29,20 +29,22 @@ contiguous trailing axes, and the per-block losses are added in the 2-D
 order, so a stack sums each problem's terms exactly as its 2-D call does.
 
 A batch's embeddings are one contiguous float64 array, `EmbeddingSet.blocks`,
-of shape 4 x N x d in the order f_v, f_r, t_v, t_r, and their gradients are
-held the same way. Each term runs once over a stack of independent problems
-of one shape (both modalities' image-text pairs, or every block's residual)
-instead of once per block. Stacking is only ever along a new leading axis:
-a matmul never changes its row count, because OpenBLAS results depend on it,
-so every stacked problem is equal to the bit to its own 2-D call. Losses
-that are summed over blocks are still added one block at a time, in block
-order, as Python floats.
+of shape 4 x N x d in the order f_v, f_r, t_v, t_r, and every term returns
+its embedding gradient as a plain array of that shape. The two branches'
+logits are one 2 x N x C array (V, then R), and so is their gradient. Each
+term runs once over a stack of independent problems of one shape (both
+branches' logits, both modalities' image-text pairs, or every block's
+residual) instead of once per block. Stacking is only ever along a new
+leading axis: a matmul never changes its row count, because OpenBLAS results
+depend on it, so every stacked problem is equal to the bit to its own 2-D
+call. Losses that are summed over blocks are still added one block at a
+time, in block order, as Python floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from itertools import groupby
 from typing import Callable, NamedTuple
 
@@ -126,19 +128,6 @@ class EmbeddingSet:
         return self.blocks.shape[-1]
 
 
-@dataclass
-class EmbeddingGrads:
-    """Gradient of a scalar loss with respect to the four embedding blocks,
-    as one 4 x N x d array in BLOCK_NAMES order."""
-
-    blocks: np.ndarray
-
-    f_v = property(lambda self: self.blocks[0])
-    f_r = property(lambda self: self.blocks[1])
-    t_v = property(lambda self: self.blocks[2])
-    t_r = property(lambda self: self.blocks[3])
-
-
 @dataclass(frozen=True)
 class LossWeights:
     """Coefficients and knobs of the combined objective."""
@@ -169,30 +158,18 @@ class LossWeights:
         return any(getattr(self, t.weight) > 0 for t in TERMS.values() if t.reads_fused)
 
 
-@dataclass
-class LossBreakdown:
-    identity: float
-    triplet: float
-    contrast_single: float
-    contrast_fused: float
-    distill: float
-    parity: float
-    total: float
+def identity_loss(logits, labels, need_grad: bool = True):
+    """Mean cross-entropy of both branches against shared labels, summed.
 
-
-def identity_loss(logits_v, logits_r, labels, need_grad: bool = True):
-    """Mean cross-entropy of both modality branches against shared labels.
-
-    Returns (loss, grad_logits_v, grad_logits_r); each gradient is
-    (softmax - onehot) / N for its branch. On the value path either branch
-    may carry leading probe axes.
+    `logits` is 2 x N x C (the V branch, then the R branch), or a
+    ... x 2 x N x C stack on the value path. Returns (loss, grad_logits),
+    the gradient (softmax - onehot) / N per branch, shaped like `logits`.
     """
-    lv = np.asarray(logits_v, dtype=np.float64)
-    lr = np.asarray(logits_r, dtype=np.float64)
+    lg = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if lv.ndim < 2 or lr.ndim < 2 or lv.shape[-2:] != lr.shape[-2:]:
-        raise DimensionError(f"logit blocks must share an N x C shape, got {lv.shape} vs {lr.shape}")
-    n, c = lv.shape[-2:]
+    if lg.ndim < 3 or lg.shape[-3] != 2:
+        raise DimensionError(f"logits must be 2 x N x C, got shape {lg.shape}")
+    n, c = lg.shape[-2:]
     if c < 2:
         raise DimensionError(f"need at least 2 classes, got {c}")
     if y.shape != (n,):
@@ -201,19 +178,17 @@ def identity_loss(logits_v, logits_r, labels, need_grad: bool = True):
         bad = int(y[(y < 0) | (y >= c)][0])
         raise IndexError(f"label {bad} out of range for {c} classes")
 
-    loss = 0.0
-    grads = [None, None]
     rows = np.arange(n)
-    for k, lg in enumerate((lv, lr)):
-        logp = lg - _logsumexp(lg, axis=-1)
-        # a stacked gather is not C-contiguous: copy it so that the mean
-        # adds each row's terms in the 2-D order
-        loss = loss + -np.ascontiguousarray(logp[..., rows, y]).mean(axis=-1)
-        if need_grad:
-            g = np.exp(logp)
-            g[rows, y] -= 1.0
-            grads[k] = g / n
-    return _value(loss), grads[0], grads[1]
+    logp = lg - _logsumexp(lg, axis=-1)
+    # a stacked gather is not C-contiguous: copy it so that the mean adds
+    # each row's terms in the 2-D order
+    means = -np.ascontiguousarray(logp[..., rows, y]).mean(axis=-1)
+    loss = _value(0.0 + means[..., 0] + means[..., 1])
+    if not need_grad:
+        return loss, None
+    g = np.exp(logp)
+    g[:, rows, y] -= 1.0
+    return loss, g / n
 
 
 def weighted_triplet_loss(stack, labels, need_grad: bool = True):
@@ -356,7 +331,7 @@ def contrastive_single(emb: EmbeddingSet | FusedSet, tau: float, labels=None,
     loss = _value(loss[..., 0] + loss[..., 1])
     if not need_grad:
         return loss, None
-    return loss, EmbeddingGrads(np.concatenate([g_f, g_t]))
+    return loss, np.concatenate([g_f, g_t])
 
 
 @dataclass
@@ -477,8 +452,8 @@ def contrastive_fused(fused: FusedSet, tau: float, labels=None,
     if not need_grad:
         return loss, None
     # images [fm_v; fm_r] and texts [tm_v; tm_r] back onto their stacked blocks
-    back = [fused.mix_v.T @ g.blocks[k] + fused.mix_r.T @ g.blocks[k + 1] for k in (0, 2)]
-    return loss, EmbeddingGrads(np.concatenate(back).reshape(4, fused.n, -1))
+    back = [fused.mix_v.T @ g[k] + fused.mix_r.T @ g[k + 1] for k in (0, 2)]
+    return loss, np.concatenate(back).reshape(4, fused.n, -1)
 
 
 def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True,
@@ -501,8 +476,8 @@ def distill_loss(emb: EmbeddingSet, fused: FusedSet, include_text: bool = True,
     loss = _value(loss)
     if not need_grad:
         return loss, None
-    grads = EmbeddingGrads(np.zeros_like(emb.blocks))
-    grads.blocks[:k] += (2.0 / n) * (single - teacher)
+    grads = np.zeros_like(emb.blocks)
+    grads[:k] += (2.0 / n) * (single - teacher)
     return loss, grads
 
 
@@ -532,16 +507,16 @@ def distance_parity_loss(emb: EmbeddingSet, need_grad: bool = True):
     np.divide(diffs, dists[..., None], out=u, where=dists[..., None] > _DIST_EPS)
     c = (2.0 / n) * gaps[..., None]
     c_v, c_r = c
-    grads = EmbeddingGrads(np.empty_like(diffs))
-    grads.blocks[:2] = c * (u[0::2] - u[1::2])
-    grads.blocks[2] = -c_v * u[0] + c_r * u[3]
-    grads.blocks[3] = c_v * u[1] - c_r * u[2]
+    grads = np.empty_like(diffs)
+    grads[:2] = c * (u[0::2] - u[1::2])
+    grads[2] = -c_v * u[0] + c_r * u[3]
+    grads[3] = c_v * u[1] - c_r * u[2]
     return loss, grads
 
 
 # one weighted term of the objective: its LossBreakdown field, the LossWeights
 # field that scales it, whether it reads the fused views, and `call(emb, fused,
-# teacher, weights, need_grad) -> (value, EmbeddingGrads or None)`, which
+# teacher, weights, need_grad) -> (value, 4 x N x d gradient or None)`, which
 # finds its loss function by module-level name at call time
 class Term(NamedTuple):
     name: str
@@ -554,8 +529,8 @@ def _triplet_term(emb, fused, teacher, w, need_grad):
     # the image blocks [f_v; f_r] as one 2N x d stack, a view; texts get no gradient
     stack = emb.blocks[..., :2, :, :].reshape(emb.blocks.shape[:-3] + (2 * emb.n, emb.dim))
     loss, g = weighted_triplet_loss(stack, np.tile(emb.labels, 2), need_grad=need_grad)
-    return loss, g if g is None else EmbeddingGrads(
-        np.concatenate([g, np.zeros_like(g)]).reshape(emb.blocks.shape))
+    return loss, g if g is None else np.concatenate([g, np.zeros_like(g)]).reshape(
+        emb.blocks.shape)
 
 
 def _views(views: FusedSet | None, weight: str) -> FusedSet:
@@ -584,15 +559,20 @@ TERMS = {t.name: t for t in (
 )}
 
 
+# the identity loss, each TERMS entry in order, and their weighted sum
+LossBreakdown = make_dataclass("LossBreakdown",
+                               [(name, float) for name in ("identity", *TERMS, "total")],
+                               namespace={"__module__": __name__})
+
+
 @dataclass
 class TotalLoss:
     breakdown: LossBreakdown
-    grads: EmbeddingGrads | None
-    grad_logits_v: np.ndarray | None
-    grad_logits_r: np.ndarray | None
+    grads: np.ndarray | None         # 4 x N x d, BLOCK_NAMES order
+    grad_logits: np.ndarray | None   # 2 x N x C, V then R
 
 
-def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
+def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits,
                weights: LossWeights, kd_teacher: FusedSet | None = None,
                need_grad: bool = True) -> TotalLoss:
     """The identity loss plus every TERMS entry times its weight, with
@@ -604,13 +584,12 @@ def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
     distinct from `fused`; by default the teacher is `fused` itself (values
     only, never gradients). With `need_grad=False` every term is evaluated
     value-only: the breakdown is the same to the bit, and `grads` and
-    `grad_logits_*` are None. On that path the embeddings and logits may
+    `grad_logits` are None. On that path the embeddings and logits may
     carry leading probe axes; each breakdown entry is then an array over
     them wherever its term reads a stacked input.
     """
-    l_id, g_logits_v, g_logits_r = identity_loss(logits_v, logits_r, emb.labels,
-                                                 need_grad=need_grad)
-    grads = EmbeddingGrads(np.zeros_like(emb.blocks)) if need_grad else None
+    l_id, g_logits = identity_loss(logits, emb.labels, need_grad=need_grad)
+    grads = np.zeros_like(emb.blocks) if need_grad else None
     teacher = kd_teacher if kd_teacher is not None else fused
     values = dict.fromkeys(TERMS, 0.0)
     for term in TERMS.values():
@@ -618,7 +597,7 @@ def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
         if coeff > 0:
             values[term.name], g = term.call(emb, fused, teacher, weights, need_grad)
             if need_grad:
-                grads.blocks += coeff * g.blocks
+                grads += coeff * g
     # terms that share a weight are added before it scales their sum (as
     # lambda2 does both contrastive terms), though their gradients are scaled
     # one by one
@@ -627,4 +606,4 @@ def total_loss(emb: EmbeddingSet, fused: FusedSet | None, logits_v, logits_r,
         parts = [values[t.name] for t in group]
         total = total + getattr(weights, weight) * sum(parts[1:], parts[0])
     return TotalLoss(breakdown=LossBreakdown(identity=l_id, **values, total=total),
-                     grads=grads, grad_logits_v=g_logits_v, grad_logits_r=g_logits_r)
+                     grads=grads, grad_logits=g_logits)

@@ -14,7 +14,8 @@ pass. A forward pass also takes a probe view of the store whose parameter
 is a P x shape stack (the gradient check's value-only passes): the outputs
 then carry that leading axis, and every matmul keeps its per-slice row
 count. `forward`/`backward` are the one batch pass through all branches,
-shared by training and the model gradient check.
+shared by training and the model gradient check; with the objective they
+exchange two stacks, embeddings (... x 4 x N x d) and logits (... x 2 x N x C).
 """
 
 from __future__ import annotations
@@ -68,15 +69,21 @@ _LAYERS = (
 )
 
 
+def _param_shapes(cfg: EncoderConfig):
+    """(name, shape) of every parameter of `cfg`'s encoder, in init draw
+    order; allocates nothing."""
+    for layer, _, rows, cols in _LAYERS:
+        rows, cols = getattr(cfg, rows), getattr(cfg, cols)
+        yield f"{layer}.w", (rows, cols)
+        yield f"{layer}.b", (rows,)
+
+
 def init_params(cfg: EncoderConfig) -> ParamStore:
     """Uniform(-init_scale, init_scale) init, fixed draw order, seeded."""
     rng = derive_rng(cfg.seed, "encoder-init")
     store = ParamStore()
-    for layer, _, rows, cols in _LAYERS:
-        rows, cols = getattr(cfg, rows), getattr(cfg, cols)
-        for suffix, shape in (("w", (rows, cols)), ("b", (rows,))):
-            store.add(f"{layer}.{suffix}",
-                      rng.uniform(-cfg.init_scale, cfg.init_scale, size=shape))
+    for name, shape in _param_shapes(cfg):
+        store.add(name, rng.uniform(-cfg.init_scale, cfg.init_scale, size=shape))
     return store
 
 
@@ -185,9 +192,11 @@ def classify_backward(store: ParamStore, f: np.ndarray, d_logits) -> np.ndarray:
 def forward(store: ParamStore, x_v, x_r, l_v, l_r, need_grad: bool = True):
     """One batch through all four branches and the classifier.
 
-    Returns ((f_v, f_r, t_v, t_r), (logits_v, logits_r), caches); the first
-    four caches are the encoders' MlpCaches in embedding order. Without
-    `need_grad` the encoders keep no cache and `caches` is None.
+    Returns (emb, logits, caches): f_v, f_r, t_v, t_r stacked as
+    ... x 4 x N x d and the V and R branches' logits as ... x 2 x N x C, a
+    probed branch's leading axes broadcast over each stack. The first four
+    caches are the encoders' MlpCaches in embedding order; without
+    `need_grad` `caches` is None.
     """
     f_v, c_fv = encode_visual(store, x_v, "V", need_grad)
     f_r, c_fr = encode_visual(store, x_r, "R", need_grad)
@@ -196,13 +205,14 @@ def forward(store: ParamStore, x_v, x_r, l_v, l_r, need_grad: bool = True):
     logits_v, c_cv = classify(store, f_v)
     logits_r, c_cr = classify(store, f_r)
     caches = (c_fv, c_fr, c_tv, c_tr, c_cv, c_cr) if need_grad else None
-    return (f_v, f_r, t_v, t_r), (logits_v, logits_r), caches
+    return (np.stack(np.broadcast_arrays(f_v, f_r, t_v, t_r), axis=-3),
+            np.stack(np.broadcast_arrays(logits_v, logits_r), axis=-3), caches)
 
 
 def backward(store: ParamStore, caches, d_emb, d_logits) -> None:
     """Zero the grads, then backpropagate the loss gradients w.r.t. the
-    embeddings (d_f_v, d_f_r, d_t_v, d_t_r) and the logits (v, r) of one
-    `forward` into every parameter."""
+    embeddings (4 x N x d) and the logits (2 x N x C) of one `forward` into
+    every parameter."""
     c_fv, c_fr, c_tv, c_tr, c_cv, c_cr = caches
     d_fv, d_fr, d_tv, d_tr = d_emb
     store.zero_grads()
@@ -255,13 +265,13 @@ def load_checkpoint(path: Path | str):
                     store.add(rec["name"], arr)
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
-            except (KeyError, TypeError, ValueError) as e:
-                # bad JSON, missing fields, unknown config keys, duplicate tensors
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                # bad JSON, missing fields, unknown config keys, duplicate
+                # tensors, integers beyond float range
                 raise ValueError(f"{path}:{line_no}: bad record: {e}") from e
     if cfg is None:
         raise ValueError(f"{path}: missing encoder_config record")
-    expected = init_params(cfg)
-    want = {n: expected.value(n).shape for n in expected.names()}
+    want = dict(_param_shapes(cfg))
     got = {n: store.value(n).shape for n in store.names()}
     problems = [f"missing {n}" for n in want if n not in got]
     problems += [f"unexpected {n}" for n in got if n not in want]

@@ -383,10 +383,20 @@ def save_dataset(out_dir: Path | str, bundle: DatasetBundle) -> list[str]:
 
 
 def load_dataset(data_dir: Path | str) -> DatasetBundle:
+    """save_dataset's directory; raises ValueError when meta.json's feature
+    size is not the width of both splits."""
     paths = [Path(data_dir) / name for name in DATASET_FILES]
     for path in paths:
         if not path.exists():
             raise FileNotFoundError(f"{path} missing from dataset directory")
     train, test, meta = paths
-    return DatasetBundle(train=load_split(train), test=load_split(test),
-                         meta=load_meta(meta))
+    bundle = DatasetBundle(train=load_split(train), test=load_split(test),
+                           meta=load_meta(meta))
+    d = bundle.meta.config.d_feature
+    for path, split in ((train, bundle.train), (test, bundle.test)):
+        # the mixing matrices conflict_sensitivity rebuilds are d x d
+        width = split.rows["V"].x_raw.shape[1]
+        if width != d:
+            raise ValueError(f"{meta}: d_feature {d} (d_id + d_view + d_conflict) does "
+                             f"not match the {width}-wide features of {path}")
+    return bundle

@@ -116,7 +116,7 @@ class TrainResult:
     log: TrainLog
 
 
-def _divergence_diagnostics(batch: Batch, emb_blocks, breakdown: LossBreakdown | None) -> dict:
+def _divergence_diagnostics(batch: Batch, emb, breakdown: LossBreakdown | None) -> dict:
     """What a diverged step dumps: the loss (None when the embeddings already
     failed), the batch's rows, and the embedding scale."""
     return {
@@ -124,7 +124,7 @@ def _divergence_diagnostics(batch: Batch, emb_blocks, breakdown: LossBreakdown |
         "identities": batch.identities.tolist(),
         "sample_ids_v": batch.sample_ids_v.tolist(),
         "sample_ids_r": batch.sample_ids_r.tolist(),
-        "max_abs_embedding": float(max(np.abs(b).max() for b in emb_blocks)),
+        "max_abs_embedding": float(max(np.abs(b).max() for b in emb)),
     }
 
 
@@ -137,31 +137,30 @@ def train_step(store: ParamStore, batch: Batch, weights: LossWeights,
     time of the phases forward, fuse_multiview, total_loss, backward and
     update is added to it, in seconds."""
     with timed(timings, "forward"):
-        emb_blocks, (logits_v, logits_r), caches = model.forward(
-            store, batch.x_v, batch.x_r, batch.l_v, batch.l_r)
+        blocks, logits, caches = model.forward(store, batch.x_v, batch.x_r,
+                                               batch.l_v, batch.l_r)
 
     try:
-        emb = EmbeddingSet(np.stack(emb_blocks), batch.labels)
+        emb = EmbeddingSet(blocks, batch.labels)
     except DegenerateInputError as e:
         # the set's own finiteness check doubles as the embedding divergence check
         raise TrainingDivergedError(f"non-finite embeddings: {e}",
-                                    _divergence_diagnostics(batch, emb_blocks, None)) from e
+                                    _divergence_diagnostics(batch, blocks, None)) from e
     fused = None
     if weights.reads_fused:
         with timed(timings, "fuse_multiview"):
             fused = fuse_multiview(emb, weights.n_fuse, fuse_seed,
                                    cross_modal=weights.cross_modal_fusion)
     with timed(timings, "total_loss"):
-        res = total_loss(emb, fused, logits_v, logits_r, weights)
+        res = total_loss(emb, fused, logits, weights)
 
     if not np.isfinite(res.breakdown.total):
         raise TrainingDivergedError(
             f"non-finite loss {res.breakdown.total!r}",
-            _divergence_diagnostics(batch, emb_blocks, res.breakdown))
+            _divergence_diagnostics(batch, blocks, res.breakdown))
 
     with timed(timings, "backward"):
-        model.backward(store, caches, tuple(res.grads.blocks),
-                       (res.grad_logits_v, res.grad_logits_r))
+        model.backward(store, caches, res.grads, res.grad_logits)
 
     with timed(timings, "update"):
         for group, names in model.param_groups().items():

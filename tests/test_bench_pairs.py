@@ -68,3 +68,16 @@ def test_workdir_is_created_when_missing(tmp_path):
     made = bench_pairs.make_workdir(str(parent))
     assert made.is_dir() and made.parent == parent
     assert bench_pairs.make_workdir(str(parent)) != made
+
+
+@pytest.mark.parametrize("factor, flagged", [(1.3, True), (1.2, False), (0.8, False)])
+def test_beyond_bound_flags_a_median_worse_than_its_bound(factor, flagged):
+    # op_s is better lower, work_per_s (100 / op_s) higher: both move together
+    fp = {"eval_report.json": "abc"}
+    runs = [run(k, "parent", 1.0, fp) for k in range(3)]
+    runs += [run(k, "change", factor, fp) for k in range(3)]
+    metrics = bench_pairs.summarize(runs, BETTER, {"op_s": 0.25, "work_per_s": 0.2})["metrics"]
+    assert metrics["op_s"]["beyond_bound"] is flagged
+    # 1/1.3 and 1/1.2 are 23% and 17% fewer ops per second
+    assert metrics["work_per_s"]["beyond_bound"] is flagged
+    assert not bench_pairs.summarize(runs, BETTER)["metrics"]["op_s"]["beyond_bound"]

@@ -241,6 +241,16 @@ class TestTrain:
         ('{"schema": 1, "config": {}, "mix_seed": true}', "mix_seed must be int, got True"),
         ('{"schema": 1, "config": {}, "mix_seed": 1.7}', "mix_seed must be int, got 1.7"),
         ('{"schema": 1, "config": {}, "mix_seed": "1"}', "mix_seed must be int, got '1'"),
+        # sizes that do not add up to the splits' 10-wide features
+        pytest.param('{"schema": 1, "config": {"d_id": 7, "d_view": 2, "d_conflict": 2}, '
+                     '"mix_seed": 0}', "d_feature 11 (d_id + d_view + d_conflict) does not "
+                     "match the 10-wide features of", id="d_id_7"),
+        pytest.param(f'{{"schema": 1, "config": {{"d_id": {10**400}, "d_view": 2, '
+                     f'"d_conflict": 2}}, "mix_seed": 0}}', "does not match the 10-wide "
+                     "features of", id="d_id_beyond_float_range"),
+        pytest.param('{"schema": 1, "config": {"d_id": 6, "d_view": 2, '
+                     '"d_conflict": 1000000000}, "mix_seed": 0}', "d_feature 1000000008 ",
+                     id="d_conflict_1e9"),
     ])
     def test_malformed_meta_fails_cleanly(self, gen_dir, tmp_path, capsys, text, message):
         data = tmp_path / "data"
@@ -492,10 +502,16 @@ class TestEval:
         assert "d_hidden" in err
         assert not (tmp_path / "eval").exists()
 
-    # as float64, numpy reads true as 1.0, "0.5" as 0.5 and null as nan
-    @pytest.mark.parametrize("value", [True, "0.5", None])
+    # as float64, numpy reads true as 1.0, "0.5" as 0.5 and null as nan; an
+    # integer beyond float range does not convert
+    @pytest.mark.parametrize("value, reason", [
+        pytest.param(True, "data is not a flat list of numbers", id="True"),
+        pytest.param("0.5", "data is not a flat list of numbers", id="0.5"),
+        pytest.param(None, "data is not a flat list of numbers", id="None"),
+        pytest.param(10**400, "int too large to convert to float", id="10**400"),
+    ])
     def test_non_number_in_tensor_data_fails_cleanly(self, train_dir, gen_dir, tmp_path,
-                                                     capsys, value):
+                                                     capsys, value, reason):
         lines = (train_dir / "checkpoint.jsonl").read_text().splitlines(keepends=True)
         rec = json.loads(lines[1])
         assert rec["kind"] == "tensor"
@@ -506,7 +522,24 @@ class TestEval:
         assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "eval")]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {ckpt}:2: bad record: data is not a flat list of numbers\n"
+        assert err == f"error: {ckpt}:2: bad record: {reason}\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_config_record_beyond_its_tensors_fails_without_allocating(
+            self, train_dir, gen_dir, tmp_path, capsys):
+        # 2**50 x 10 float64 is beyond any address space: building the
+        # config's parameters would fail at once instead of filling memory
+        lines = (train_dir / "checkpoint.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        lines[0] = json.dumps({**rec, "d_hidden": 2**50}) + "\n"
+        ckpt = tmp_path / "checkpoint.jsonl"
+        ckpt.write_text("".join(lines))
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {ckpt}: tensors do not match the encoder config: ")
+        assert "stem_v.w has shape (16, 10), config wants (1125899906842624, 10)" in err
         assert not (tmp_path / "eval").exists()
 
     def test_checkpoint_directory_fails_cleanly(self, gen_dir, tmp_path, capsys):
@@ -628,7 +661,7 @@ class TestGradcheck:
                      "--losses", "identity"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("runtime failure: parameter 'logits_v'")
+        assert err.startswith("runtime failure: parameter 'logits'")
         assert not (tmp_path / "gc").exists()
 
     def test_family_times_in_manifest_not_in_report(self, tmp_path):

@@ -66,7 +66,10 @@ class TestCoercion:
                                           ("weights.tau", "fast"),
                                           # strict JSON artifacts cannot echo these
                                           ("weights.tau", "inf"), ("weights.lambda1", "nan"),
-                                          ("gen.sigma_text", "-inf"), ("train.epochs", "inf")])
+                                          ("gen.sigma_text", "-inf"), ("train.epochs", "inf"),
+                                          # a JSON config file's integer beyond float range
+                                          pytest.param("train.epochs", 10**400,
+                                                       id="train.epochs-10**400")])
     def test_bad_values_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
             resolve(overrides={key: raw})

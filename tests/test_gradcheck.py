@@ -61,10 +61,10 @@ def _terms(w: LossWeights):
     labels = np.arange(n) % (n // 2)
     emb = EmbeddingSet(np.stack([rng.standard_normal((n, d)) for _ in range(4)]), labels)
     fused = fuse_multiview(emb, w.n_fuse, 7, cross_modal=w.cross_modal_fusion)
-    lv, lr = rng.standard_normal((n, n // 2)), rng.standard_normal((n, n // 2))
+    logits = rng.standard_normal((2, n, n // 2))
     cl = labels if w.label_aware_contrast else None
     return {
-        "identity": (identity_loss, (lv, lr, labels), {}),
+        "identity": (identity_loss, (logits, labels), {}),
         "triplet": (weighted_triplet_loss,
                     (np.vstack([emb.f_v, emb.f_r]), np.concatenate([labels, labels])), {}),
         "contrast_pair": (contrastive_pair_loss, (emb.f_v, emb.t_v, w.tau, cl), {}),
@@ -72,16 +72,16 @@ def _terms(w: LossWeights):
         "contrast_fused": (contrastive_fused, (fused, w.tau, cl), {}),
         "distill": (distill_loss, (emb, fused), {"include_text": w.distill_text}),
         "parity": (distance_parity_loss, (emb,), {}),
-        "total": (total_loss, (emb, fused, lv, lr, w), {}),
+        "total": (total_loss, (emb, fused, logits, w), {}),
     }
 
 
-def _total_as_written(emb, fused, lv, lr, w):
+def _total_as_written(emb, fused, logits, w):
     """The objective written out term by term: l_id + l1 l_wrt + l2 (l_single
     + l_fused) + l3 l_kd + l4 l_par, each active term's gradient scaled and
     added in that order. The reference the term table is pinned to."""
     n = emb.n
-    l_id, g_lv, g_lr = identity_loss(lv, lr, emb.labels)
+    l_id, g_logits = identity_loss(logits, emb.labels)
     grads = np.zeros_like(emb.blocks)
     l_wrt = l_single = l_fused = l_kd = l_par = 0.0
     cl = emb.labels if w.label_aware_contrast else None
@@ -92,20 +92,20 @@ def _total_as_written(emb, fused, lv, lr, w):
     if w.lambda2 > 0:
         l_single, g_single = contrastive_single(emb, w.tau, cl)
         l_fused, g_fused = contrastive_fused(fused, w.tau, cl)
-        grads += w.lambda2 * g_single.blocks
-        grads += w.lambda2 * g_fused.blocks
+        grads += w.lambda2 * g_single
+        grads += w.lambda2 * g_fused
     if w.lambda3 > 0:
         l_kd, g = distill_loss(emb, fused, include_text=w.distill_text)
-        grads += w.lambda3 * g.blocks
+        grads += w.lambda3 * g
     if w.lambda4 > 0:
         l_par, g = distance_parity_loss(emb)
-        grads += w.lambda4 * g.blocks
+        grads += w.lambda4 * g
     total = (l_id + w.lambda1 * l_wrt + w.lambda2 * (l_single + l_fused)
              + w.lambda3 * l_kd + w.lambda4 * l_par)
     breakdown = LossBreakdown(identity=l_id, triplet=l_wrt, contrast_single=l_single,
                               contrast_fused=l_fused, distill=l_kd, parity=l_par,
                               total=total)
-    return breakdown, grads, g_lv, g_lr
+    return breakdown, grads, g_logits
 
 
 def test_terms_follow_the_breakdown_order():
@@ -121,14 +121,13 @@ def test_total_loss_is_the_objective_as_written(case):
             labels = np.arange(n) % max(2, n // 2)
             emb = EmbeddingSet(rng.standard_normal((4, n, d)), labels)
             fused = fuse_multiview(emb, w.n_fuse, seed, cross_modal=w.cross_modal_fusion)
-            lv, lr = rng.standard_normal((2, n, max(2, n // 2)))
-            breakdown, grads, g_lv, g_lr = _total_as_written(emb, fused, lv, lr, w)
-            res = total_loss(emb, fused, lv, lr, w)
+            logits = rng.standard_normal((2, n, max(2, n // 2)))
+            breakdown, grads, g_logits = _total_as_written(emb, fused, logits, w)
+            res = total_loss(emb, fused, logits, w)
             for name, value in asdict(breakdown).items():
                 assert getattr(res.breakdown, name) == value, (name, seed, n, d)
-            assert np.array_equal(res.grads.blocks, grads)
-            assert np.array_equal(res.grad_logits_v, g_lv)
-            assert np.array_equal(res.grad_logits_r, g_lr)
+            assert np.array_equal(res.grads, grads)
+            assert np.array_equal(res.grad_logits, g_logits)
 
 
 @pytest.mark.parametrize("case", WEIGHT_CASES)
@@ -145,7 +144,7 @@ def test_value_only_terms_equal_the_full_terms_exactly(switch):
         if name == "total":
             assert asdict(value.breakdown) == asdict(full.breakdown)
             assert value.grads is None
-            assert value.grad_logits_v is None and value.grad_logits_r is None
+            assert value.grad_logits is None
             assert full.grads is not None
         else:
             assert value[0] == full[0], name

@@ -71,17 +71,17 @@ class TestEmbeddingSet:
 
 class TestIdentityLoss:
     def test_uniform_logits_give_twice_log_n_classes(self):
-        loss, _, _ = identity_loss(np.zeros((1, 4)), np.zeros((1, 4)), [0])
+        loss, _ = identity_loss(np.zeros((2, 1, 4)), [0])
         assert abs(loss - 2.0 * math.log(4.0)) < 1e-10
 
     def test_saturated_correct_prediction_vanishes(self):
         logits = np.zeros((1, 4))
         logits[0, 2] = 50.0
-        loss, _, _ = identity_loss(logits, logits, [2])
+        loss, _ = identity_loss(np.stack([logits, logits]), [2])
         assert loss < 1e-10
 
     def test_two_class_hand_value(self):
-        loss, _, _ = identity_loss([[1.0, 0.0]], [[0.0, 1.0]], [0])
+        loss, _ = identity_loss([[[1.0, 0.0]], [[0.0, 1.0]]], [0])
         assert abs(loss - 1.62652) < 1e-5
         expected = math.log(1 + math.exp(-1.0)) + math.log(1 + math.exp(1.0))
         assert abs(loss - expected) < 1e-12
@@ -93,31 +93,30 @@ class TestIdentityLoss:
             lv = rng.standard_normal((n, c))
             lr = rng.standard_normal((n, c))
             y = rng.integers(0, c, size=n)
-            loss, _, _ = identity_loss(lv, lr, y)
+            loss, _ = identity_loss(np.stack([lv, lr]), y)
             assert abs(loss - oracles.identity_loss_oracle(lv, lr, y)) < 1e-10
 
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(5)
-        lv, lr = rng.standard_normal((2, 3, 5))
-        _, gv, gr = identity_loss(lv, lr, [0, 4, 2])
+        _, (gv, gr) = identity_loss(rng.standard_normal((2, 3, 5)), [0, 4, 2])
         assert np.abs(gv.sum(axis=1)).max() < 1e-12
         assert np.abs(gr.sum(axis=1)).max() < 1e-12
 
     def test_label_out_of_range_raises_index_error(self):
         with pytest.raises(IndexError):
-            identity_loss(np.zeros((1, 3)), np.zeros((1, 3)), [3])
+            identity_loss(np.zeros((2, 1, 3)), [3])
 
     def test_single_class_rejected(self):
         with pytest.raises(DimensionError):
-            identity_loss(np.zeros((1, 1)), np.zeros((1, 1)), [0])
+            identity_loss(np.zeros((2, 1, 1)), [0])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
-        lv, lr = rng.standard_normal((2, 5, 4))
+        logits = rng.standard_normal((2, 5, 4))
         y = np.array([0, 1, 2, 3, 0])
         perm = rng.permutation(5)
-        a, _, _ = identity_loss(lv, lr, y)
-        b, _, _ = identity_loss(lv[perm], lr[perm], y[perm])
+        a, _ = identity_loss(logits, y)
+        b, _ = identity_loss(logits[:, perm], y[perm])
         assert abs(a - b) < 1e-10
 
 
@@ -561,8 +560,8 @@ class TestContrastiveFused:
         emb = random_embedding_set(2, 3, seed=9, n_labels=1)
         fused = fuse_paired(emb)
         _, grads = contrastive_fused(fused, tau=0.07)
-        assert np.abs(grads.f_v).max() > 0.0
-        assert np.abs(grads.t_r).max() > 0.0
+        assert np.abs(grads[0]).max() > 0.0    # f_v
+        assert np.abs(grads[3]).max() > 0.0    # t_r
 
 
 # ------------------------------------------------------------ distillation
@@ -579,7 +578,7 @@ class TestDistill:
         fused = fuse_multiview(emb_4x3, n_fuse=0, rng_seed=0)
         loss, grads = distill_loss(emb_4x3, fused)
         assert loss == 0.0
-        assert np.abs(grads.f_v).max() == 0.0
+        assert np.abs(grads[0]).max() == 0.0
 
     def test_single_block_unit_offset_gives_dimension(self):
         emb = embedding_set(f_v=np.zeros((1, 4)), f_r=np.zeros((1, 4)),
@@ -618,8 +617,8 @@ class TestDistill:
                                      blocks[0], blocks[1], blocks[2], blocks[3])
         assert abs(loss_img - want_img) < 1e-10
         assert loss_all > loss_img
-        assert np.abs(grads_img.t_v).max() == 0.0
-        assert np.abs(grads_all.t_v).max() > 0.0
+        assert np.abs(grads_img[2]).max() == 0.0   # t_v
+        assert np.abs(grads_all[2]).max() > 0.0
 
     def test_row_count_mismatch_rejected(self):
         emb = random_embedding_set(2, 3, seed=13, n_labels=1)
@@ -677,7 +676,7 @@ class TestDistanceParity:
                             labels=[0])
         loss, grads = distance_parity_loss(emb)
         assert loss == 0.0
-        for block in (grads.f_v, grads.f_r, grads.t_v, grads.t_r):
+        for block in grads:
             assert np.abs(block).max() == 0.0
 
 
@@ -692,27 +691,26 @@ def paired_embedding_set(n_pairs: int, d: int, seed: int) -> EmbeddingSet:
 
 class TestTotalLoss:
     def _logits(self, n, c, seed):
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((n, c)), rng.standard_normal((n, c))
+        return np.random.default_rng(seed).standard_normal((2, n, c))
 
     def test_zero_weights_reduce_to_identity_term(self):
         emb = paired_embedding_set(2, 3, seed=30)
-        lv, lr = self._logits(4, 2, 0)
+        logits = self._logits(4, 2, 0)
         w = LossWeights(lambda1=0, lambda2=0, lambda3=0, lambda4=0)
-        res = total_loss(emb, None, lv, lr, w)
-        id_only, _, _ = identity_loss(lv, lr, emb.labels)
+        res = total_loss(emb, None, logits, w)
+        id_only, _ = identity_loss(logits, emb.labels)
         assert res.breakdown.total == id_only
         assert res.breakdown.triplet == 0.0
-        assert np.abs(res.grads.f_v).max() == 0.0
+        assert np.abs(res.grads[0]).max() == 0.0
 
     def test_breakdown_fields_match_component_calls_bitwise(self):
         emb = paired_embedding_set(2, 3, seed=31)
-        lv, lr = self._logits(4, 2, 1)
+        logits = self._logits(4, 2, 1)
         fused = fuse_paired(emb)
         w = LossWeights()
-        res = total_loss(emb, fused, lv, lr, w)
+        res = total_loss(emb, fused, logits, w)
 
-        l_id, _, _ = identity_loss(lv, lr, emb.labels)
+        l_id, _ = identity_loss(logits, emb.labels)
         stack = np.vstack([emb.f_v, emb.f_r])
         l_wrt, _ = weighted_triplet_loss(stack, np.concatenate([emb.labels] * 2))
         l_single, _ = contrastive_single(emb, w.tau)
@@ -729,10 +727,10 @@ class TestTotalLoss:
 
     def test_recomposition_identity(self):
         emb = paired_embedding_set(3, 4, seed=32)
-        lv, lr = self._logits(6, 3, 2)
+        logits = self._logits(6, 3, 2)
         fused = fuse_paired(emb)
         w = LossWeights()
-        res = total_loss(emb, fused, lv, lr, w)
+        res = total_loss(emb, fused, logits, w)
         b = res.breakdown
         recomposed = (b.identity + w.lambda1 * b.triplet
                       + w.lambda2 * (b.contrast_single + b.contrast_fused)
@@ -741,18 +739,18 @@ class TestTotalLoss:
 
     def test_missing_fused_views_rejected_when_needed(self):
         emb = paired_embedding_set(2, 3, seed=33)
-        lv, lr = self._logits(4, 2, 3)
+        logits = self._logits(4, 2, 3)
         with pytest.raises(ProtocolError):
-            total_loss(emb, None, lv, lr, LossWeights(lambda3=0))
+            total_loss(emb, None, logits, LossWeights(lambda3=0))
         with pytest.raises(ProtocolError):
-            total_loss(emb, None, lv, lr, LossWeights(lambda2=0))
+            total_loss(emb, None, logits, LossWeights(lambda2=0))
 
     def test_gradient_is_weighted_sum_of_component_gradients(self):
         emb = paired_embedding_set(2, 3, seed=34)
-        lv, lr = self._logits(4, 2, 4)
+        logits = self._logits(4, 2, 4)
         fused = fuse_paired(emb)
         w = LossWeights()
-        res = total_loss(emb, fused, lv, lr, w)
+        res = total_loss(emb, fused, logits, w)
 
         stack = np.vstack([emb.f_v, emb.f_r])
         _, g_stack = weighted_triplet_loss(stack, np.concatenate([emb.labels] * 2))
@@ -760,27 +758,28 @@ class TestTotalLoss:
         _, g_fused = contrastive_fused(fused, w.tau)
         _, g_kd = distill_loss(emb, fused)
         _, g_par = distance_parity_loss(emb)
+        # block 0 is f_v, block 2 t_v
         want_fv = (w.lambda1 * g_stack[:emb.n]
-                   + w.lambda2 * (g_single.f_v + g_fused.f_v)
-                   + w.lambda3 * g_kd.f_v + w.lambda4 * g_par.f_v)
-        want_tv = (w.lambda2 * (g_single.t_v + g_fused.t_v)
-                   + w.lambda3 * g_kd.t_v + w.lambda4 * g_par.t_v)
-        assert np.abs(res.grads.f_v - want_fv).max() < 1e-12
-        assert np.abs(res.grads.t_v - want_tv).max() < 1e-12
+                   + w.lambda2 * (g_single[0] + g_fused[0])
+                   + w.lambda3 * g_kd[0] + w.lambda4 * g_par[0])
+        want_tv = (w.lambda2 * (g_single[2] + g_fused[2])
+                   + w.lambda3 * g_kd[2] + w.lambda4 * g_par[2])
+        assert np.abs(res.grads[0] - want_fv).max() < 1e-12
+        assert np.abs(res.grads[2] - want_tv).max() < 1e-12
 
     def test_permutation_equivariance_of_scalar(self):
         emb = paired_embedding_set(3, 4, seed=35)
-        lv, lr = self._logits(6, 3, 5)
+        logits = self._logits(6, 3, 5)
         fused = fuse_paired(emb)
         w = LossWeights()
-        base = total_loss(emb, fused, lv, lr, w).breakdown.total
+        base = total_loss(emb, fused, logits, w).breakdown.total
 
         perm = np.random.default_rng(6).permutation(6)
         p_emb = embedding_set(f_v=emb.f_v[perm], f_r=emb.f_r[perm],
                               t_v=emb.t_v[perm], t_r=emb.t_r[perm],
                               labels=emb.labels[perm])
         p_fused = fuse_paired(p_emb)
-        permuted = total_loss(p_emb, p_fused, lv[perm], lr[perm], w).breakdown.total
+        permuted = total_loss(p_emb, p_fused, logits[:, perm], w).breakdown.total
         assert abs(base - permuted) < 1e-10
 
     def test_weight_validation_errors(self):

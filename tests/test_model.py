@@ -12,6 +12,7 @@ from xmml.model import (EncoderConfig, classify, classify_backward,
                         encode_text, encode_text_backward, encode_visual,
                         encode_visual_backward, forward, init_params, load_checkpoint,
                         param_groups, save_checkpoint)
+from xmml.losses import BLOCK_NAMES
 from xmml.numerics import DimensionError, _ProbeView, finite_difference_check
 
 CFG = EncoderConfig(d_in_visual=6, d_in_text=6, n_classes=3,
@@ -140,8 +141,7 @@ class TestValueOnly:
         emb, logits, caches = forward(store, *self.inputs(11))
         emb0, logits0, none = forward(store, *self.inputs(11), need_grad=False)
         assert len(caches) == 6 and none is None
-        for a, b in zip(emb + logits, emb0 + logits0):
-            assert np.array_equal(a, b)
+        assert np.array_equal(emb, emb0) and np.array_equal(logits, logits0)
 
     def test_inputs_are_not_written(self):
         store = fresh_store()
@@ -161,8 +161,33 @@ class TestValueOnly:
         emb, logits, _ = forward(view, *self.inputs(14))
         emb0, logits0, none = forward(view, *self.inputs(14), need_grad=False)
         assert none is None
-        for a, b in zip(emb + logits, emb0 + logits0):
-            assert np.array_equal(a, b)
+        assert np.array_equal(emb, emb0) and np.array_equal(logits, logits0)
+
+
+class TestForwardStacks:
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_blocks_and_branches_in_stack_order(self, probed):
+        # the objective reads emb[k] as BLOCK_NAMES[k] and logits as (V, R);
+        # a swap made in forward and backward alike keeps gradients consistent
+        store = fresh_store()
+        if probed:
+            value = store.value("stem_r.w")
+            stack = value + np.random.default_rng(15).standard_normal((3,) + value.shape)
+            store = _ProbeView(store, "stem_r.w", stack)
+        x_v, x_r, l_v, l_r = TestValueOnly.inputs(16)
+        emb, logits, _ = forward(store, x_v, x_r, l_v, l_r)
+        f_v, _ = encode_visual(store, x_v, "V")
+        f_r, _ = encode_visual(store, x_r, "R")
+        want = {"f_v": f_v, "f_r": f_r,
+                "t_v": encode_text(store, l_v)[0], "t_r": encode_text(store, l_r)[0]}
+        assert emb.shape[-3] == 4 and logits.shape[-3] == 2
+        for k, name in enumerate(BLOCK_NAMES):
+            block = emb[..., k, :, :]
+            assert np.array_equal(block, np.broadcast_to(want[name], block.shape)), name
+        for k, f in enumerate((f_v, f_r)):
+            branch = logits[..., k, :, :]
+            assert np.array_equal(branch, np.broadcast_to(classify(store, f)[0], branch.shape))
+        assert emb.shape[:-3] == logits.shape[:-3] == ((3,) if probed else ())
 
 
 class TestClassifier:
