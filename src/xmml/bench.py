@@ -1,8 +1,9 @@
-"""Ablation cells and the direction benchmark.
+"""Ablation cells, sweeps and the direction benchmark.
 
 A *cell* is one training run under a named objective configuration plus a
-retrieval evaluation of the result. The ablation grid switches the loss
-components on and off along the lattice
+retrieval evaluation of the result. Every experiment is a *grid*: labelled
+loss-weight overrides, run over a list of seeds by `run_cells`. The
+ablation grid switches the loss components on and off along the lattice
 
     baseline      identity + weighted triplet only
     align         + contrastive alignment (no fusion partners)
@@ -18,7 +19,7 @@ beats the baseline at rank-1).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import model
 from .config import ConfigError, coerce
@@ -29,15 +30,15 @@ from .synthdata import DatasetBundle
 from .trainer import TrainConfig, TrainResult, encoder_config_for, run_training
 
 # label -> overrides applied on top of the configured loss weights
-ABLATION_GRID: tuple[tuple[str, dict[str, object]], ...] = (
-    ("baseline", {"lambda2": 0.0, "lambda3": 0.0, "lambda4": 0.0, "n_fuse": 0}),
-    ("align", {"lambda3": 0.0, "lambda4": 0.0, "n_fuse": 0}),
-    ("align+fusion", {"lambda4": 0.0}),
-    ("align+parity", {"lambda3": 0.0, "n_fuse": 0}),
-    ("full", {}),
-)
+ABLATION_GRID: dict[str, dict[str, object]] = {
+    "baseline": {"lambda2": 0.0, "lambda3": 0.0, "lambda4": 0.0, "n_fuse": 0},
+    "align": {"lambda3": 0.0, "lambda4": 0.0, "n_fuse": 0},
+    "align+fusion": {"lambda4": 0.0},
+    "align+parity": {"lambda3": 0.0, "n_fuse": 0},
+    "full": {},
+}
 
-ABLATION_LABELS = tuple(label for label, _ in ABLATION_GRID)
+ABLATION_LABELS = tuple(ABLATION_GRID)
 
 # methods the direction benchmark trains, and the claims it checks
 BENCHMARK_LABELS = ("baseline", "align", "align+fusion", "full")
@@ -57,32 +58,24 @@ def benchmark_train_config(base: TrainConfig | None = None) -> TrainConfig:
     return replace(cfg, **BENCHMARK_TRAIN_OVERRIDES)
 
 
-def grid_overrides(label: str) -> dict[str, object]:
-    for name, overrides in ABLATION_GRID:
-        if name == label:
-            return dict(overrides)
-    raise KeyError(f"unknown ablation label {label!r}; "
-                   f"known: {', '.join(ABLATION_LABELS)}")
-
-
 @dataclass
 class CellResult:
     label: str
     seed: int
+    weights: LossWeights        # the loss weights the cell trained with
     metrics: dict[str, float]   # the evaluator's REPORTED_METRICS, in order
     first_epoch_loss: float
     last_epoch_loss: float
     wall_clock_sec: float
-    overrides: dict[str, object] = field(default_factory=dict)
 
-    def component_flags(self, base: LossWeights) -> dict[str, int]:
-        w = replace(base, **self.overrides)
+    def component_flags(self) -> dict[str, int]:
+        w = self.weights
         return {"align": int(w.lambda2 > 0),
                 "fusion": int(w.n_fuse > 0 and w.reads_fused),
                 "parity": int(w.lambda4 > 0)}
 
-    def as_row(self, base: LossWeights) -> dict[str, object]:
-        flags = self.component_flags(base)
+    def as_row(self) -> dict[str, object]:
+        flags = self.component_flags()
         return {"method": self.label, **flags, "seed": self.seed, **self.metrics,
                 "first_epoch_loss": self.first_epoch_loss,
                 "last_epoch_loss": self.last_epoch_loss}
@@ -93,24 +86,29 @@ def _epoch_mean_total(result: TrainResult, epoch: int) -> float:
     return sum(totals) / len(totals) if totals else 0.0
 
 
-def run_cell(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
-             label: str, weight_overrides: dict[str, object] | None = None,
-             seed: int | None = None) -> CellResult:
-    """Train one objective configuration and evaluate it on the test split;
-    training snapshots retrieval only after its last epoch."""
-    overrides = dict(weight_overrides or {})
-    cfg = replace(train_cfg, weights=replace(train_cfg.weights, **overrides),
-                  eval_every=train_cfg.epochs)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+def run_cell(data: DatasetBundle, cfg: TrainConfig, protocol: Protocol,
+             label: str) -> CellResult:
+    """Train one run configuration and evaluate it on the test split."""
     result = run_training(cfg, data)
     report, = evaluate(result.store, data.test, [protocol], meta=data.meta)
     return CellResult(
-        label=label, seed=cfg.seed, metrics=report.metrics(),
+        label=label, seed=cfg.seed, weights=cfg.weights, metrics=report.metrics(),
         first_epoch_loss=_epoch_mean_total(result, 0),
         last_epoch_loss=_epoch_mean_total(result, cfg.epochs - 1),
-        wall_clock_sec=result.log.wall_clock_sec,
-        overrides=overrides)
+        wall_clock_sec=result.log.wall_clock_sec)
+
+
+def run_cells(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
+              grid: dict[str, dict[str, object]],
+              seeds: tuple[int, ...]) -> list[CellResult]:
+    """One cell per grid row and seed, rows in grid order and seeds inner.
+    Each row's overrides apply on top of `train_cfg.weights`, and a cell
+    snapshots retrieval only after its last epoch. Every cell's run
+    configuration is built, which checks it, before the first cell trains."""
+    configs = [(label, replace(train_cfg, weights=replace(train_cfg.weights, **overrides),
+                               seed=seed, eval_every=train_cfg.epochs))
+               for label, overrides in grid.items() for seed in seeds]
+    return [run_cell(data, cfg, protocol, label) for label, cfg in configs]
 
 
 def untrained_gap_ratio(data: DatasetBundle, train_cfg: TrainConfig,
@@ -120,18 +118,6 @@ def untrained_gap_ratio(data: DatasetBundle, train_cfg: TrainConfig,
         train_cfg = replace(train_cfg, seed=seed)
     store = model.init_params(encoder_config_for(train_cfg, data))
     return modality_gap(data.test, embed_split(store, data.test))["gap_ratio"]
-
-
-def run_ablation(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
-                 labels: tuple[str, ...] = ABLATION_LABELS,
-                 seeds: tuple[int, ...] = (0,)) -> list[CellResult]:
-    cells = []
-    for label in labels:
-        overrides = grid_overrides(label)
-        for seed in seeds:
-            cells.append(run_cell(data, train_cfg, protocol, label,
-                                  overrides, seed=seed))
-    return cells
 
 
 def _mean(values: list[float]) -> float:
@@ -180,8 +166,8 @@ def direction_margins(cells: list[CellResult],
 def run_direction_benchmark(data: DatasetBundle, train_cfg: TrainConfig,
                             protocol: Protocol,
                             seeds: tuple[int, ...]) -> dict[str, object]:
-    cells = run_ablation(data, train_cfg, protocol,
-                         labels=BENCHMARK_LABELS, seeds=seeds)
+    grid = {label: ABLATION_GRID[label] for label in BENCHMARK_LABELS}
+    cells = run_cells(data, train_cfg, protocol, grid, seeds)
     untrained = [untrained_gap_ratio(data, train_cfg, seed=s) for s in seeds]
     margins = direction_margins(cells, untrained)
     return {"seeds": list(seeds),
@@ -196,8 +182,8 @@ ABLATION_CSV_FIELDS = (("method", "align", "fusion", "parity", "seed") + REPORTE
                        + ("first_epoch_loss", "last_epoch_loss"))
 
 
-def write_ablation_csv(path, cells: list[CellResult], base: LossWeights) -> None:
-    write_csv(path, "ablation", ABLATION_CSV_FIELDS, [c.as_row(base) for c in cells])
+def write_ablation_csv(path, cells: list[CellResult]) -> None:
+    write_csv(path, "ablation", ABLATION_CSV_FIELDS, [c.as_row() for c in cells])
 
 
 SWEEP_CSV_FIELDS = ("param", "value", "seed") + REPORTED_METRICS + ("last_epoch_loss",)
@@ -208,13 +194,11 @@ SWEEP_PARAMS = {"lambda1": "lambda1", "lambda2": "lambda2",
                 "tau": "tau", "n_fuse": "n_fuse", "M": "n_fuse"}
 
 
-def run_sweep(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
-              param: str, values: list[float | str],
-              seeds: tuple[int, ...] = (0,)) -> list[CellResult]:
-    """One cell per value and seed. Each value is coerced like the config
-    key of its LossWeights field, and the run it configures is built, which
-    checks it, before the first cell trains: a bad value, or two that coerce
-    to one, fails the sweep up front."""
+def sweep_grid(param: str, values: list[float | str]) -> dict[str, dict[str, object]]:
+    """One grid row per value, labelled `param=value`. Raises KeyError for an
+    unknown `param`. Each value is coerced like the config key of its
+    LossWeights field; a value that does not coerce, or two that coerce to
+    one, raise ConfigError."""
     if param not in SWEEP_PARAMS:
         raise KeyError(f"unknown sweep parameter {param!r}; "
                        f"known: {', '.join(sorted(SWEEP_PARAMS))}")
@@ -224,19 +208,11 @@ def run_sweep(data: DatasetBundle, train_cfg: TrainConfig, protocol: Protocol,
         if cast in casts[:i]:
             raise ConfigError(f"values {values[casts.index(cast)]} and {values[i]} "
                               f"are both {param}={cast}")
-    for cast in casts:   # building the config checks it
-        replace(train_cfg, weights=replace(train_cfg.weights, **{target: cast}))
-    cells = []
-    for cast in casts:
-        for seed in seeds:
-            cells.append(run_cell(data, train_cfg, protocol,
-                                  label=f"{param}={cast}",
-                                  weight_overrides={target: cast}, seed=seed))
-    return cells
+    return {f"{param}={cast}": {target: cast} for cast in casts}
 
 
 def write_sweep_csv(path, cells: list[CellResult], param: str) -> None:
     target = SWEEP_PARAMS[param]
     write_csv(path, "sweep", SWEEP_CSV_FIELDS,
-              [{"param": param, "value": c.overrides[target], "seed": c.seed,
+              [{"param": param, "value": getattr(c.weights, target), "seed": c.seed,
                 **c.metrics, "last_epoch_loss": c.last_epoch_loss} for c in cells])

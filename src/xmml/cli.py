@@ -27,7 +27,7 @@ except ImportError:   # not a Unix platform: manifests omit peak_rss_mb
     resource = None
 
 from . import __version__, model
-from .bench import (ABLATION_LABELS, run_ablation, run_sweep, summarize,
+from .bench import (ABLATION_GRID, ABLATION_LABELS, run_cells, summarize, sweep_grid,
                     write_ablation_csv, write_sweep_csv)
 from .config import (LONG_SCHEDULE, ConfigError, generator_config, load_config_file,
                      loss_weights, parse_override_args, protocol, resolve, train_config)
@@ -133,10 +133,8 @@ def _size(text: str) -> tuple[int, int]:
 
 
 def _train_config(args, cfg: dict):
-    """The run's TrainConfig. --seed and --long-schedule are written into
-    `cfg` first, so the manifest echoes the values actually used."""
-    if args.seed is not None:
-        cfg["train.seed"] = args.seed
+    """The run's TrainConfig. --long-schedule is written into `cfg` first,
+    so the manifest echoes the values actually used."""
     if args.long_schedule:
         cfg.update(LONG_SCHEDULE)
     return train_config(cfg)
@@ -160,6 +158,8 @@ def cmd_gen(args, cfg: dict) -> int:
 
 def cmd_train(args, cfg: dict) -> int:
     t0 = time.perf_counter()
+    if args.seed is not None:
+        cfg["train.seed"] = args.seed
     tcfg = _train_config(args, cfg)
     data, inputs = _load_data(args)
     timings: dict[str, float] = {}
@@ -276,9 +276,10 @@ def cmd_ablate(args, cfg: dict) -> int:
     labels = (_parse_list(args.labels, "ablation label", known=ABLATION_LABELS)
               if args.labels else ABLATION_LABELS)
     data, inputs = _load_data(args)
-    cells = run_ablation(data, tcfg, proto, labels=labels, seeds=seeds)
+    cells = run_cells(data, tcfg, proto, {label: ABLATION_GRID[label] for label in labels},
+                      seeds)
     out = _prepare_out(args)
-    write_ablation_csv(out / "ablation.csv", cells, tcfg.weights)
+    write_ablation_csv(out / "ablation.csv", cells)
     _write_manifest(out, "ablate", cfg, list(seeds), inputs, ["ablation.csv"], t0)
     for label, m in summarize(cells).items():
         print(f"{label:<14} rank1={m['rank1']:.3f} map={m['map']:.3f} "
@@ -291,13 +292,14 @@ def cmd_sweep(args, cfg: dict) -> int:
     tcfg = _train_config(args, cfg)
     proto = protocol(cfg)
     seeds = _parse_list(args.seeds, "seed", int)
-    # run_sweep coerces each value to its field's type
+    # sweep_grid coerces each value to its field's type
     values = list(_parse_list(args.values, "value"))
     data, inputs = _load_data(args)
     try:
-        cells = run_sweep(data, tcfg, proto, args.param, values, seeds=seeds)
+        grid = sweep_grid(args.param, values)
     except KeyError as e:
         raise ConfigError(str(e.args[0])) from e
+    cells = run_cells(data, tcfg, proto, grid, seeds)
     out = _prepare_out(args)
     write_sweep_csv(out / "sweep.csv", cells, args.param)
     _write_manifest(out, "sweep", cfg, list(seeds), inputs, ["sweep.csv"], t0)
@@ -323,10 +325,11 @@ def build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, checkpoint=False, schedule=False):
+    def common(p, data=False, checkpoint=False, schedule=False, seed=True):
         p.add_argument("--config", help="JSON config file with dotted keys")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the command's primary seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the command's primary seed")
         p.add_argument("--out", help="output directory")
         if data:
             p.add_argument("--data", required=True,
@@ -360,15 +363,19 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--losses", help="comma list of losses to check (default: all)")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="train the component on/off lattice")
-    common(p, data=True, schedule=True)
+    # ablate and sweep train one cell per seed of --seeds and take no --seed;
+    # without abbreviations, --seed is an unknown flag rather than --seeds
+    p = sub.add_parser("ablate", help="train the component on/off lattice",
+                       allow_abbrev=False)
+    common(p, data=True, schedule=True, seed=False)
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of train seeds")
     p.add_argument("--labels", help="comma subset of lattice rows "
                                     f"({','.join(ABLATION_LABELS)})")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("sweep", help="metric-vs-value curves for one parameter")
-    common(p, data=True, schedule=True)
+    p = sub.add_parser("sweep", help="metric-vs-value curves for one parameter",
+                       allow_abbrev=False)
+    common(p, data=True, schedule=True, seed=False)
     p.add_argument("--param", required=True,
                    help="lambda1..lambda4, tau, n_fuse (alias M)")
     p.add_argument("--values", required=True, help="comma list of values")

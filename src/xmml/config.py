@@ -111,7 +111,7 @@ def load_config_file(path: Path | str) -> dict[str, object]:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:   # a JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a flat JSON object")

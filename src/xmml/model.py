@@ -247,7 +247,7 @@ def load_checkpoint(path: Path | str):
     path = Path(path)
     cfg = None
     store = ParamStore()
-    with path.open() as fh:
+    with path.open("rb") as fh:   # decoded per line, so a bad byte names it
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

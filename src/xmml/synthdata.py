@@ -283,10 +283,10 @@ def save_split(path: Path | str, split: Split) -> None:
             fh.write(json.dumps(dict(zip(_FIELDS, values)), allow_nan=False) + "\n")
 
 
-def _parse_record(line: str) -> list:
+def _parse_record(line: bytes) -> list:
     """One save_split record as Split's six column values, features as
     arrays; raises ValueError for a record of any other shape."""
-    rec = json.loads(line)   # a JSONDecodeError is a ValueError
+    rec = json.loads(line)   # a JSONDecodeError or UnicodeDecodeError is a ValueError
     values = []
     for name, kind in _FIELDS.items():
         if not isinstance(rec, dict) or name not in rec:
@@ -313,7 +313,7 @@ def load_split(path: Path | str) -> Split:
     ValueError at a bad line. Streams: one pass counts the records, the
     next checks each record and copies its vectors into its row of the
     preallocated feature matrices."""
-    with Path(path).open() as fh:
+    with Path(path).open("rb") as fh:   # decoded per line, so a bad byte names it
         n = sum(1 for line in fh if line.strip())
     if not n:
         raise ValueError(f"{path}: no samples")
@@ -322,7 +322,7 @@ def load_split(path: Path | str) -> Split:
     modality = np.empty(n, dtype="<U1")
     dims: set[tuple[int, ...]] = set()
     row = 0
-    with Path(path).open() as fh:
+    with Path(path).open("rb") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue

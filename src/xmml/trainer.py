@@ -124,7 +124,7 @@ def _divergence_diagnostics(batch: Batch, emb, breakdown: LossBreakdown | None) 
         "identities": batch.identities.tolist(),
         "sample_ids_v": batch.sample_ids_v.tolist(),
         "sample_ids_r": batch.sample_ids_r.tolist(),
-        "max_abs_embedding": float(max(np.abs(b).max() for b in emb)),
+        "max_abs_embedding": float(np.abs(emb).max()),
     }
 
 

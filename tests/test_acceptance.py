@@ -24,7 +24,8 @@ import pytest
 import oracles
 from conftest import embedding_set
 from xmml.bench import (BENCHMARK_SEEDS, benchmark_train_config,
-                        run_direction_benchmark, run_sweep, write_sweep_csv)
+                        run_cells, run_direction_benchmark, sweep_grid,
+                        write_sweep_csv)
 from xmml.cli import main as cli_main
 from xmml.evaluator import Protocol, cmc_map
 from xmml.losses import (LossWeights, contrastive_fused,
@@ -162,8 +163,8 @@ def test_05_direction_benchmark_claims_hold(default_bundle):
 
 
 def test_06_fusion_count_sweep_produces_wellformed_csv(default_bundle, tmp_path):
-    cells = run_sweep(default_bundle, benchmark_train_config(), Protocol(),
-                      param="M", values=[0.0, 1.0, 2.0, 3.0], seeds=(0,))
+    cells = run_cells(default_bundle, benchmark_train_config(), Protocol(),
+                      sweep_grid("M", [0.0, 1.0, 2.0, 3.0]), seeds=(0,))
     out = tmp_path / "sweep.csv"
     write_sweep_csv(out, cells, "M")
 

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from xmml.bench import (ABLATION_CSV_FIELDS, ABLATION_LABELS, BENCHMARK_LABELS,
-                        BENCHMARK_SEEDS, BENCHMARK_TRAIN_OVERRIDES,
+from xmml import bench
+from xmml.bench import (ABLATION_CSV_FIELDS, ABLATION_GRID, ABLATION_LABELS,
+                        BENCHMARK_LABELS, BENCHMARK_SEEDS, BENCHMARK_TRAIN_OVERRIDES,
                         SWEEP_CSV_FIELDS, SWEEP_PARAMS, CellResult,
-                        benchmark_train_config, direction_margins,
-                        grid_overrides, run_ablation, run_cell, run_sweep,
-                        summarize, untrained_gap_ratio,
+                        benchmark_train_config, direction_margins, run_cell,
+                        run_cells, summarize, sweep_grid, untrained_gap_ratio,
                         write_ablation_csv, write_sweep_csv)
 from xmml.evaluator import Protocol
 from xmml.losses import LossWeights
@@ -29,9 +29,10 @@ def make_cell(label: str, seed: int = 0, *, rank1=0.5, rank5=0.7, rank10=0.9,
               overrides=None) -> CellResult:
     metrics = {"rank1": rank1, "rank5": rank5, "rank10": rank10, "map": map_,
                "gap_ratio": gap, "conflict_sensitivity": conflict}
-    return CellResult(label=label, seed=seed, metrics=metrics, first_epoch_loss=first,
-                      last_epoch_loss=last, wall_clock_sec=0.1,
-                      overrides=dict(overrides or {}))
+    return CellResult(label=label, seed=seed,
+                      weights=replace(LossWeights(), **(overrides or {})),
+                      metrics=metrics, first_epoch_loss=first,
+                      last_epoch_loss=last, wall_clock_sec=0.1)
 
 
 def read_tagged_csv(path: Path, tag: str) -> list[dict]:
@@ -47,20 +48,15 @@ class TestGrid:
         assert BENCHMARK_SEEDS == (0, 1, 2, 3, 4)
 
     def test_baseline_disables_everything_beyond_identity_triplet(self):
-        ov = grid_overrides("baseline")
-        w = replace(LossWeights(), **ov)
+        w = replace(LossWeights(), **ABLATION_GRID["baseline"])
         assert w.lambda2 == 0 and w.lambda3 == 0 and w.lambda4 == 0
         assert w.n_fuse == 0
         assert w.lambda1 == LossWeights().lambda1
 
     def test_full_keeps_defaults(self):
-        assert grid_overrides("full") == {}
-        w = replace(LossWeights(), **grid_overrides("full"))
+        assert ABLATION_GRID["full"] == {}
+        w = replace(LossWeights(), **ABLATION_GRID["full"])
         assert w == LossWeights()
-
-    def test_unknown_label_raises_with_choices(self):
-        with pytest.raises(KeyError, match="baseline"):
-            grid_overrides("no-such-method")
 
     def test_overrides_do_not_mutate_base(self):
         base = LossWeights()
@@ -75,12 +71,12 @@ class TestGrid:
         ("full", (1, 1, 1)),
     ])
     def test_component_flags(self, label, flags):
-        cell = make_cell(label, overrides=grid_overrides(label))
-        got = cell.component_flags(LossWeights())
+        cell = make_cell(label, overrides=ABLATION_GRID[label])
+        got = cell.component_flags()
         assert (got["align"], got["fusion"], got["parity"]) == flags
 
     def test_as_row_matches_csv_fields(self):
-        row = make_cell("full").as_row(LossWeights())
+        row = make_cell("full").as_row()
         assert tuple(row) == ABLATION_CSV_FIELDS
 
 
@@ -131,10 +127,10 @@ class TestSummaries:
 
 class TestCsvWriters:
     def test_ablation_csv_round_trips(self, tmp_path):
-        cells = [make_cell(lbl, s, overrides=grid_overrides(lbl))
-                 for lbl in ABLATION_LABELS for s in (0, 1)]
+        cells = [make_cell(lbl, s, overrides=overrides)
+                 for lbl, overrides in ABLATION_GRID.items() for s in (0, 1)]
         out = tmp_path / "ablation.csv"
-        write_ablation_csv(out, cells, LossWeights())
+        write_ablation_csv(out, cells)
         assert out.read_text().splitlines()[1] == (
             "method,align,fusion,parity,seed,rank1,rank5,rank10,map,gap_ratio,"
             "conflict_sensitivity,first_epoch_loss,last_epoch_loss")
@@ -167,15 +163,16 @@ class TestSweepParams:
         assert SWEEP_PARAMS["M"] == "n_fuse"
         assert SWEEP_PARAMS["n_fuse"] == "n_fuse"
 
-    def test_unknown_param_raises(self, tiny_bundle):
+    def test_unknown_param_raises(self):
         with pytest.raises(KeyError, match="unknown sweep parameter"):
-            run_sweep(tiny_bundle, TINY_TRAIN, Protocol(), "gamma", [0.1])
+            sweep_grid("gamma", [0.1])
 
 
 class TestTinyRuns:
     def test_run_cell_produces_finite_metrics(self, tiny_bundle):
-        cell = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full", {}, seed=0)
+        cell = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full")
         assert cell.label == "full" and cell.seed == 0
+        assert cell.weights == TINY_TRAIN.weights
         m = cell.metrics
         assert 0.0 <= m["rank1"] <= m["rank5"] <= m["rank10"] <= 1.0
         assert 0.0 <= m["map"] <= 1.0
@@ -184,26 +181,34 @@ class TestTinyRuns:
         assert cell.wall_clock_sec >= 0
 
     def test_run_cell_deterministic(self, tiny_bundle):
-        a = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full", {}, seed=0)
-        b = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full", {}, seed=0)
+        a = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full")
+        b = run_cell(tiny_bundle, TINY_TRAIN, Protocol(), "full")
         assert a.metrics["rank1"] == b.metrics["rank1"]
         assert a.metrics["map"] == b.metrics["map"]
         assert a.last_epoch_loss == b.last_epoch_loss
 
-    def test_run_ablation_covers_labels_and_seeds(self, tiny_bundle):
-        cells = run_ablation(tiny_bundle, TINY_TRAIN, Protocol(),
-                             labels=("baseline", "full"), seeds=(0, 1))
+    def test_run_cells_returns_rows_then_seeds_with_their_weights(self, tiny_bundle):
+        grid = {"baseline": ABLATION_GRID["baseline"], "M=2": {"n_fuse": 2}}
+        cells = run_cells(tiny_bundle, TINY_TRAIN, Protocol(), grid, seeds=(1, 0))
         assert [(c.label, c.seed) for c in cells] == [
-            ("baseline", 0), ("baseline", 1), ("full", 0), ("full", 1)]
+            ("baseline", 1), ("baseline", 0), ("M=2", 1), ("M=2", 0)]
         for c in cells:
-            if c.label == "baseline":
-                assert c.overrides["lambda2"] == 0.0
+            assert c.weights == replace(TINY_TRAIN.weights, **grid[c.label])
 
     def test_run_sweep_casts_fusion_counts_to_int(self, tiny_bundle):
-        cells = run_sweep(tiny_bundle, TINY_TRAIN, Protocol(), "M", [0.0, 1.0])
+        cells = run_cells(tiny_bundle, TINY_TRAIN, Protocol(), sweep_grid("M", [0.0, "1"]),
+                          seeds=(0,))
         assert [c.label for c in cells] == ["M=0", "M=1"]
-        assert [c.overrides["n_fuse"] for c in cells] == [0, 1]
-        assert all(isinstance(c.overrides["n_fuse"], int) for c in cells)
+        assert [c.weights.n_fuse for c in cells] == [0, 1]
+        assert all(isinstance(c.weights.n_fuse, int) for c in cells)
+
+    def test_run_cells_checks_every_row_before_training(self, tiny_bundle, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained")
+        monkeypatch.setattr(bench, "run_training", no_training)
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            run_cells(tiny_bundle, TINY_TRAIN, Protocol(),
+                      {"ok": {}, "bad": {"tau": -1.0}}, seeds=(0,))
 
     def test_untrained_gap_ratio_deterministic(self, tiny_bundle):
         a = untrained_gap_ratio(tiny_bundle, TINY_TRAIN, seed=0)

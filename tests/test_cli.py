@@ -47,11 +47,13 @@ def strict_json(text: str):
 
 def edited_dataset(gen_dir: Path, dest: Path, edit) -> Path:
     """A copy of the dataset in `gen_dir` whose test.jsonl first record is
-    `edit(record)`, written with json.dumps defaults (NaN allowed)."""
+    `edit(record)`, written with json.dumps defaults (NaN allowed), or
+    written as is when it is bytes."""
     shutil.copytree(gen_dir, dest)
-    lines = (dest / "test.jsonl").read_text().splitlines()
-    lines[0] = json.dumps(edit(json.loads(lines[0])))
-    (dest / "test.jsonl").write_text("\n".join(lines) + "\n")
+    lines = (dest / "test.jsonl").read_bytes().splitlines()
+    line = edit(json.loads(lines[0]))
+    lines[0] = line if isinstance(line, bytes) else json.dumps(line).encode()
+    (dest / "test.jsonl").write_bytes(b"\n".join(lines) + b"\n")
     return dest
 
 
@@ -190,10 +192,14 @@ class TestTrain:
 
     def test_invalid_config_file_fails_cleanly(self, gen_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["train", "--data", str(gen_dir), "--out",
-                     str(tmp_path / "run"), "--config", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        # not JSON, and not UTF-8
+        for text in (b"{not json", b'{"weights.tau": "\xe9"}'):
+            bad.write_bytes(text)
+            assert main(["train", "--data", str(gen_dir), "--out",
+                         str(tmp_path / "run"), "--config", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
+            assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_embeddings_exit_2(self, gen_dir, tmp_path, capsys):
@@ -397,6 +403,9 @@ class TestEval:
          "x_raw is not a flat list of numbers"),
         (lambda rec: {**rec, "l_raw": rec["l_raw"][:-1] + [False]},
          "l_raw is not a flat list of numbers"),
+        # a record saved as Latin-1 rather than UTF-8
+        (lambda rec: json.dumps({**rec, "modality": "\u00e9"}, ensure_ascii=False)
+         .encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
     ])
     def test_malformed_record_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys,
                                             edit, message):
@@ -523,6 +532,19 @@ class TestEval:
                      "--out", str(tmp_path / "eval")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {ckpt}:2: bad record: {reason}\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_non_utf8_checkpoint_fails_cleanly(self, train_dir, gen_dir, tmp_path, capsys):
+        lines = (train_dir / "checkpoint.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"tensor"', b'"tens\xf6r"')
+        ckpt = tmp_path / "checkpoint.jsonl"
+        ckpt.write_bytes(b"".join(lines))
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {ckpt}:2: bad record: "
+                              "'utf-8' codec can't decode byte 0xf6")
         assert not (tmp_path / "eval").exists()
 
     def test_config_record_beyond_its_tensors_fails_without_allocating(
@@ -807,6 +829,23 @@ class TestAblateSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["ablate", "--labels", "baseline", "--seeds", "0"],
+        ["sweep", "--param", "tau", "--values", "0.1", "--seeds", "0"],
+    ])
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--seed=7"]])
+    def test_seed_flag_is_rejected(self, gen_dir, tmp_path, capsys, monkeypatch,
+                                   command, flag):
+        # the cells train the seeds of --seeds; a --seed would be ignored
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(bench, "run_cell", no_cell)
+        out = tmp_path / "out"
+        assert main(command + ["--data", str(gen_dir), "--out", str(out)] + flag
+                    + TINY_TRAIN_ARGS) == 1
+        assert capsys.readouterr().err == "error: unknown flag --seed\n"
         assert not out.exists()
 
     def test_ablate_unknown_label_fails_cleanly(self, gen_dir, tmp_path, capsys):

@@ -44,6 +44,18 @@ def _from_imports() -> tuple[str, ...]:
     raise AssertionError("selftest.py defines no FROM_IMPORTS")
 
 
+def _workload_reads() -> list[tuple[str, str]]:
+    # every `<module>.<attr>` that workloads.py reads of the xmml modules it
+    # imports, read statically as for selftest.py
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "xmml"
+               for alias in node.names}
+    return sorted({(node.value.id, node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
+
+
 def _traced(mod: str, attr: str):
     return getattr(importlib.import_module(f"xmml.{mod}"), attr)
 
@@ -67,6 +79,16 @@ def test_every_from_import_binding_is_the_traced_original(binding):
     originals = [_traced(m, a) for m, a in TRACED if a == attr]
     assert len(originals) == 1, f"{attr} is traced {len(originals)} times"
     assert getattr(importlib.import_module(module), attr) is originals[0]
+
+
+def test_workloads_read_xmml_modules():
+    # guards the static read below against a change of import style
+    assert ("bench", "benchmark_train_config") in _workload_reads()
+
+
+@pytest.mark.parametrize("mod, attr", _workload_reads())
+def test_every_attribute_the_workloads_read_exists(mod, attr):
+    assert hasattr(importlib.import_module(f"xmml.{mod}"), attr)
 
 
 @pytest.mark.parametrize("fn, leading", [

@@ -12,7 +12,7 @@ import pytest
 from conftest import FIXTURES
 from test_losses import fuse_multiview_per_row
 from xmml import gradcheck, model, trainer
-from xmml.bench import grid_overrides
+from xmml.bench import ABLATION_GRID
 from xmml.config import LONG_SCHEDULE, resolve, train_config
 from xmml.model import init_params
 from xmml.losses import LossWeights
@@ -175,6 +175,15 @@ class TestTrainStep:
         assert len(diag["sample_ids_v"]) == len(batch.labels)
         assert not np.isfinite(diag["max_abs_embedding"])
 
+    def test_nan_text_embeddings_dump_a_nan_scale(self, tiny_bundle):
+        # f_v and f_r stay finite; only the text blocks t_v and t_r are NaN
+        store, state, batch, w = _setup(tiny_bundle)
+        store.value("text2.b")[0] = np.nan
+        lrs = {"visual": 1e-3, "classifier": 1e-3, "text": 1e-3}
+        with pytest.raises(TrainingDivergedError, match="non-finite embeddings") as exc_info:
+            train_step(store, batch, w, lrs, fuse_seed=0, state=state)
+        assert np.isnan(exc_info.value.diagnostics["max_abs_embedding"])
+
     def test_breakdown_recomposition_holds_per_step(self, tiny_bundle):
         store, state, batch, w = _setup(tiny_bundle)
         lrs = {"visual": 1e-3, "classifier": 1e-3, "text": 1e-3}
@@ -267,7 +276,7 @@ class TestRunTraining:
 class TestFusionReference:
     @pytest.mark.parametrize("overrides", [
         {},                                            # full objective, n_fuse 1
-        grid_overrides("align"),                       # n_fuse 0, lambda2 > 0
+        ABLATION_GRID["align"],                        # n_fuse 0, lambda2 > 0
         {"n_fuse": 2, "cross_modal_fusion": True},     # one choice call per slot
     ], ids=["full", "align", "cross-modal-2"])
     def test_run_is_byte_identical_to_the_per_row_fusion(self, tiny_bundle, tmp_path,
