@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Run the expected-direction benchmark and lock its margins into the test
-fixtures.
+"""Lock the reference fixtures: the one writer of tests/fixtures/reference_*.json.
 
-Trains baseline / align / align+fusion / full over five seeds on the default
-generator at the desk schedule, checks the four qualitative claims, and
-writes the observed margins to tests/fixtures/reference_margins.json, which
-the acceptance suite treats as the locked reference.
+Runs the expected-direction benchmark (baseline / align / align+fusion / full
+over BENCHMARK_SEEDS on the seed-0 default generator, at the benchmark rates)
+and the first-epoch smoke run, then prints each claim's old -> new margin.
+Only when every claim in xmml.bench.CLAIMS holds does it write
+reference_margins.json and reference_smoke.json, each through a temporary
+file and a rename; otherwise it exits 1 and leaves both fixtures as they were.
+Takes no options, so a fixture is only ever what this exact run produced.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -17,72 +20,80 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from xmml.bench import (BENCHMARK_SEEDS, BENCHMARK_TRAIN_OVERRIDES,
-                        benchmark_train_config, run_direction_benchmark)
+from xmml.bench import (BENCHMARK_SEEDS, BENCHMARK_TRAIN_OVERRIDES, CLAIMS,
+                        benchmark_train_config, claim_holds, run_direction_benchmark)
 from xmml.evaluator import Protocol
 from xmml.synthdata import GeneratorConfig, generate_dataset
-from xmml.trainer import TrainConfig
+from xmml.trainer import TrainConfig, run_training
 
-CLAIMS = (
-    ("rank1_full_vs_baseline", "full objective >= baseline on mean rank-1"),
-    ("map_fusion_vs_align", "alignment+fusion >= alignment on mean mAP"),
-    ("conflict_parity_gain", "parity strictly lowers conflict sensitivity"),
-    ("gap_shrink", "training shrinks the modality gap vs a fresh encoder"),
-)
+FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+GENERATOR_SEED = 0
+
+
+def smoke_record(data) -> dict:
+    """The first-epoch loss trajectory of a default-config run (seed 0)."""
+    result = run_training(TrainConfig(epochs=1), data)
+    totals = [s.breakdown.total for s in result.log.steps]
+    return {
+        "step0_total": totals[0],
+        "after_epoch1_total": sum(totals[-5:]) / 5,
+        "definition": ("default train config limited to 1 epoch, seed 0, on the "
+                       "seed-0 default dataset; after_epoch1_total is the mean "
+                       "total over the epoch's last five steps"),
+    }
+
+
+def _write(path: Path, record: dict) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    os.replace(tmp, path)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fixture", default=None,
-                        help="fixture path (default: tests/fixtures/reference_margins.json)")
-    parser.add_argument("--seeds", default=",".join(str(s) for s in BENCHMARK_SEEDS))
-    args = parser.parse_args(argv)
-    try:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-    except ValueError:
-        parser.error(f"--seeds: every entry of {args.seeds!r} must be an integer")
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if repeated:
-        parser.error(f"--seeds: seed {repeated[0]} repeats in {args.seeds!r}")
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    margins_path = FIXTURES / "reference_margins.json"
+    smoke_path = FIXTURES / "reference_smoke.json"
 
-    repo = Path(__file__).resolve().parent.parent
-    fixture = Path(args.fixture) if args.fixture else (
-        repo / "tests" / "fixtures" / "reference_margins.json")
-
-    data = generate_dataset(GeneratorConfig(seed=0))
+    data = generate_dataset(GeneratorConfig(seed=GENERATOR_SEED))
     train_cfg = benchmark_train_config()
     t0 = time.perf_counter()
-    out = run_direction_benchmark(data, train_cfg, Protocol(), seeds=seeds)
+    out = run_direction_benchmark(data, train_cfg, Protocol(), seeds=BENCHMARK_SEEDS)
     wall = time.perf_counter() - t0
-
-    print(f"benchmark wall clock: {wall:.1f}s ({len(out['cells'])} training runs)")
-    for label, m in out["means"].items():
-        print(f"  {label:<14} rank1={m['rank1']:.4f} map={m['map']:.4f} "
-              f"gap={m['gap_ratio']:.4f} conflict={m['conflict_sensitivity']:.5f}")
-    print(f"  untrained gap ratio: {out['untrained_gap_ratio']:.4f}")
-
-    ok = True
-    for key, text in CLAIMS:
-        margin = out["margins"][key]
-        holds = margin > 0
-        ok = ok and holds
-        print(f"  [{'PASS' if holds else 'FAIL'}] {text}: margin {margin:+.5f}")
-
-    fixture.parent.mkdir(parents=True, exist_ok=True)
-    record = {
+    margins = {
         "margins": out["margins"],
         "means": out["means"],
         "untrained_gap_ratio": out["untrained_gap_ratio"],
-        "seeds": list(seeds),
-        "generator_seed": 0,
+        "seeds": list(BENCHMARK_SEEDS),
+        "generator_seed": GENERATOR_SEED,
         "train_overrides": BENCHMARK_TRAIN_OVERRIDES,
-        "train_config": {k: v for k, v in asdict(benchmark_train_config()).items()
-                         if k != "weights"},
-        "wall_clock_sec": round(wall, 1),
+        "train_config": {k: v for k, v in asdict(train_cfg).items() if k != "weights"},
     }
-    fixture.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    print(f"margins locked into {fixture}")
-    return 0 if ok else 1
+    smoke = smoke_record(data)
+
+    print(f"benchmark wall clock: {wall:.1f}s")
+    for label, m in out["means"].items():
+        print(f"  {label:<14} rank1={m['rank1']:.4f} map={m['map']:.4f} "
+              f"gap={m['gap_ratio']:.4f} conflict={m['conflict_sensitivity']:.5f}")
+    print(f"  untrained gap ratio: {out['untrained_gap_ratio']!r}")
+    print(f"  smoke: step0_total={smoke['step0_total']!r} "
+          f"after_epoch1_total={smoke['after_epoch1_total']!r}")
+
+    old = json.loads(margins_path.read_text())["margins"] if margins_path.exists() else {}
+    print("\n| claim | locked | new |\n|---|---|---|")
+    for key in CLAIMS:
+        print(f"| {key} | {old.get(key, '-')} | {out['margins'][key]} |")
+    failed = [key for key in CLAIMS if not claim_holds(out["margins"][key])]
+    for key, text in CLAIMS.items():
+        print(f"  [{'FAIL' if key in failed else 'PASS'}] {text}: "
+              f"margin {out['margins'][key]:+.5f}")
+    if failed:
+        print(f"not locked: {', '.join(failed)} failed; the fixtures are unchanged",
+              file=sys.stderr)
+        return 1
+    _write(margins_path, margins)
+    _write(smoke_path, smoke)
+    print(f"locked {margins_path.name} and {smoke_path.name} in {FIXTURES}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ beats the baseline at rank-1).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from . import model
 from .config import ConfigError, coerce
@@ -139,17 +139,23 @@ def summarize(cells: list[CellResult]) -> dict[str, dict[str, float]]:
     return out
 
 
+# the direction claims: margin key -> the claim a positive margin makes
+CLAIMS: dict[str, str] = {
+    "rank1_full_vs_baseline": "the full objective beats the baseline at mean rank-1",
+    "map_fusion_vs_align": "fusion partners raise mean mAP over plain alignment",
+    "conflict_parity_gain": "distance parity lowers conflict sensitivity (full vs align+fusion)",
+    "gap_shrink": "training shrinks the modality gap below a fresh encoder's",
+}
+
+
+def claim_holds(margin: float) -> bool:
+    """The one pass rule of every claim in CLAIMS."""
+    return margin > 0
+
+
 def direction_margins(cells: list[CellResult],
                       untrained_gaps: list[float]) -> dict[str, float]:
-    """Margins behind the qualitative claims; positive margin = claim holds.
-
-    - rank1_full_vs_baseline: full beats the identity+triplet baseline at rank-1
-    - map_fusion_vs_align: adding fusion partners improves mAP over plain alignment
-    - conflict_parity_gain: parity (full) is less conflict-sensitive than
-      the same objective without it (align+fusion)
-    - gap_shrink: training the full objective shrinks the modality gap
-      relative to a fresh encoder
-    """
+    """The margin of each claim in CLAIMS, keyed and ordered as CLAIMS."""
     means = summarize(cells)
     for needed in BENCHMARK_LABELS:
         if needed not in means:
@@ -169,13 +175,9 @@ def run_direction_benchmark(data: DatasetBundle, train_cfg: TrainConfig,
     grid = {label: ABLATION_GRID[label] for label in BENCHMARK_LABELS}
     cells = run_cells(data, train_cfg, protocol, grid, seeds)
     untrained = [untrained_gap_ratio(data, train_cfg, seed=s) for s in seeds]
-    margins = direction_margins(cells, untrained)
-    return {"seeds": list(seeds),
-            "margins": margins,
+    return {"margins": direction_margins(cells, untrained),
             "means": summarize(cells),
-            "untrained_gap_ratio": _mean(untrained),
-            "cells": [asdict(c) for c in cells],
-            "wall_clock_sec": sum(c.wall_clock_sec for c in cells)}
+            "untrained_gap_ratio": _mean(untrained)}
 
 
 ABLATION_CSV_FIELDS = (("method", "align", "fusion", "parity", "seed") + REPORTED_METRICS

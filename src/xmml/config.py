@@ -84,6 +84,11 @@ def _convert(raw, typ) -> object:
             raise ValueError(f"not a finite number: {raw!r}")
         if typ is float:
             return v
+        if isinstance(raw, (int, str)):
+            try:
+                return int(raw)   # exact, where v is rounded beyond 2**53
+            except ValueError:
+                pass              # "1e3" or "3.0"
         if v != int(v):
             raise ValueError(f"not an integer: {raw!r}")
         return int(v)

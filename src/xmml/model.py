@@ -254,8 +254,12 @@ def load_checkpoint(path: Path | str):
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
                 kind = rec.pop("kind", None)
                 if kind == "encoder_config":
+                    if cfg is not None:
+                        raise ValueError("a second encoder_config record")
                     cfg = EncoderConfig(**rec)
                 elif kind == "tensor":
                     # as float64, numpy would read true as 1.0, "2" as 2.0, null as nan

@@ -9,6 +9,7 @@ for reliable central-difference verification at h=1e-5.
 from __future__ import annotations
 
 import functools
+import math
 import time
 import types
 import zlib
@@ -52,7 +53,12 @@ class ProtocolError(RuntimeError):
 def _tag_int(tag) -> int:
     if isinstance(tag, str):
         return zlib.crc32(tag.encode("utf8"))
-    return int(tag) & 0xFFFFFFFFFFFFFFFF
+    value = int(tag)
+    # a SeedSequence entry is one 64-bit word: masking would alias the value
+    # to another seed's stream
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed or tag {tag!r} is outside [0, 2**64)")
+    return value
 
 
 def derive_rng(root_seed: int, *tags) -> np.random.Generator:
@@ -72,6 +78,9 @@ def derive_seed(root_seed: int, *tags) -> int:
 _type_hints = functools.cache(get_type_hints)
 _NUMBERS = {int: Integral, float: Real}
 
+# the fields that root an RNG stream, each one 64-bit SeedSequence word
+SEED_FIELDS = ("seed", "mix_seed")
+
 
 def _holds(hint, value) -> bool:
     if hint in _NUMBERS:
@@ -87,12 +96,18 @@ def check_field_types(obj) -> None:
     """Raise ValueError naming the first field of dataclass `obj` whose value
     does not match its annotation. An int field takes an Integral and a float
     field a Real, neither a bool; `T | None` takes None or a T; `tuple[T, ...]`
-    a tuple of T; any other annotation an instance of it."""
+    a tuple of T; any other annotation an instance of it. A number must also
+    be finite, and a field of SEED_FIELDS lie in [0, 2**64)."""
     hints = _type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not _holds(hints[f.name], value):
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        # compared, not converted: an int beyond float range is finite
+        if isinstance(value, Real) and not -math.inf < value < math.inf:
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if f.name in SEED_FIELDS and not 0 <= value < 2**64:
+            raise ValueError(f"{f.name} must be in [0, 2**64), got {value!r}")
 
 
 class ParamStore:

@@ -12,8 +12,8 @@ import pytest
 from xmml import bench
 from xmml.bench import (ABLATION_CSV_FIELDS, ABLATION_GRID, ABLATION_LABELS,
                         BENCHMARK_LABELS, BENCHMARK_SEEDS, BENCHMARK_TRAIN_OVERRIDES,
-                        SWEEP_CSV_FIELDS, SWEEP_PARAMS, CellResult,
-                        benchmark_train_config, direction_margins, run_cell,
+                        CLAIMS, SWEEP_CSV_FIELDS, SWEEP_PARAMS, CellResult,
+                        benchmark_train_config, claim_holds, direction_margins, run_cell,
                         run_cells, summarize, sweep_grid, untrained_gap_ratio,
                         write_ablation_csv, write_sweep_csv)
 from xmml.evaluator import Protocol
@@ -114,10 +114,14 @@ class TestSummaries:
             make_cell("full", 0, rank1=0.34, map_=0.34, conflict=0.096, gap=1.487),
         ]
         margins = direction_margins(cells, untrained_gaps=[1.6, 1.8])
+        assert list(margins) == list(CLAIMS)
         assert margins["rank1_full_vs_baseline"] == pytest.approx(0.24)
         assert margins["map_fusion_vs_align"] == pytest.approx(0.04)
         assert margins["conflict_parity_gain"] == pytest.approx(0.001)
         assert margins["gap_shrink"] == pytest.approx(1.7 - 1.487)
+
+    def test_a_claim_holds_only_on_a_positive_margin(self):
+        assert [claim_holds(m) for m in (-1e-9, 0.0, 1e-9)] == [False, False, True]
 
     def test_direction_margins_need_all_benchmark_labels(self):
         cells = [make_cell(lbl) for lbl in ("baseline", "align", "align+fusion")]

@@ -110,6 +110,24 @@ class TestGen:
         assert (other / "train.jsonl").read_bytes() != (gen_dir / "train.jsonl").read_bytes()
         assert manifest(other)["seeds"] == [7]
 
+    @pytest.mark.parametrize("flag", ["--gen.seed", "--seed"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_fails_cleanly(self, tmp_path, capsys, flag, seed):
+        # masked to 64 bits, 2**64 would write seed 0's dataset
+        assert main(["gen", "--out", str(tmp_path / "x"), flag, seed] + TINY_GEN_ARGS) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed must be in [0, 2**64), got {seed}\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_largest_seed_is_taken_exactly(self, tmp_path):
+        # float() would round it to 2**64, and 2**53 + 1 to 2**53
+        for seed in (2**64 - 1, 2**53 + 1):
+            out = tmp_path / str(seed)
+            assert main(["gen", "--out", str(out), "--gen.seed", str(seed)]
+                        + TINY_GEN_ARGS) == 0
+            assert manifest(out)["seeds"] == [seed]
+            assert manifest(out)["config"]["gen.seed"] == seed
+
     def test_unknown_override_key_fails_cleanly(self, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "x"),
                      "--gen.bogus", "3"]) == 1
@@ -247,6 +265,17 @@ class TestTrain:
         ('{"schema": 1, "config": {}, "mix_seed": true}', "mix_seed must be int, got True"),
         ('{"schema": 1, "config": {}, "mix_seed": 1.7}', "mix_seed must be int, got 1.7"),
         ('{"schema": 1, "config": {}, "mix_seed": "1"}', "mix_seed must be int, got '1'"),
+        # masked to 64 bits, 2**70 would rebuild seed 0's mixing matrices
+        (f'{{"schema": 1, "config": {{}}, "mix_seed": {2**70}}}',
+         f"mix_seed must be in [0, 2**64), got {2**70}"),
+        ('{"schema": 1, "config": {}, "mix_seed": -1}',
+         "mix_seed must be in [0, 2**64), got -1"),
+        (f'{{"schema": 1, "config": {{"seed": {2**70}}}, "mix_seed": 0}}',
+         f"seed must be in [0, 2**64), got {2**70}"),
+        ('{"schema": 1, "config": {"sigma_view": NaN}, "mix_seed": 0}',
+         "sigma_view must be finite, got nan"),
+        ('{"schema": 1, "config": {"sigma_noise": Infinity}, "mix_seed": 0}',
+         "sigma_noise must be finite, got inf"),
         # sizes that do not add up to the splits' 10-wide features
         pytest.param('{"schema": 1, "config": {"d_id": 7, "d_view": 2, "d_conflict": 2}, '
                      '"mix_seed": 0}', "d_feature 11 (d_id + d_view + d_conflict) does not "
@@ -509,6 +538,37 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {ckpt}:1: bad record: ")
         assert "d_hidden" in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("field, value", [("init_scale", float("nan")),
+                                              ("init_scale", float("inf")), ("seed", -1),
+                                              ("seed", 2**64)])
+    def test_encoder_config_out_of_range_fails_cleanly(self, train_dir, gen_dir, tmp_path,
+                                                       capsys, field, value):
+        lines = (train_dir / "checkpoint.jsonl").read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), field: value}) + "\n"
+        ckpt = tmp_path / "checkpoint.jsonl"
+        ckpt.write_text("".join(lines))
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {ckpt}:1: bad record: {field} must be ")
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("line, reason", [
+        ('"x"', "not a JSON object"), ("null", "not a JSON object"),
+        ("[]", "not a JSON object"), (None, "a second encoder_config record")])
+    def test_record_not_one_object_or_config_fails_cleanly(self, train_dir, gen_dir,
+                                                           tmp_path, capsys, line, reason):
+        lines = (train_dir / "checkpoint.jsonl").read_text().splitlines(keepends=True)
+        # None: the encoder_config record again, on line 2
+        lines.insert(1, lines[0] if line is None else line + "\n")
+        ckpt = tmp_path / "checkpoint.jsonl"
+        ckpt.write_text("".join(lines))
+        assert main(["eval", "--data", str(gen_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}:2: bad record: {reason}\n"
         assert not (tmp_path / "eval").exists()
 
     # as float64, numpy reads true as 1.0, "0.5" as 0.5 and null as nan; an

@@ -15,7 +15,7 @@ from xmml.config import (DEFAULTS, ConfigError, generator_config, loss_weights,
 from xmml.evaluator import Protocol
 from xmml.losses import LossWeights
 from xmml.model import EncoderConfig
-from xmml.synthdata import GeneratorConfig
+from xmml.synthdata import DatasetMeta, GeneratorConfig
 from xmml.trainer import TrainConfig
 
 
@@ -74,6 +74,18 @@ class TestCoercion:
         with pytest.raises(ConfigError, match=key):
             resolve(overrides={key: raw})
 
+    @pytest.mark.parametrize("raw", [2**53 + 1, 2**64 - 1, 2**70, -1])
+    def test_integers_are_exact(self, raw):
+        # float() would round the first three; the seed's range is checked
+        # when its dataclass is built
+        for spelling in (raw, str(raw), f" {raw} "):
+            assert resolve(overrides={"train.seed": spelling})["train.seed"] == raw
+
+    @pytest.mark.parametrize("raw, want", [("1e3", 1000), ("3.0", 3), (4.0, 4), (True, 1)])
+    def test_other_integer_spellings_read_as_numbers(self, raw, want):
+        value = resolve(overrides={"train.epochs": raw})["train.epochs"]
+        assert value == want and type(value) is int
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             resolve(file_cfg={"train.bogus": 1})
@@ -100,6 +112,35 @@ class TestConstruction:
         assert getattr(cfg, int_field) == 3
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, int_field, 4)
+
+    @pytest.mark.parametrize("cls, required, field", [
+        (GeneratorConfig, {}, "seed"),
+        (DatasetMeta, {"config": GeneratorConfig()}, "mix_seed"),
+        (EncoderConfig, {"d_in_visual": 6, "d_in_text": 6, "n_classes": 3}, "seed"),
+        (TrainConfig, {}, "seed"),
+        (Protocol, {}, "seed"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_seeds_are_one_64_bit_word(self, cls, required, field):
+        for value in (-1, 2**64, 2**70):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{field} must be in [0, 2**64), got {value}")):
+                cls(**required, **{field: value})
+        assert getattr(cls(**required, **{field: 2**64 - 1}), field) == 2**64 - 1
+
+    @pytest.mark.parametrize("cls, required, field", [
+        (GeneratorConfig, {}, "sigma_view"),
+        (GeneratorConfig, {}, "sigma_text"),
+        (EncoderConfig, {"d_in_visual": 6, "d_in_text": 6, "n_classes": 3}, "init_scale"),
+        (TrainConfig, {}, "lr_visual"),
+        (LossWeights, {}, "tau"),
+        (LossWeights, {}, "lambda1"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_float_fields_must_be_finite(self, cls, required, field):
+        for value in (float("nan"), float("inf"), np.float64("-inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+                cls(**required, **{field: value})
+        # an int beyond float range is a finite number
+        assert getattr(cls(**required, **{field: 10**400}), field) == 10**400
 
     @pytest.mark.parametrize("cls, kwargs, message", [
         (TrainConfig, {"decay_epochs": (20, True)},

@@ -3,7 +3,8 @@ encoder and classifier, checkpoint round-trips, and gradient plumbing."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -294,7 +295,8 @@ class TestCheckpoint:
         '{"kind": "tensor", "name": "cls.b", "shape": [3], "data": [0, 0, 0]}',
         '{"kind": "encoder_config", "d_in_visual": 6, "d_extra": 1}',
         '{"kind": "tensor", "name": "cls.b"}',
-        '{"kind": "bogus"}', '[1]', '{"kind": "tensor",'])
+        '{"kind": "bogus"}', '[1]', '{"kind": "tensor",', '"x"', 'null',
+        json.dumps({"kind": "encoder_config", **asdict(CFG)})])
     def test_malformed_record_rejected(self, tmp_path, extra):
         path = tmp_path / "ckpt.jsonl"
         save_checkpoint(path, CFG, fresh_store())

@@ -3,6 +3,8 @@ distances, and the finite-difference gradient checker."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ class TestRngStreams:
     def test_derive_seed_stable(self):
         assert derive_seed(0, "a", 1) == derive_seed(0, "a", 1)
         assert derive_seed(0, "a", 1) != derive_seed(0, "a", 2)
+
+    @pytest.mark.parametrize("value", [-1, 2**64, 2**70])
+    def test_int_outside_64_bits_raises(self, value):
+        # masked to 64 bits, each would alias another seed's stream
+        for call in (lambda: derive_rng(value, "x"), lambda: derive_rng(0, "x", value),
+                     lambda: derive_seed(value, "x")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed or tag {value} is outside [0, 2**64)")):
+                call()
+
+    def test_largest_seed_has_its_own_stream(self):
+        a = derive_rng(2**64 - 1, "x").standard_normal(8)
+        b = derive_rng(0, "x").standard_normal(8)
+        assert not np.array_equal(a, b)
 
 
 # ------------------------------------------------------ pairwise distances
