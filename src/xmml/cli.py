@@ -29,12 +29,12 @@ except ImportError:   # not a Unix platform: manifests omit peak_rss_mb
 from . import __version__, model
 from .bench import (ABLATION_GRID, ABLATION_LABELS, run_cells, summarize, sweep_grid,
                     write_ablation_csv, write_sweep_csv)
-from .config import (LONG_SCHEDULE, ConfigError, generator_config, load_config_file,
-                     loss_weights, parse_override_args, protocol, resolve, train_config)
+from .config import (LONG_SCHEDULE, ConfigError, Settings, load_config_file,
+                     parse_override_args, resolve)
 from .evaluator import REPORTED_METRICS, Protocol, as_written, evaluate, write_csv
 from .gradcheck import DEFAULT_SIZES, LOSS_NAMES, run_all
 from .numerics import ProtocolError
-from .synthdata import DATASET_FILES, generate_dataset, load_dataset, save_dataset
+from .synthdata import generate_dataset, load_dataset, save_dataset
 from .trainer import TrainingDivergedError, run_training, save_train_log
 
 MANIFEST_SCHEMA = "xmml-manifest v1"
@@ -93,10 +93,12 @@ def _prepare_out(args) -> Path:
     return out
 
 
-def _load_data(args):
-    """The --data bundle, and its files: the inputs a manifest hashes."""
+def _load_data(args, splits: tuple[str, ...] = ("train", "test")):
+    """The --data bundle with the named splits, and the files read: the
+    inputs a manifest hashes."""
     data_dir = Path(args.data)
-    return load_dataset(data_dir), [data_dir / n for n in DATASET_FILES]
+    return (load_dataset(data_dir, splits),
+            [data_dir / f"{name}.jsonl" for name in splits] + [data_dir / "meta.json"])
 
 
 def _parse_list(text: str, what: str, convert=str, repeats: bool = False,
@@ -132,42 +134,29 @@ def _size(text: str) -> tuple[int, int]:
     return int(n), int(d)
 
 
-def _train_config(args, cfg: dict):
-    """The run's TrainConfig. --long-schedule is written into `cfg` first,
-    so the manifest echoes the values actually used."""
-    if args.long_schedule:
-        cfg.update(LONG_SCHEDULE)
-    return train_config(cfg)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_gen(args, cfg: dict) -> int:
+def cmd_gen(args, run: Settings) -> int:
     t0 = time.perf_counter()
-    if args.seed is not None:
-        cfg["gen.seed"] = args.seed
-    gcfg = generator_config(cfg)
-    bundle = generate_dataset(gcfg)
+    bundle = generate_dataset(run.gen)
     out = _prepare_out(args)
     outputs = save_dataset(out, bundle)
-    _write_manifest(out, "gen", cfg, [gcfg.seed], [], outputs, t0)
+    _write_manifest(out, "gen", run.values, [run.gen.seed], [], outputs, t0)
     print(f"wrote {out}: train={len(bundle.train)} samples, test={len(bundle.test)} samples")
     return 0
 
 
-def cmd_train(args, cfg: dict) -> int:
+def cmd_train(args, run: Settings) -> int:
     t0 = time.perf_counter()
-    if args.seed is not None:
-        cfg["train.seed"] = args.seed
-    tcfg = _train_config(args, cfg)
+    tcfg = run.train
     data, inputs = _load_data(args)
     timings: dict[str, float] = {}
     result = run_training(tcfg, data, timings=timings)
     out = _prepare_out(args)
     model.save_checkpoint(out / "checkpoint.jsonl", result.encoder_config, result.store)
     save_train_log(out / "train_log.jsonl", result.log)
-    _write_manifest(out, "train", cfg, [tcfg.seed], inputs,
+    _write_manifest(out, "train", run.values, [tcfg.seed], inputs,
                     ["checkpoint.jsonl", "train_log.jsonl"], t0, timings)
     last = result.log.evals[-1]
     first_loss = result.log.steps[0].breakdown.total
@@ -194,22 +183,17 @@ def _first_non_finite(diagnostics: dict[str, float]) -> str | None:
     return None
 
 
-def cmd_eval(args, cfg: dict) -> int:
+def cmd_eval(args, run: Settings) -> int:
     t0 = time.perf_counter()
-    if args.seed is not None:
-        cfg["eval.seed"] = args.seed
-    data, inputs = _load_data(args)
-    split = data.test if args.split == "test" else data.train
+    data, inputs = _load_data(args, (args.split,))
+    split = getattr(data, args.split)
     ckpt = Path(args.checkpoint)
     enc_cfg, store = model.load_checkpoint(ckpt)
-
-    shot_modes = ("single", "multi") if cfg["eval.shots"] == "both" else (cfg["eval.shots"],)
-    protos = [protocol({**cfg, "eval.shots": shots}) for shots in shot_modes]
 
     timings: dict[str, float] = {}
     # a non-finite similarity is reported by cmc_map, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        reports = evaluate(store, split, protos, meta=data.meta, timings=timings)
+        reports = evaluate(store, split, run.protocols, meta=data.meta, timings=timings)
     diagnostics = reports[0].diagnostics
     bad = _first_non_finite(diagnostics)
     if bad is not None:
@@ -227,24 +211,23 @@ def cmd_eval(args, cfg: dict) -> int:
     (out / "eval_report.json").write_text(
         json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
-    _write_manifest(out, "eval", cfg, [p.seed for p in protos], [ckpt] + inputs,
+    _write_manifest(out, "eval", run.values, [p.seed for p in run.protocols], [ckpt] + inputs,
                     ["eval.csv", "eval_report.json"], t0, timings)
     for r in reports:
         print(f"rank1={r.rank(1):.3f} map={r.map:.3f}")
     return 0
 
 
-def cmd_gradcheck(args, cfg: dict) -> int:
+def cmd_gradcheck(args, run: Settings) -> int:
     t0 = time.perf_counter()
     names = (_parse_list(args.losses, "loss name", known=LOSS_NAMES) if args.losses
              else LOSS_NAMES)
     # a repeated size weights the batch rotation
     sizes = (_parse_list(args.sizes, "NxD size", _size, repeats=True) if args.sizes
              else DEFAULT_SIZES)
-    seed = args.seed if args.seed is not None else 0
     timings: dict[str, float] = {}
     summaries = run_all(names=names, n_batches=args.batches, sizes=sizes,
-                        h=args.h, tol=args.tol, seed=seed, weights=loss_weights(cfg),
+                        h=args.h, tol=args.tol, seed=args.seed, weights=run.train.weights,
                         timings=timings)
     print(f"{'loss':<16} {'batches':>7} {'max_rel_err':>12} status")
     for s in summaries:
@@ -256,10 +239,10 @@ def cmd_gradcheck(args, cfg: dict) -> int:
         raise FloatingPointError(f"non-finite loss in: {', '.join(non_finite)}")
     out = _prepare_out(args)
     (out / "gradcheck_report.json").write_text(
-        json.dumps({"h": args.h, "tol": args.tol, "seed": seed,
+        json.dumps({"h": args.h, "tol": args.tol, "seed": args.seed,
                     "results": [asdict(s) for s in summaries]},
                    indent=2, sort_keys=True, allow_nan=False) + "\n")
-    _write_manifest(out, "gradcheck", cfg, [seed], [],
+    _write_manifest(out, "gradcheck", run.values, [args.seed], [],
                     ["gradcheck_report.json"], t0, timings)
     failed = [s.name for s in summaries if s.n_failed]
     if failed:
@@ -268,29 +251,25 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_ablate(args, cfg: dict) -> int:
+def cmd_ablate(args, run: Settings) -> int:
     t0 = time.perf_counter()
-    tcfg = _train_config(args, cfg)
-    proto = protocol(cfg)
     seeds = _parse_list(args.seeds, "seed", int)
     labels = (_parse_list(args.labels, "ablation label", known=ABLATION_LABELS)
               if args.labels else ABLATION_LABELS)
     data, inputs = _load_data(args)
-    cells = run_cells(data, tcfg, proto, {label: ABLATION_GRID[label] for label in labels},
-                      seeds)
+    cells = run_cells(data, run.train, run.protocols[0],
+                      {label: ABLATION_GRID[label] for label in labels}, seeds)
     out = _prepare_out(args)
     write_ablation_csv(out / "ablation.csv", cells)
-    _write_manifest(out, "ablate", cfg, list(seeds), inputs, ["ablation.csv"], t0)
+    _write_manifest(out, "ablate", run.values, list(seeds), inputs, ["ablation.csv"], t0)
     for label, m in summarize(cells).items():
         print(f"{label:<14} rank1={m['rank1']:.3f} map={m['map']:.3f} "
               f"({int(m['n_seeds'])} seeds)")
     return 0
 
 
-def cmd_sweep(args, cfg: dict) -> int:
+def cmd_sweep(args, run: Settings) -> int:
     t0 = time.perf_counter()
-    tcfg = _train_config(args, cfg)
-    proto = protocol(cfg)
     seeds = _parse_list(args.seeds, "seed", int)
     # sweep_grid coerces each value to its field's type
     values = list(_parse_list(args.values, "value"))
@@ -299,10 +278,13 @@ def cmd_sweep(args, cfg: dict) -> int:
         grid = sweep_grid(args.param, values)
     except KeyError as e:
         raise ConfigError(str(e.args[0])) from e
-    cells = run_cells(data, tcfg, proto, grid, seeds)
+    for row in grid.values():
+        # each value is checked as its config key, against the rest of the config
+        resolve(run.values, {f"weights.{name}": v for name, v in row.items()})
+    cells = run_cells(data, run.train, run.protocols[0], grid, seeds)
     out = _prepare_out(args)
     write_sweep_csv(out / "sweep.csv", cells, args.param)
-    _write_manifest(out, "sweep", cfg, list(seeds), inputs, ["sweep.csv"], t0)
+    _write_manifest(out, "sweep", run.values, list(seeds), inputs, ["sweep.csv"], t0)
     for c in cells:
         print(f"{c.label:<14} seed={c.seed} rank1={c.metrics['rank1']:.3f} "
               f"map={c.metrics['map']:.3f}")
@@ -325,11 +307,12 @@ def build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, checkpoint=False, schedule=False, seed=True):
+    def common(p, data=False, checkpoint=False, schedule=False, seed=None):
+        # `seed`: the config key --seed sets, over --config and dotted flags
+        p.set_defaults(seed_key=seed)
         p.add_argument("--config", help="JSON config file with dotted keys")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the command's primary seed")
+            p.add_argument("--seed", type=int, default=None, help=f"sets {seed}")
         p.add_argument("--out", help="output directory")
         if data:
             p.add_argument("--data", required=True,
@@ -342,20 +325,21 @@ def build_parser() -> _ArgumentParser:
                            help="120 epochs with rate drops at 40 and 70")
 
     p = sub.add_parser("gen", help="generate a synthetic bimodal dataset")
-    common(p)
+    common(p, seed="gen.seed")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train the encoder suite")
-    common(p, data=True, schedule=True)
+    common(p, data=True, schedule=True, seed="train.seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="retrieval evaluation of a checkpoint")
-    common(p, data=True, checkpoint=True)
+    common(p, data=True, checkpoint=True, seed="eval.seed")
     p.add_argument("--split", choices=("test", "train"), default="test")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of all gradients")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the checked batches")
     p.add_argument("--batches", type=int, default=50, help="batches per loss")
     p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--tol", type=float, default=1e-4, help="relative-error tolerance")
@@ -367,7 +351,7 @@ def build_parser() -> _ArgumentParser:
     # without abbreviations, --seed is an unknown flag rather than --seeds
     p = sub.add_parser("ablate", help="train the component on/off lattice",
                        allow_abbrev=False)
-    common(p, data=True, schedule=True, seed=False)
+    common(p, data=True, schedule=True)
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of train seeds")
     p.add_argument("--labels", help="comma subset of lattice rows "
                                     f"({','.join(ABLATION_LABELS)})")
@@ -375,7 +359,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("sweep", help="metric-vs-value curves for one parameter",
                        allow_abbrev=False)
-    common(p, data=True, schedule=True, seed=False)
+    common(p, data=True, schedule=True)
     p.add_argument("--param", required=True,
                    help="lambda1..lambda4, tau, n_fuse (alias M)")
     p.add_argument("--values", required=True, help="comma list of values")
@@ -390,9 +374,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args, rest = parser.parse_known_args(argv)
         overrides = parse_override_args(rest)
+        # --seed and --long-schedule are overrides that beat the dotted flags
+        if args.seed_key is not None and args.seed is not None:
+            overrides[args.seed_key] = args.seed
+        if getattr(args, "long_schedule", False):
+            overrides.update(LONG_SCHEDULE)
         file_cfg = load_config_file(args.config) if args.config else None
-        cfg = resolve(file_cfg, overrides)
-        return args.func(args, cfg)
+        # ablate and sweep rank one protocol, so eval.shots "both" is refused
+        run = resolve(file_cfg, overrides, shots_both=args.func not in (cmd_ablate, cmd_sweep))
+        return args.func(args, run)
     except SystemExit as e:
         # argparse exits 0 for --help/--version; anything else is a usage error
         return 0 if e.code in (0, None) else 1

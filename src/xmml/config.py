@@ -5,15 +5,16 @@ Config files are JSON objects whose keys are dotted paths
 set on the command line as --train.epochs 60. The keys and their defaults
 are the fields of GeneratorConfig (gen.*), TrainConfig (train.*, with its
 encoder sizes under model.*), LossWeights (weights.*) and Protocol (eval.*).
-Values are coerced to the annotated type of their field.
+Values are coerced to the annotated type of their field, and `resolve`
+builds every section, so each value is checked by its dataclass before any
+command does work, and a bad one is reported under its dotted key.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import types
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -27,38 +28,23 @@ class ConfigError(ValueError):
     pass
 
 
+# the section dataclasses and their key prefixes; TrainConfig's weights are
+# the LossWeights section, and its encoder sizes are keyed model.*
+_PREFIXES = {GeneratorConfig: "gen", TrainConfig: "train", LossWeights: "weights",
+             Protocol: "eval"}
 _MODEL_FIELDS = ("d_hidden", "d_embed", "init_scale")
 
 
-def _names(cls, exclude=()) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.name not in exclude)
+def _key(cls, name: str) -> str:
+    return f"{'model' if name in _MODEL_FIELDS else _PREFIXES[cls]}.{name}"
 
 
-# (prefix, dataclass, the dataclass fields under that prefix)
-_SECTIONS = (
-    ("gen", GeneratorConfig, _names(GeneratorConfig)),
-    ("model", TrainConfig, _MODEL_FIELDS),
-    ("train", TrainConfig, _names(TrainConfig, _MODEL_FIELDS + ("weights",))),
-    ("weights", LossWeights, _names(LossWeights)),
-    ("eval", Protocol, _names(Protocol)),
-)
-
-
-def _derive_table() -> tuple[dict[str, object], dict[str, object]]:
-    defaults: dict[str, object] = {}
-    annotations: dict[str, object] = {}
-    for prefix, cls, names in _SECTIONS:
-        hints = get_type_hints(cls)
-        default_of = {f.name: f.default for f in fields(cls)}
-        for name in names:
-            value = default_of[name]
-            # the table holds what a JSON config file holds: lists, not tuples
-            defaults[f"{prefix}.{name}"] = list(value) if isinstance(value, tuple) else value
-            annotations[f"{prefix}.{name}"] = hints[name]
-    return defaults, annotations
-
-
-DEFAULTS, _TYPES = _derive_table()
+_FIELDS = {cls: [f for f in fields(cls) if f.name != "weights"] for cls in _PREFIXES}
+# the table holds what a JSON config file holds: lists, not tuples
+DEFAULTS = {_key(cls, f.name): list(f.default) if isinstance(f.default, tuple) else f.default
+            for cls, fs in _FIELDS.items() for f in fs}
+_TYPES = {_key(cls, name): hint for cls in _PREFIXES
+          for name, hint in get_type_hints(cls).items() if name != "weights"}
 
 # --long-schedule: 120 epochs, rate drops at epochs 40 and 70
 LONG_SCHEDULE = {"train.epochs": 120, "train.decay_epochs": [40, 70]}
@@ -78,10 +64,7 @@ def _convert(raw, typ) -> object:
             return False
         raise ValueError(f"not a boolean: {raw!r}")
     if typ in (int, float):
-        v = float(raw)
-        # the manifest and train log echo the config as strict JSON
-        if not math.isfinite(v):
-            raise ValueError(f"not a finite number: {raw!r}")
+        v = float(raw)   # an OverflowError for an int beyond float range
         if typ is float:
             return v
         if isinstance(raw, (int, str)):
@@ -123,9 +106,37 @@ def load_config_file(path: Path | str) -> dict[str, object]:
     return data
 
 
-def resolve(file_cfg: dict | None = None, overrides: dict | None = None) -> dict[str, object]:
-    """DEFAULTS <- config file <- command-line overrides, with validation."""
-    cfg = dict(DEFAULTS)
+@dataclass(frozen=True)
+class Settings:
+    """A command's checked configuration: the resolved dotted-key values,
+    which the manifest echoes, and the dataclasses built from them."""
+
+    values: dict[str, object]
+    gen: GeneratorConfig
+    train: TrainConfig                # with its LossWeights and model.* sizes
+    protocols: tuple[Protocol, ...]   # eval.shots "both": single, then multi
+
+
+def _built(cls, values: dict[str, object], **kwargs):
+    """cls built from its keys in `values`, then `kwargs`. A config
+    dataclass's ValueError starts with the field at fault; it becomes a
+    ConfigError naming that field's dotted key."""
+    args = {f.name: values[_key(cls, f.name)] for f in _FIELDS[cls]}
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in {**args, **kwargs}.items()})
+    except ValueError as e:
+        name = str(e).split(" ", 1)[0]
+        raise ConfigError(f"bad value for {_key(cls, name) if name in args else _PREFIXES[cls]}"
+                          f": {e}") from e
+
+
+def resolve(file_cfg: dict | None = None, overrides: dict | None = None,
+            shots_both: bool = True) -> Settings:
+    """DEFAULTS <- config file <- overrides, coerced, then every section
+    built. With `shots_both`, eval.shots "both" builds the single-shot and
+    the multi-shot protocol; without, it is a bad value."""
+    values = dict(DEFAULTS)
     for source, name in ((file_cfg, "config file"), (overrides, "flag")):
         if not source:
             continue
@@ -133,8 +144,12 @@ def resolve(file_cfg: dict | None = None, overrides: dict | None = None) -> dict
         if unknown:
             raise ConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
         for k, v in source.items():
-            cfg[k] = coerce(k, v)
-    return cfg
+            values[k] = coerce(k, v)
+    shots = values["eval.shots"]
+    modes = ("single", "multi") if shots_both and shots == "both" else (shots,)
+    return Settings(values, _built(GeneratorConfig, values),
+                    _built(TrainConfig, values, weights=_built(LossWeights, values)),
+                    tuple(_built(Protocol, values, shots=s) for s in modes))
 
 
 def parse_override_args(rest: list[str]) -> dict[str, object]:
@@ -158,27 +173,3 @@ def parse_override_args(rest: list[str]) -> dict[str, object]:
         overrides[key] = value
         i += 1
     return overrides
-
-
-def section(cfg: dict[str, object], prefix: str) -> dict[str, object]:
-    """The keys under `prefix`, as dataclass keyword arguments."""
-    plen = len(prefix) + 1
-    return {k[plen:]: tuple(v) if isinstance(v, list) else v
-            for k, v in cfg.items() if k.startswith(prefix + ".")}
-
-
-def generator_config(cfg: dict[str, object]) -> GeneratorConfig:
-    return GeneratorConfig(**section(cfg, "gen"))
-
-
-def loss_weights(cfg: dict[str, object]) -> LossWeights:
-    return LossWeights(**section(cfg, "weights"))
-
-
-def train_config(cfg: dict[str, object]) -> TrainConfig:
-    return TrainConfig(weights=loss_weights(cfg), **section(cfg, "model"),
-                       **section(cfg, "train"))
-
-
-def protocol(cfg: dict[str, object]) -> Protocol:
-    return Protocol(**section(cfg, "eval"))

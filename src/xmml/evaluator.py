@@ -40,12 +40,12 @@ class Protocol:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.query_modality not in MODALITIES or self.gallery_modality not in MODALITIES:
-            raise ValueError(
-                f"modalities must be in {MODALITIES}, got "
-                f"{self.query_modality!r}/{self.gallery_modality!r}")
-        if self.query_modality == self.gallery_modality:
-            raise ValueError("query and gallery modalities must differ")
+        for name in ("query_modality", "gallery_modality"):
+            if getattr(self, name) not in MODALITIES:
+                raise ValueError(f"{name} must be in {MODALITIES}, got {getattr(self, name)!r}")
+        if self.gallery_modality == self.query_modality:
+            raise ValueError(f"gallery_modality must differ from query_modality, "
+                             f"got {self.gallery_modality!r} for both")
         if self.shots not in ("single", "multi"):
             raise ValueError(f"shots must be 'single' or 'multi', got {self.shots!r}")
         if self.k_max < 1:

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import DimensionError, ParamStore, check_field_types, derive_rng
+from .numerics import (DimensionError, ParamStore, check_field_types, derive_rng,
+                       float64_vector)
 
 STEM_BY_MODALITY = {"V": "stem_v", "R": "stem_r"}
 
@@ -262,16 +263,13 @@ def load_checkpoint(path: Path | str):
                         raise ValueError("a second encoder_config record")
                     cfg = EncoderConfig(**rec)
                 elif kind == "tensor":
-                    # as float64, numpy would read true as 1.0, "2" as 2.0, null as nan
-                    if not set(map(type, rec["data"])) <= {int, float}:
-                        raise ValueError("data is not a flat list of numbers")
-                    arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+                    arr = float64_vector(rec["data"], "data").reshape(rec["shape"])
                     store.add(rec["name"], arr)
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 # bad JSON, missing fields, unknown config keys, duplicate
-                # tensors, integers beyond float range
+                # tensors
                 raise ValueError(f"{path}:{line_no}: bad record: {e}") from e
     if cfg is None:
         raise ValueError(f"{path}: missing encoder_config record")

@@ -1,6 +1,7 @@
 """Float64 numeric substrate: seeded RNG streams, a named parameter store,
 exact blocked pairwise distances, phase timers, a central-difference
-gradient checker, and check_field_types, the config dataclasses' type rule.
+gradient checker, check_field_types, the config dataclasses' type rule, and
+float64_vector, the one reader of a JSON list of numbers.
 
 Everything downstream assumes 64-bit floats. 32-bit arithmetic is too noisy
 for reliable central-difference verification at h=1e-5.
@@ -25,6 +26,7 @@ __all__ = [
     "DegenerateInputError",
     "ProtocolError",
     "check_field_types",
+    "float64_vector",
     "derive_rng",
     "derive_seed",
     "ParamStore",
@@ -50,15 +52,17 @@ class ProtocolError(RuntimeError):
     """A batch / sampling / evaluation precondition does not hold."""
 
 
+def _seed_word(name: str, value):
+    # one 64-bit SeedSequence word: masking would alias another seed's stream
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value!r}")
+    return value
+
+
 def _tag_int(tag) -> int:
     if isinstance(tag, str):
         return zlib.crc32(tag.encode("utf8"))
-    value = int(tag)
-    # a SeedSequence entry is one 64-bit word: masking would alias the value
-    # to another seed's stream
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed or tag {tag!r} is outside [0, 2**64)")
-    return value
+    return _seed_word("seed or tag", int(tag))
 
 
 def derive_rng(root_seed: int, *tags) -> np.random.Generator:
@@ -106,8 +110,20 @@ def check_field_types(obj) -> None:
         # compared, not converted: an int beyond float range is finite
         if isinstance(value, Real) and not -math.inf < value < math.inf:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if f.name in SEED_FIELDS and not 0 <= value < 2**64:
-            raise ValueError(f"{f.name} must be in [0, 2**64), got {value!r}")
+        if f.name in SEED_FIELDS:
+            _seed_word(f.name, value)
+
+
+def float64_vector(value, name: str) -> np.ndarray:
+    """The JSON list `value` as a float64 vector, or a ValueError naming
+    `name`: a flat list of ints and floats, not bools, within float64 range
+    (2**70 reads as its float, 10**400 does not). NaN and inf pass."""
+    if type(value) is not list or not set(map(type, value)) <= {int, float}:
+        raise ValueError(f"{name} is not a flat list of numbers")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} holds a number beyond float64 range") from None
 
 
 class ParamStore:

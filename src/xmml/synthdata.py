@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import (DimensionError, ProtocolError, check_field_types, derive_rng,
-                       rows_by_label)
+                       float64_vector, rows_by_label)
 
 MODALITIES = ("V", "R")
 
@@ -60,11 +60,9 @@ class GeneratorConfig:
                      "d_id", "d_view", "d_conflict"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("sigma_view", "sigma_noise"):
-            if getattr(self, name) < 0:
+        for name in ("sigma_view", "sigma_noise", "sigma_text"):
+            if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.sigma_text is not None and self.sigma_text < 0:
-            raise ValueError(f"sigma_text must be >= 0, got {self.sigma_text}")
         if not 0.0 < self.mask_keep_prob <= 1.0:
             raise ValueError(f"mask_keep_prob must be in (0, 1], got {self.mask_keep_prob}")
 
@@ -171,8 +169,8 @@ class Split:
 
 @dataclass
 class DatasetBundle:
-    train: Split
-    test: Split
+    train: Split | None   # None when load_dataset was not asked for it
+    test: Split | None
     meta: DatasetMeta
 
 
@@ -298,13 +296,7 @@ def _parse_record(line: bytes) -> list:
             raise ValueError(f"unknown modality tag {value!r}")
         if kind is int and not -2**63 <= value < 2**63:
             raise ValueError(f"{name} {value} is outside the int64 range")
-        if kind is list:
-            # numpy reads a JSON true or false among numbers as 1 or 0
-            numbers = bool not in map(type, value)
-            value = np.asarray(value)
-            if value.ndim != 1 or value.dtype.kind not in "iuf" or not numbers:
-                raise ValueError(f"{name} is not a flat list of numbers")
-        values.append(value)
+        values.append(float64_vector(value, name) if kind is list else value)
     return values
 
 
@@ -382,20 +374,24 @@ def save_dataset(out_dir: Path | str, bundle: DatasetBundle) -> list[str]:
     return list(DATASET_FILES)
 
 
-def load_dataset(data_dir: Path | str) -> DatasetBundle:
-    """save_dataset's directory; raises ValueError when meta.json's feature
-    size is not the width of both splits."""
-    paths = [Path(data_dir) / name for name in DATASET_FILES]
-    for path in paths:
+def load_dataset(data_dir: Path | str, splits: tuple[str, ...] = ("train", "test")
+                 ) -> DatasetBundle:
+    """save_dataset's directory: meta.json and the named splits, the others
+    None. Raises ValueError when meta.json's feature size is not the width
+    of a split read."""
+    data_dir = Path(data_dir)
+    paths = {name: data_dir / f"{name}.jsonl" for name in splits}
+    meta = data_dir / "meta.json"
+    for path in (*paths.values(), meta):
         if not path.exists():
             raise FileNotFoundError(f"{path} missing from dataset directory")
-    train, test, meta = paths
-    bundle = DatasetBundle(train=load_split(train), test=load_split(test),
+    loaded = {name: load_split(path) for name, path in paths.items()}
+    bundle = DatasetBundle(train=loaded.get("train"), test=loaded.get("test"),
                            meta=load_meta(meta))
     d = bundle.meta.config.d_feature
-    for path, split in ((train, bundle.train), (test, bundle.test)):
+    for name, path in paths.items():
         # the mixing matrices conflict_sensitivity rebuilds are d x d
-        width = split.rows["V"].x_raw.shape[1]
+        width = loaded[name].rows["V"].x_raw.shape[1]
         if width != d:
             raise ValueError(f"{meta}: d_feature {d} (d_id + d_view + d_conflict) does "
                              f"not match the {width}-wide features of {path}")

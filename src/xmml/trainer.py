@@ -64,6 +64,9 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValueError(f"decay_epochs must be strictly increasing, got {self.decay_epochs}")
+        # the model sizes follow EncoderConfig's rules; the data sets the rest
+        model.EncoderConfig(d_in_visual=1, d_in_text=1, n_classes=2, d_hidden=self.d_hidden,
+                            d_embed=self.d_embed, init_scale=self.init_scale)
         w = self.weights
         # the triplet needs a negative per anchor; fusion needs a partner per row
         if w.lambda1 > 0 and self.n_ids_per_batch < 2:

@@ -116,7 +116,7 @@ class TestGen:
         # masked to 64 bits, 2**64 would write seed 0's dataset
         assert main(["gen", "--out", str(tmp_path / "x"), flag, seed] + TINY_GEN_ARGS) == 1
         assert capsys.readouterr().err == (
-            f"error: seed must be in [0, 2**64), got {seed}\n")
+            f"error: bad value for gen.seed: seed must be in [0, 2**64), got {seed}\n")
         assert not (tmp_path / "x").exists()
 
     def test_largest_seed_is_taken_exactly(self, tmp_path):
@@ -577,7 +577,7 @@ class TestEval:
         pytest.param(True, "data is not a flat list of numbers", id="True"),
         pytest.param("0.5", "data is not a flat list of numbers", id="0.5"),
         pytest.param(None, "data is not a flat list of numbers", id="None"),
-        pytest.param(10**400, "int too large to convert to float", id="10**400"),
+        pytest.param(10**400, "data holds a number beyond float64 range", id="10**400"),
     ])
     def test_non_number_in_tensor_data_fails_cleanly(self, train_dir, gen_dir, tmp_path,
                                                      capsys, value, reason):
@@ -637,7 +637,8 @@ class TestEval:
         assert main(["eval", "--data", str(gen_dir),
                      "--checkpoint", str(train_dir / "checkpoint.jsonl"),
                      "--out", str(tmp_path / "eval"), "--eval.k_max", k_max]) == 1
-        assert "error: k_max must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: bad value for eval.k_max: k_max must be >= 1, got {k_max}\n")
         assert not (tmp_path / "eval").exists()
 
     def test_k_max_sets_the_cmc_length(self, train_dir, gen_dir, tmp_path):
@@ -947,8 +948,8 @@ class TestAblateSweep:
 
     @pytest.mark.parametrize("param,values,message", [
         ("M", "1.5", "not an integer"),
-        ("M", "1,inf", "not a finite number"),
-        ("lambda1", "0.1,nan", "not a finite number"),
+        ("M", "1,inf", "bad value for weights.n_fuse: cannot convert float infinity"),
+        ("lambda1", "0.1,nan", "bad value for weights.lambda1: lambda1 must be finite"),
         ("lambda1", "0.1,-1", "lambda1 must be >= 0"),
     ])
     def test_bad_sweep_value_fails_before_any_cell(self, gen_dir, tmp_path, capsys,
@@ -967,6 +968,63 @@ class TestAblateSweep:
                      "--out", str(tmp_path / "sw"), "--param", "tau",
                      "--values", "0.1", "--seeds", "a,b"] + TINY_TRAIN_ARGS) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestConfigChecks:
+    """Every command builds every config section before any work, so a bad
+    value of any key, run by the command or not, exits 1 naming its key."""
+
+    BAD_KEYS = [
+        ("train", ["--gen.seed", "-5", "--eval.k_max", "0"], "gen.seed"),
+        ("gradcheck", ["--train.epochs", "0", "--gen.sigma_view", "-1"], "gen.sigma_view"),
+        ("gen", ["--weights.tau", "0", "--train.lr_visual", "-1"], "weights.tau"),
+        ("eval", ["--gen.sigma_view", "-1"], "gen.sigma_view"),
+        ("ablate", ["--gen.d_id", "0"], "gen.d_id"),
+        ("train", ["--weights.tau", "nan"], "weights.tau"),
+        ("sweep", ["--param", "lambda1", "--values", "0.1,nan"], "weights.lambda1"),
+        ("train", ["--model.d_hidden", "0"], "model.d_hidden"),
+        ("eval", ["--eval.gallery_modality", "R"], "eval.gallery_modality"),
+        # ablate and sweep rank one protocol
+        ("ablate", ["--eval.shots", "both"], "eval.shots"),
+        ("sweep", ["--param", "tau", "--values", "0.1", "--eval.shots", "both"], "eval.shots"),
+    ]
+
+    @pytest.mark.parametrize("command, flags, key", BAD_KEYS,
+                             ids=[f"{command}-{key}" for command, _, key in BAD_KEYS])
+    def test_any_bad_key_exits_1_naming_it(self, train_dir, gen_dir, tmp_path, capsys,
+                                            command, flags, key):
+        inputs = {"gen": [], "gradcheck": [],
+                  "eval": ["--data", str(gen_dir),
+                           "--checkpoint", str(train_dir / "checkpoint.jsonl")]}
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)]
+                    + inputs.get(command, ["--data", str(gen_dir)]) + flags) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: bad value for {key}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["test", "train"])
+    def test_eval_reads_meta_and_its_split_only(self, train_dir, gen_dir, tmp_path, split):
+        data = tmp_path / "data"
+        shutil.copytree(gen_dir, data)
+        (data / ("train.jsonl" if split == "test" else "test.jsonl")).unlink()
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(data), "--split", split,
+                     "--checkpoint", str(train_dir / "checkpoint.jsonl"),
+                     "--out", str(out)]) == 0
+        assert sorted(manifest(out)["inputs"]) == sorted(
+            str(p) for p in (train_dir / "checkpoint.jsonl", data / "meta.json",
+                             data / f"{split}.jsonl"))
+
+    def test_seed_flag_beats_the_dotted_key_and_the_file(self, gen_dir, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"train.seed": 3}))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(gen_dir), "--out", str(out), "--seed", "5",
+                     "--config", str(cfg_file), "--train.seed", "4"]
+                    + TINY_TRAIN_ARGS) == 0
+        assert manifest(out)["config"]["train.seed"] == 5
+        assert manifest(out)["seeds"] == [5]
 
 
 class TestTopLevel:

@@ -1,6 +1,6 @@
 """Flat dotted-key configuration: the table derived from the dataclass
-defaults, type-driven coercion, the section builders, and the field checks
-every config dataclass runs when it is built."""
+defaults, type-driven coercion, the sections `resolve` builds, and the field
+checks every config dataclass runs when it is built."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from xmml.config import (DEFAULTS, ConfigError, generator_config, loss_weights,
-                         protocol, resolve, train_config)
+from xmml.config import DEFAULTS, ConfigError, coerce, resolve
 from xmml.evaluator import Protocol
 from xmml.losses import LossWeights
 from xmml.model import EncoderConfig
@@ -21,11 +20,11 @@ from xmml.trainer import TrainConfig
 
 class TestDefaults:
     def test_defaults_round_trip_to_the_dataclasses(self):
-        cfg = resolve()
-        assert generator_config(cfg) == GeneratorConfig()
-        assert loss_weights(cfg) == LossWeights()
-        assert train_config(cfg) == TrainConfig()
-        assert protocol(cfg) == Protocol()
+        run = resolve()
+        assert run.gen == GeneratorConfig()
+        assert run.train.weights == LossWeights()
+        assert run.train == TrainConfig()
+        assert run.protocols == (Protocol(),)
 
     def test_sections_and_model_aliases(self):
         prefixes = {k.split(".")[0] for k in DEFAULTS}
@@ -38,28 +37,29 @@ class TestDefaults:
 
     def test_tuple_fields_are_json_lists(self):
         assert DEFAULTS["train.decay_epochs"] == [20, 35]
-        cfg = resolve(overrides={"train.decay_epochs": "5,9"})
-        assert cfg["train.decay_epochs"] == [5, 9]
-        assert train_config(cfg).decay_epochs == (5, 9)
+        run = resolve(overrides={"train.decay_epochs": "5,9"})
+        assert run.values["train.decay_epochs"] == [5, 9]
+        assert run.train.decay_epochs == (5, 9)
 
 
 class TestCoercion:
     @pytest.mark.parametrize("raw, want", [("none", None), ("null", None),
                                            (None, None), ("0.3", 0.3), (0.3, 0.3)])
     def test_nullable_float(self, raw, want):
-        cfg = resolve(overrides={"gen.sigma_text": raw})
-        assert cfg["gen.sigma_text"] == want
-        assert generator_config(cfg).sigma_text == want
+        run = resolve(overrides={"gen.sigma_text": raw})
+        assert run.values["gen.sigma_text"] == want
+        assert run.gen.sigma_text == want
 
     def test_scalar_types(self):
-        cfg = resolve(overrides={"train.epochs": "7", "weights.tau": "0.5",
+        run = resolve(overrides={"train.epochs": "7", "weights.tau": "0.5",
                                  "weights.distill_text": "off",
                                  "eval.query_modality": "V",
                                  "eval.gallery_modality": "R"})
+        cfg = run.values
         assert cfg["train.epochs"] == 7 and isinstance(cfg["train.epochs"], int)
         assert cfg["weights.tau"] == 0.5
         assert cfg["weights.distill_text"] is False
-        assert protocol(cfg).query_modality == "V"
+        assert run.protocols[0].query_modality == "V"
 
     @pytest.mark.parametrize("key, raw", [("train.epochs", "2.5"), ("train.epochs", "none"),
                                           ("weights.distill_text", "maybe"),
@@ -69,7 +69,9 @@ class TestCoercion:
                                           ("gen.sigma_text", "-inf"), ("train.epochs", "inf"),
                                           # a JSON config file's integer beyond float range
                                           pytest.param("train.epochs", 10**400,
-                                                       id="train.epochs-10**400")])
+                                                       id="train.epochs-10**400"),
+                                          # a seed is one 64-bit word
+                                          ("train.seed", -1), ("train.seed", 2**70)])
     def test_bad_values_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
             resolve(overrides={key: raw})
@@ -79,11 +81,11 @@ class TestCoercion:
         # float() would round the first three; the seed's range is checked
         # when its dataclass is built
         for spelling in (raw, str(raw), f" {raw} "):
-            assert resolve(overrides={"train.seed": spelling})["train.seed"] == raw
+            assert coerce("train.seed", spelling) == raw
 
     @pytest.mark.parametrize("raw, want", [("1e3", 1000), ("3.0", 3), (4.0, 4), (True, 1)])
     def test_other_integer_spellings_read_as_numbers(self, raw, want):
-        value = resolve(overrides={"train.epochs": raw})["train.epochs"]
+        value = resolve(overrides={"train.epochs": raw}).values["train.epochs"]
         assert value == want and type(value) is int
 
     def test_unknown_key_rejected(self):

@@ -39,7 +39,7 @@ class TestRngStreams:
         for call in (lambda: derive_rng(value, "x"), lambda: derive_rng(0, "x", value),
                      lambda: derive_seed(value, "x")):
             with pytest.raises(ValueError, match=re.escape(
-                    f"seed or tag {value} is outside [0, 2**64)")):
+                    f"seed or tag must be in [0, 2**64), got {value}")):
                 call()
 
     def test_largest_seed_has_its_own_stream(self):

@@ -1,7 +1,8 @@
 """scripts/run_benchmark.py, the one writer of tests/fixtures/reference_*.json:
-it takes no options, writes both fixtures only when every claim holds, and
-writes each through a temporary file. The benchmark and the smoke run are
-stubbed; the fixtures live in a temporary directory."""
+it takes no options, writes the fixtures only when every claim holds, and
+writes each through a temporary file. The benchmark, the smoke run and the
+fingerprint runs are stubbed; the fixtures live in a temporary directory.
+The committed fingerprints are recomputed and compared exactly."""
 
 from __future__ import annotations
 
@@ -20,12 +21,14 @@ run_benchmark = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(run_benchmark)
 
 COMMITTED = Path(__file__).resolve().parent / "fixtures"
-NAMES = ("reference_margins.json", "reference_smoke.json")
+NAMES = ("reference_margins.json", "reference_smoke.json", "reference_fingerprints.json")
 PASSING = {"rank1_full_vs_baseline": 0.25, "map_fusion_vs_align": 0.01,
            "conflict_parity_gain": 0.0004, "gap_shrink": 0.19}
 MEANS = {"full": {"rank1": 0.34, "map": 0.34, "gap_ratio": 1.49,
                   "conflict_sensitivity": 0.097}}
 SMOKE = {"step0_total": 13.5, "after_epoch1_total": 12.5, "definition": "stub"}
+PRINTS = {"trajectory": {"default/checkpoint.jsonl": "ab"}, "format": {"ablation.csv": "cd"},
+          "environment": {"numpy": "stub"}}
 
 
 @pytest.fixture
@@ -36,6 +39,7 @@ def fixtures(monkeypatch, tmp_path):
     monkeypatch.setattr(run_benchmark, "FIXTURES", tmp_path)
     monkeypatch.setattr(run_benchmark, "generate_dataset", lambda cfg: "data")
     monkeypatch.setattr(run_benchmark, "smoke_record", lambda data: dict(SMOKE))
+    monkeypatch.setattr(run_benchmark, "fingerprints", lambda work: PRINTS)
     return tmp_path
 
 
@@ -89,6 +93,7 @@ def test_passing_claims_lock_both_fixtures(monkeypatch, fixtures, capsys):
     assert margins["train_overrides"] == BENCHMARK_TRAIN_OVERRIDES
     assert "wall_clock_sec" not in margins
     assert json.loads((fixtures / NAMES[1]).read_text()) == SMOKE
+    assert json.loads((fixtures / NAMES[2]).read_text()) == PRINTS
 
     out = capsys.readouterr().out
     assert "| claim | locked | new |" in out
@@ -109,3 +114,18 @@ def test_committed_margins_fixture_is_the_lock_commands_run():
     assert record["generator_seed"] == 0
     assert record["train_overrides"] == BENCHMARK_TRAIN_OVERRIDES
     assert set(record["margins"]) == set(CLAIMS)
+
+
+def test_fingerprints_equal_the_locked_ones(tmp_path):
+    # bit-preservation: a change that moves any trajectory or artifact by one
+    # ulp or byte fails here; a relock re-records them with the margins
+    locked = json.loads((COMMITTED / NAMES[2]).read_text())
+    got = run_benchmark.fingerprints(tmp_path)
+    differ = sorted(f"{group} {name}" for group in ("trajectory", "format")
+                    for name in locked[group].keys() | got[group].keys()
+                    if locked[group].get(name) != got[group].get(name))
+    environment = {key: f"{value!r} locked, {got['environment'].get(key)!r} here"
+                   for key, value in locked["environment"].items()
+                   if got["environment"].get(key) != value}
+    assert not differ, (f"differ from the locked fingerprints: {', '.join(differ)}; "
+                        f"environment differences: {environment or 'none'}")

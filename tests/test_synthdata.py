@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 import tracemalloc
 
@@ -14,7 +15,7 @@ import pytest
 
 import oracles
 from xmml.evaluator import Protocol, evaluate
-from xmml.model import EncoderConfig, init_params
+from xmml.model import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from xmml.numerics import ProtocolError, derive_rng
 from xmml.synthdata import (Batch, DatasetMeta, GeneratorConfig, Split, _generate_split,
                             generate_dataset, load_dataset, load_split, sample_batch,
@@ -192,6 +193,45 @@ class TestConfigValidation:
 
 
 # ----------------------------------------------------------- serialization
+
+def _reader_verdict(read, path, name: str) -> str:
+    """'ok' when `read(path)` loads, else its message after the list's name."""
+    try:
+        read(path)
+    except ValueError as e:
+        return str(e).split(f"{name} ", 1)[1]
+    return "ok"
+
+
+class TestNumberLists:
+    """Split features and checkpoint tensors read a JSON list of numbers by
+    one rule: ints and floats (not bools) within float64 range."""
+
+    @pytest.mark.parametrize("value, verdict", [
+        (True, "is not a flat list of numbers"), ("1", "is not a flat list of numbers"),
+        (None, "is not a flat list of numbers"), ([1], "is not a flat list of numbers"),
+        ({}, "is not a flat list of numbers"), (2**70, "ok"),
+        (10**400, "holds a number beyond float64 range"),
+    ], ids=["true", "str_1", "null", "nested_1", "object", "2**70", "10**400"])
+    def test_split_and_checkpoint_agree(self, tiny_bundle, tmp_path, value, verdict):
+        split = tmp_path / "split.jsonl"
+        save_split(split, tiny_bundle.test)
+        lines = split.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["x_raw"][0] = value
+        split.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+
+        ckpt = tmp_path / "checkpoint.jsonl"
+        cfg = EncoderConfig(d_in_visual=4, d_in_text=4, n_classes=3, d_hidden=4, d_embed=2)
+        save_checkpoint(ckpt, cfg, init_params(cfg))
+        lines = ckpt.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["data"][0] = value
+        ckpt.write_text("\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
+
+        assert _reader_verdict(load_split, split, "x_raw") == verdict
+        assert _reader_verdict(load_checkpoint, ckpt, "data") == verdict
+
 
 class TestSerialization:
     def test_round_trip_is_exact(self, tiny_bundle, tmp_path):

@@ -13,7 +13,7 @@ from conftest import FIXTURES
 from test_losses import fuse_multiview_per_row
 from xmml import gradcheck, model, trainer
 from xmml.bench import ABLATION_GRID
-from xmml.config import LONG_SCHEDULE, resolve, train_config
+from xmml.config import LONG_SCHEDULE, resolve
 from xmml.model import init_params
 from xmml.losses import LossWeights
 from xmml.synthdata import sample_batch
@@ -42,7 +42,7 @@ class TestSchedule:
         assert lr_at(59, cfg)["visual"] == pytest.approx(3e-6)
 
     def test_long_schedule_decays_at_40_and_70(self):
-        cfg = train_config(resolve(overrides=LONG_SCHEDULE))
+        cfg = resolve(overrides=LONG_SCHEDULE).train
         assert cfg.epochs == 120
         assert cfg.decay_epochs == (40, 70)
         assert lr_at(39, cfg)["visual"] == pytest.approx(3e-4)
