@@ -79,8 +79,8 @@ def fingerprints(work: Path) -> dict:
     train` at the benchmark rates, at the default config and with SWITCHES,
     and the max_rel_err reprs of gradcheck.run_all(n_batches=6, seed=123).
     Format, kept apart: eval_report.json of `xmml eval --eval.shots both` on
-    the default checkpoint, and ablation.csv of a 1-epoch `xmml ablate
-    --seeds 0`."""
+    the default checkpoint, ablation.csv of a 1-epoch `xmml ablate --seeds 0`,
+    and sweep.csv of a 1-epoch `xmml sweep --param M --values 0,1 --seeds 0`."""
     data = work / "data"
     rates = [arg for key, value in sorted(BENCHMARK_TRAIN_OVERRIDES.items())
              for arg in (f"--train.{key}", repr(value))]
@@ -91,7 +91,9 @@ def fingerprints(work: Path) -> dict:
     commands += [["eval", "--data", data, "--checkpoint", work / "default" / "checkpoint.jsonl",
                   "--out", work / "eval", "--eval.shots", "both"],
                  ["ablate", "--data", data, "--out", work / "ablate", "--seeds", "0",
-                  "--train.epochs", "1"]]
+                  "--train.epochs", "1"],
+                 ["sweep", "--data", data, "--out", work / "sweep", "--param", "M",
+                  "--values", "0,1", "--seeds", "0", "--train.epochs", "1"]]
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in commands:
             argv = [str(a) for a in argv]
@@ -107,7 +109,8 @@ def fingerprints(work: Path) -> dict:
                           for artifact in ("checkpoint.jsonl", "train_log.jsonl")},
                        **{f"gradcheck/{s.name}": repr(float(s.max_rel_err)) for s in summaries}},
         "format": {"eval_report.json": sha(work / "eval" / "eval_report.json"),
-                   "ablation.csv": sha(work / "ablate" / "ablation.csv")},
+                   "ablation.csv": sha(work / "ablate" / "ablation.csv"),
+                   "sweep.csv": sha(work / "sweep" / "sweep.csv")},
         "environment": environment(),
     }
 

@@ -197,13 +197,12 @@ SWEEP_PARAMS = {"lambda1": "lambda1", "lambda2": "lambda2",
 
 
 def sweep_grid(param: str, values: list[float | str]) -> dict[str, dict[str, object]]:
-    """One grid row per value, labelled `param=value`. Raises KeyError for an
-    unknown `param`. Each value is coerced like the config key of its
-    LossWeights field; a value that does not coerce, or two that coerce to
-    one, raise ConfigError."""
+    """One grid row per value, labelled `param=value`. Each value is coerced
+    like the config key of its LossWeights field. An unknown `param`, a value
+    that does not coerce, or two that coerce to one raise ConfigError."""
     if param not in SWEEP_PARAMS:
-        raise KeyError(f"unknown sweep parameter {param!r}; "
-                       f"known: {', '.join(sorted(SWEEP_PARAMS))}")
+        raise ConfigError(f"unknown sweep parameter {param!r}; "
+                          f"known: {', '.join(sorted(SWEEP_PARAMS))}")
     target = SWEEP_PARAMS[param]
     casts = [coerce(f"weights.{target}", value) for value in values]
     for i, cast in enumerate(casts):

@@ -30,6 +30,14 @@ from .synthdata import MODALITIES, DatasetMeta, Split
 REPORTED_METRICS = ("rank1", "rank5", "rank10", "map", "gap_ratio", "conflict_sensitivity")
 
 
+class DiagnosticError(ProtocolError):
+    """A diagnostic measured NaN or infinite; carries every diagnostic."""
+
+    def __init__(self, message: str, diagnostics: dict[str, float]):
+        super().__init__(message)
+        self.diagnostics = diagnostics
+
+
 @dataclass(frozen=True)
 class Protocol:
     query_modality: str = "R"
@@ -209,22 +217,37 @@ def evaluate(store: ParamStore, split: Split, protocols: Sequence[Protocol],
     sensitivity needs `meta` (mixing matrices). With `timings`, the wall
     time of the phases embed, cmc_map (over all protocols), modality_gap
     and conflict_sensitivity is added to it, in seconds.
-    """
-    with timed(timings, "embed"):
-        emb = embed_split(store, split)
-    for protocol in protocols:
-        if protocol.query_modality not in emb or protocol.gallery_modality not in emb:
-            raise ProtocolError(
-                f"split lacks samples for protocol {protocol.query_modality}->"
-                f"{protocol.gallery_modality}")
 
-    with timed(timings, "modality_gap"):
-        gap = modality_gap(split, emb)
-    diagnostics = {name: gap[name] for name in ("intra_mean", "inter_mean", "gap_ratio")}
-    if meta is not None:
-        with timed(timings, "conflict_sensitivity"):
-            diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, split, emb)
-    return [_rank(split, emb, protocol, diagnostics, timings) for protocol in protocols]
+    A NaN or infinite similarity raises ProtocolError (see `cmc_map`). Once
+    every protocol is ranked, the first NaN or infinite diagnostic in dict
+    order raises DiagnosticError, which carries the diagnostics. The one
+    exception is the undefined ratio, gap_ratio inf with intra_mean 0.0 (no
+    identity has two samples of one modality): it is reported, and
+    `as_written` makes it null.
+    """
+    # a non-finite value is reported by the checks below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with timed(timings, "embed"):
+            emb = embed_split(store, split)
+        for protocol in protocols:
+            if protocol.query_modality not in emb or protocol.gallery_modality not in emb:
+                raise ProtocolError(
+                    f"split lacks samples for protocol {protocol.query_modality}->"
+                    f"{protocol.gallery_modality}")
+
+        with timed(timings, "modality_gap"):
+            gap = modality_gap(split, emb)
+        diagnostics = {name: gap[name] for name in ("intra_mean", "inter_mean", "gap_ratio")}
+        if meta is not None:
+            with timed(timings, "conflict_sensitivity"):
+                diagnostics["conflict_sensitivity"] = conflict_sensitivity(store, meta, split,
+                                                                           emb)
+        reports = [_rank(split, emb, protocol, diagnostics, timings) for protocol in protocols]
+        for name, value in diagnostics.items():
+            if not np.isfinite(value) and not (name == "gap_ratio"
+                                               and diagnostics["intra_mean"] == 0.0):
+                raise DiagnosticError(f"diagnostic {name} is {value}", diagnostics)
+    return reports
 
 
 def _rank(split: Split, emb: dict[str, np.ndarray], protocol: Protocol,

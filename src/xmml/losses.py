@@ -93,8 +93,7 @@ class EmbeddingSet:
     """Row-aligned embeddings for one batch: images f_*, texts t_*.
 
     `blocks` is one contiguous 4 x N x d float64 array in BLOCK_NAMES order,
-    or a ... x 4 x N x d stack of such batches on the value path; `f_v`,
-    `f_r`, `t_v` and `t_r` are views of it.
+    or a ... x 4 x N x d stack of such batches on the value path.
     """
 
     blocks: np.ndarray
@@ -113,11 +112,6 @@ class EmbeddingSet:
         if not finite.all():
             name = BLOCK_NAMES[int(np.flatnonzero(~finite)[0]) % 4]
             raise DegenerateInputError(f"block {name} has non-finite entries")
-
-    f_v = property(lambda self: self.blocks[..., 0, :, :])
-    f_r = property(lambda self: self.blocks[..., 1, :, :])
-    t_v = property(lambda self: self.blocks[..., 2, :, :])
-    t_r = property(lambda self: self.blocks[..., 3, :, :])
 
     @property
     def n(self) -> int:
@@ -349,11 +343,6 @@ class FusedSet:
     blocks: np.ndarray
     mix_v: np.ndarray
     mix_r: np.ndarray
-
-    fm_v = property(lambda self: self.blocks[0])
-    fm_r = property(lambda self: self.blocks[1])
-    tm_v = property(lambda self: self.blocks[2])
-    tm_r = property(lambda self: self.blocks[3])
 
     @property
     def n(self) -> int:

@@ -188,16 +188,14 @@ def encoder_config_for(cfg: TrainConfig, data: DatasetBundle) -> model.EncoderCo
         init_scale=cfg.init_scale, seed=cfg.seed)
 
 
-_SNAPSHOT_PROTOCOL = evaluator.Protocol(query_modality="R", gallery_modality="V",
-                                        shots="multi", seed=0)
-
-
 def run_training(cfg: TrainConfig, data: DatasetBundle,
                  timings: dict[str, float] | None = None) -> TrainResult:
     """Full training run on the bundle's train split, snapshotting retrieval
-    on the test split every `eval_every` epochs. With `timings`, the wall
-    time of sample_batch, evaluate and train_step's phases is added to it,
-    in seconds; the result does not depend on it."""
+    on the test split every `eval_every` epochs under the default Protocol
+    (R->V, multi-shot). A snapshot diagnostic that `evaluate` rejects raises
+    TrainingDivergedError with the epoch and the diagnostics. With
+    `timings`, the wall time of sample_batch, evaluate and train_step's
+    phases is added to it, in seconds; the result does not depend on it."""
     enc_cfg = encoder_config_for(cfg, data)
     store = model.init_params(enc_cfg)
     state = TrainState.for_store(store)
@@ -219,13 +217,11 @@ def run_training(cfg: TrainConfig, data: DatasetBundle,
                 log.steps.append(StepRecord(epoch=epoch, step=step, breakdown=breakdown))
             if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
                 with timed(timings, "evaluate"):
-                    report, = evaluator.evaluate(store, data.test, [_SNAPSHOT_PROTOCOL])
-                if np.isnan(report.diagnostics["gap_ratio"]):
-                    # finite embeddings whose squared distances overflow;
-                    # inf (every identity collapsed to a point) is logged as null
-                    raise TrainingDivergedError(
-                        f"retrieval snapshot at epoch {epoch} has gap_ratio nan",
-                        {"epoch": epoch, **report.diagnostics})
+                    try:
+                        report, = evaluator.evaluate(store, data.test, [evaluator.Protocol()])
+                    except evaluator.DiagnosticError as e:
+                        raise TrainingDivergedError(f"retrieval snapshot at epoch {epoch}: {e}",
+                                                    {"epoch": epoch, **e.diagnostics}) from e
                 log.evals.append({"epoch": epoch, **report.metrics()})
     log.wall_clock_sec = time.perf_counter() - t0
     return TrainResult(store=store, encoder_config=enc_cfg, log=log)

@@ -11,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `import oracles` work
 
-from xmml import gradcheck
+from xmml import gradcheck, model
 from xmml.losses import EmbeddingSet, LossWeights
 from xmml.numerics import derive_rng
 from xmml.synthdata import GeneratorConfig, generate_dataset
@@ -34,6 +34,24 @@ def tiny_bundle():
 def default_bundle():
     """The full default generator output (32+16 identities)."""
     return generate_dataset(GeneratorConfig())
+
+
+@pytest.fixture
+def inter_overflow_init(monkeypatch):
+    """Patches `model.init_params` so that, after the usual draw, stem_r.w
+    is scaled by 1e-3 and stem_r.b set to |b| * 1e162. Every R embedding is
+    then huge but finite: for the default TrainConfig on the default data,
+    intra_mean is 0.0459 while the inter-modality squared distances
+    overflow, so inter_mean and gap_ratio are inf."""
+    init_params = model.init_params
+
+    def overflowing(cfg):
+        store = init_params(cfg)
+        store.value("stem_r.w")[...] *= 1e-3
+        bias = store.value("stem_r.b")
+        bias[...] = np.abs(bias) * 1e162
+        return store
+    monkeypatch.setattr(model, "init_params", overflowing)
 
 
 def random_embedding_set(n: int, d: int, seed: int, n_labels: int | None = None

@@ -83,8 +83,8 @@ def test_02_analytic_zero_and_identity_cases():
     assert abs(kd) <= tol
 
     # identical text embeddings across modalities leave nothing to purify
-    emb_eq = embedding_set(f_v=emb.f_v, f_r=emb.f_r, t_v=emb.t_v,
-                           t_r=emb.t_v.copy(), labels=emb.labels)
+    emb_eq = embedding_set(f_v=emb.blocks[0], f_r=emb.blocks[1], t_v=emb.blocks[2],
+                           t_r=emb.blocks[2].copy(), labels=emb.labels)
     loss_parity, _ = distance_parity_loss(emb_eq)
     assert abs(loss_parity) <= tol
 

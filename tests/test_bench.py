@@ -16,9 +16,10 @@ from xmml.bench import (ABLATION_CSV_FIELDS, ABLATION_GRID, ABLATION_LABELS,
                         benchmark_train_config, claim_holds, direction_margins, run_cell,
                         run_cells, summarize, sweep_grid, untrained_gap_ratio,
                         write_ablation_csv, write_sweep_csv)
+from xmml.config import ConfigError
 from xmml.evaluator import Protocol
 from xmml.losses import LossWeights
-from xmml.trainer import TrainConfig
+from xmml.trainer import TrainConfig, TrainingDivergedError
 
 TINY_TRAIN = TrainConfig(epochs=2, batches_per_epoch=2, n_ids_per_batch=3,
                          k_per_modality=2, d_hidden=16, d_embed=8, seed=0)
@@ -168,7 +169,7 @@ class TestSweepParams:
         assert SWEEP_PARAMS["n_fuse"] == "n_fuse"
 
     def test_unknown_param_raises(self):
-        with pytest.raises(KeyError, match="unknown sweep parameter"):
+        with pytest.raises(ConfigError, match="unknown sweep parameter"):
             sweep_grid("gamma", [0.1])
 
 
@@ -213,6 +214,14 @@ class TestTinyRuns:
         with pytest.raises(ValueError, match="tau must be > 0"):
             run_cells(tiny_bundle, TINY_TRAIN, Protocol(),
                       {"ok": {}, "bad": {"tau": -1.0}}, seeds=(0,))
+
+    def test_run_cells_rejects_an_infinite_diagnostic(self, default_bundle,
+                                                      inter_overflow_init, recwarn):
+        cfg = TrainConfig(epochs=1, batches_per_epoch=1, lr_visual=0.0, lr_text=0.0,
+                          weights=LossWeights(lambda1=0.0, lambda3=0.0, lambda4=0.0))
+        with pytest.raises(TrainingDivergedError, match="diagnostic inter_mean is inf"):
+            run_cells(default_bundle, cfg, Protocol(), {"full": {}}, seeds=(0,))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_untrained_gap_ratio_deterministic(self, tiny_bundle):
         a = untrained_gap_ratio(tiny_bundle, TINY_TRAIN, seed=0)

@@ -230,12 +230,13 @@ class TestTrain:
     def test_nan_gap_ratio_exits_2_without_warnings(self, gen_dir, tmp_path, capsys,
                                                     recwarn):
         # loss and embeddings stay finite, but the snapshot's squared
-        # distances overflow, so the gap ratio is inf / inf
+        # distances overflow, so the gap ratio is inf / inf; the first
+        # non-finite diagnostic is named
         assert main(["train", "--data", str(gen_dir), "--out", str(tmp_path / "run"),
                      "--train.lr_visual", "30"] + TINY_TRAIN_ARGS) == 2
         err = capsys.readouterr().err
-        assert "runtime failure: retrieval snapshot at epoch 1 has gap_ratio nan" in err
-        assert "RuntimeWarning" not in err
+        assert err.splitlines() == [
+            "runtime failure: retrieval snapshot at epoch 1: diagnostic intra_mean is inf"]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("flag, message", [
@@ -961,6 +962,30 @@ class TestAblateSweep:
         assert main(["sweep", "--data", str(gen_dir), "--out", str(out),
                      "--param", param, "--values", values] + TINY_TRAIN_ARGS) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["ablate"], ["sweep", "--param", "tau",
+                                                      "--values", "0.1"]])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_fails_before_the_data(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        assert main(command + ["--data", str(tmp_path / "missing"), "--out", str(out),
+                               "--seeds", f"0,{seed}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad seed '{seed}': seed must be in [0, 2**64), got {seed}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("gamma", "0.1", "unknown sweep parameter 'gamma'"),
+        ("lambda1", "-1", "lambda1 must be >= 0"),
+    ])
+    def test_sweep_checks_its_grid_before_the_data(self, tmp_path, capsys, param, values,
+                                                   message):
+        out = tmp_path / "out"
+        assert main(["sweep", "--data", str(tmp_path / "missing"), "--out", str(out),
+                     "--param", param, "--values", values]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
         assert not out.exists()
 
     def test_bad_seed_list_fails_cleanly(self, gen_dir, tmp_path, capsys):

@@ -17,6 +17,7 @@ from xmml.evaluator import (REPORTED_METRICS, Protocol, RetrievalReport,
 from xmml.model import EncoderConfig, init_params
 from xmml.numerics import ProtocolError, derive_rng
 from xmml.synthdata import GeneratorConfig, Split, generate_dataset
+from xmml.trainer import TrainConfig, encoder_config_for
 
 
 # ------------------------------------------------------- constructed stores
@@ -593,6 +594,18 @@ class TestEvaluateDiagnostics:
             n_classes=len(default_bundle.train.identities), seed=0))
         report = evaluate(store, default_bundle.test, [Protocol()])[0]
         assert report.diagnostics["gap_ratio"] > 1.05
+
+    def test_infinite_diagnostic_raises_naming_it(self, default_bundle, inter_overflow_init,
+                                                  recwarn):
+        store = model.init_params(encoder_config_for(TrainConfig(), default_bundle))
+        with pytest.raises(ProtocolError, match=r"^diagnostic inter_mean is inf$") as info:
+            evaluate(store, default_bundle.test, [Protocol()], meta=default_bundle.meta)
+        diagnostics = info.value.diagnostics
+        assert list(diagnostics) == ["intra_mean", "inter_mean", "gap_ratio",
+                                     "conflict_sensitivity"]
+        assert 0.0 < diagnostics["intra_mean"] < np.inf
+        assert diagnostics["gap_ratio"] == np.inf
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestEmbeddingPass:

@@ -66,8 +66,8 @@ def _terms(w: LossWeights):
     return {
         "identity": (identity_loss, (logits, labels), {}),
         "triplet": (weighted_triplet_loss,
-                    (np.vstack([emb.f_v, emb.f_r]), np.concatenate([labels, labels])), {}),
-        "contrast_pair": (contrastive_pair_loss, (emb.f_v, emb.t_v, w.tau, cl), {}),
+                    (np.vstack(emb.blocks[:2]), np.concatenate([labels, labels])), {}),
+        "contrast_pair": (contrastive_pair_loss, (emb.blocks[0], emb.blocks[2], w.tau, cl), {}),
         "contrast_single": (contrastive_single, (emb, w.tau, cl), {}),
         "contrast_fused": (contrastive_fused, (fused, w.tau, cl), {}),
         "distill": (distill_loss, (emb, fused), {"include_text": w.distill_text}),
@@ -86,7 +86,7 @@ def _total_as_written(emb, fused, logits, w):
     l_wrt = l_single = l_fused = l_kd = l_par = 0.0
     cl = emb.labels if w.label_aware_contrast else None
     if w.lambda1 > 0:
-        l_wrt, g = weighted_triplet_loss(np.vstack([emb.f_v, emb.f_r]),
+        l_wrt, g = weighted_triplet_loss(np.vstack(emb.blocks[:2]),
                                          np.concatenate([emb.labels, emb.labels]))
         grads[:2] += w.lambda1 * g.reshape(2, n, -1)
     if w.lambda2 > 0:

@@ -42,9 +42,6 @@ class TestEmbeddingSet:
         emb = EmbeddingSet(blocks, [0, 1, 0])
         assert emb.blocks is blocks
         assert (emb.n, emb.dim) == (3, 2)
-        for k, name in enumerate(BLOCK_NAMES):
-            assert getattr(emb, name).base is blocks
-            assert np.array_equal(getattr(emb, name), blocks[k])
 
     @pytest.mark.parametrize("shape", [(3, 2, 4), (5, 2, 4), (1, 2, 4), (4, 2),
                                        (4, 0, 3), (4, 2, 0), (2, 3, 2, 4)])
@@ -311,8 +308,8 @@ class TestContrastiveSingle:
 
     def test_is_sum_of_two_pair_losses(self, emb_4x3):
         loss, _ = contrastive_single(emb_4x3, tau=0.07)
-        l_v = oracles.pair_contrastive_oracle(emb_4x3.f_v, emb_4x3.t_v, 0.07)
-        l_r = oracles.pair_contrastive_oracle(emb_4x3.f_r, emb_4x3.t_r, 0.07)
+        l_v = oracles.pair_contrastive_oracle(emb_4x3.blocks[0], emb_4x3.blocks[2], 0.07)
+        l_r = oracles.pair_contrastive_oracle(emb_4x3.blocks[1], emb_4x3.blocks[3], 0.07)
         assert abs(loss - (l_v + l_r)) < 1e-10
 
 
@@ -326,10 +323,7 @@ def partners(mix: np.ndarray, i: int, self_col: int) -> list[int]:
 class TestFuseMultiview:
     def test_zero_partners_is_identity(self, emb_4x3):
         fused = fuse_multiview(emb_4x3, n_fuse=0, rng_seed=0)
-        assert np.array_equal(fused.fm_v, emb_4x3.f_v)
-        assert np.array_equal(fused.fm_r, emb_4x3.f_r)
-        assert np.array_equal(fused.tm_v, emb_4x3.t_v)
-        assert np.array_equal(fused.tm_r, emb_4x3.t_r)
+        assert np.array_equal(fused.blocks, emb_4x3.blocks)
 
     def test_self_partner_is_identity(self):
         # no row shares a label: every draw falls back to the row itself,
@@ -338,8 +332,8 @@ class TestFuseMultiview:
         fused = fuse_multiview(emb, n_fuse=3, rng_seed=0, cross_modal=True)
         assert np.array_equal(fused.mix_v, np.hstack([np.eye(2), np.zeros((2, 2))]))
         assert np.array_equal(fused.mix_r, np.hstack([np.zeros((2, 2)), np.eye(2)]))
-        assert np.allclose(fused.fm_v, emb.f_v, atol=1e-12)
-        assert np.allclose(fused.tm_r, emb.t_r, atol=1e-12)
+        assert np.allclose(fused.blocks[0], emb.blocks[0], atol=1e-12)
+        assert np.allclose(fused.blocks[3], emb.blocks[3], atol=1e-12)
 
     def test_two_point_mean(self):
         emb = embedding_set(f_v=[[1.0, 0.0], [0.0, 1.0]],
@@ -348,7 +342,7 @@ class TestFuseMultiview:
                             t_r=[[1.0, 0.0], [0.0, 1.0]],
                             labels=[0, 0])
         fused = fuse_multiview(emb, n_fuse=1, rng_seed=0)
-        assert np.allclose(fused.fm_v, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+        assert np.allclose(fused.blocks[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_partner_choice_is_deterministic(self):
         # two candidates per row, one drawn: the seed decides which
@@ -358,21 +352,21 @@ class TestFuseMultiview:
         c = fuse_multiview(emb, n_fuse=1, rng_seed=10)
         assert np.array_equal(a.mix_v, b.mix_v)
         assert np.array_equal(a.mix_r, b.mix_r)
-        assert np.array_equal(a.fm_v, b.fm_v)
+        assert np.array_equal(a.blocks[0], b.blocks[0])
         assert not np.array_equal(a.mix_v, c.mix_v)
 
     def test_image_and_text_share_sampled_partners(self):
         emb = random_embedding_set(6, 4, seed=4, n_labels=2)
         fused = fuse_multiview(emb, n_fuse=1, rng_seed=5)
-        stack_f = np.vstack([emb.f_v, emb.f_r])
-        stack_t = np.vstack([emb.t_v, emb.t_r])
+        stack_f = np.vstack(emb.blocks[:2])
+        stack_t = np.vstack(emb.blocks[2:])
         for i in range(emb.n):
             chosen = partners(fused.mix_v, i, i)
             assert len(chosen) == 1
-            want_f = (emb.f_v[i] + stack_f[chosen].sum(axis=0)) / (1 + len(chosen))
-            want_t = (emb.t_v[i] + stack_t[chosen].sum(axis=0)) / (1 + len(chosen))
-            assert np.allclose(fused.fm_v[i], want_f, atol=1e-12)
-            assert np.allclose(fused.tm_v[i], want_t, atol=1e-12)
+            want_f = (emb.blocks[0][i] + stack_f[chosen].sum(axis=0)) / (1 + len(chosen))
+            want_t = (emb.blocks[2][i] + stack_t[chosen].sum(axis=0)) / (1 + len(chosen))
+            assert np.allclose(fused.blocks[0][i], want_f, atol=1e-12)
+            assert np.allclose(fused.blocks[2][i], want_t, atol=1e-12)
 
     def test_cross_modal_pool_reaches_other_modality(self):
         emb = random_embedding_set(2, 3, seed=5, n_labels=1)
@@ -407,7 +401,7 @@ class TestFuseMultiview:
     def test_empty_candidates_with_fallback_is_identity(self):
         emb = random_embedding_set(2, 3, seed=6, n_labels=2)
         fused = fuse_multiview(emb, n_fuse=1, rng_seed=0)
-        assert np.allclose(fused.fm_v, emb.f_v, atol=1e-12)
+        assert np.allclose(fused.blocks[0], emb.blocks[0], atol=1e-12)
 
     def test_candidate_bookkeeping_errors(self):
         emb = random_embedding_set(2, 3, seed=6, n_labels=1)
@@ -452,7 +446,7 @@ def assert_fusion_equals_per_row_loop(emb: EmbeddingSet, n_fuse: int, seed: int,
                                       cross_modal: bool) -> None:
     got = fuse_multiview(emb, n_fuse, seed, cross_modal=cross_modal)
     want = fuse_multiview_per_row(emb, n_fuse, seed, cross_modal=cross_modal)
-    for name in ("mix_v", "mix_r", "fm_v", "fm_r", "tm_v", "tm_r"):
+    for name in ("mix_v", "mix_r", "blocks"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), \
             f"{name} differs at n_fuse={n_fuse}, seed={seed}, cross_modal={cross_modal}"
 
@@ -548,10 +542,10 @@ class TestContrastiveFused:
         emb = random_embedding_set(2, 3, seed=8, n_labels=1)
         fused = fuse_paired(emb)
         loss, _ = contrastive_fused(fused, tau=0.07)
-        fm_v = (emb.f_v + emb.f_v[[1, 0]]) / 2
-        tm_v = (emb.t_v + emb.t_v[[1, 0]]) / 2
-        fm_r = (emb.f_r + emb.f_r[[1, 0]]) / 2
-        tm_r = (emb.t_r + emb.t_r[[1, 0]]) / 2
+        fm_v = (emb.blocks[0] + emb.blocks[0][[1, 0]]) / 2
+        tm_v = (emb.blocks[2] + emb.blocks[2][[1, 0]]) / 2
+        fm_r = (emb.blocks[1] + emb.blocks[1][[1, 0]]) / 2
+        tm_r = (emb.blocks[3] + emb.blocks[3][[1, 0]]) / 2
         want = (oracles.pair_contrastive_oracle(fm_v, tm_v, 0.07)
                 + oracles.pair_contrastive_oracle(fm_r, tm_r, 0.07))
         assert abs(loss - want) < 1e-10
@@ -594,15 +588,15 @@ class TestDistill:
         blocks = [rng.standard_normal((2, 3)) for _ in range(4)]
         fused = make_fused(*blocks)
         loss, _ = distill_loss(emb, fused)
-        want = oracles.kd_oracle(emb.f_v, emb.f_r, emb.t_v, emb.t_r, *blocks)
+        want = oracles.kd_oracle(*emb.blocks, *blocks)
         assert abs(loss - want) < 1e-10
 
     def test_nonnegative_and_zero_iff_equal(self):
         emb = random_embedding_set(3, 4, seed=11, n_labels=1)
-        fused = make_fused(emb.f_v, emb.f_r, emb.t_v, emb.t_r)
+        fused = make_fused(*emb.blocks)
         loss, _ = distill_loss(emb, fused)
         assert loss == 0.0
-        nudged = make_fused(emb.f_v + 1e-5, emb.f_r, emb.t_v, emb.t_r)
+        nudged = make_fused(emb.blocks[0] + 1e-5, *emb.blocks[1:])
         loss2, _ = distill_loss(emb, nudged)
         assert loss2 > 0.0
 
@@ -613,7 +607,7 @@ class TestDistill:
         fused = make_fused(*blocks)
         loss_all, grads_all = distill_loss(emb, fused, include_text=True)
         loss_img, grads_img = distill_loss(emb, fused, include_text=False)
-        want_img = oracles.kd_oracle(emb.f_v, emb.f_r, blocks[2], blocks[3],
+        want_img = oracles.kd_oracle(emb.blocks[0], emb.blocks[1], blocks[2], blocks[3],
                                      blocks[0], blocks[1], blocks[2], blocks[3])
         assert abs(loss_img - want_img) < 1e-10
         assert loss_all > loss_img
@@ -649,13 +643,12 @@ class TestDistanceParity:
     def test_matches_scalar_oracle(self):
         emb = random_embedding_set(4, 3, seed=21, n_labels=2)
         loss, _ = distance_parity_loss(emb)
-        want = oracles.parity_oracle(emb.f_v, emb.f_r, emb.t_v, emb.t_r)
+        want = oracles.parity_oracle(*emb.blocks)
         assert abs(loss - want) < 1e-10
 
     def test_modality_swap_invariance(self):
         emb = random_embedding_set(4, 3, seed=22, n_labels=2)
-        swapped = embedding_set(f_v=emb.f_r, f_r=emb.f_v, t_v=emb.t_r,
-                                t_r=emb.t_v, labels=emb.labels)
+        swapped = EmbeddingSet(emb.blocks[[1, 0, 3, 2]], emb.labels)
         a, _ = distance_parity_loss(emb)
         b, _ = distance_parity_loss(swapped)
         assert abs(a - b) < 1e-12
@@ -663,9 +656,7 @@ class TestDistanceParity:
     @pytest.mark.parametrize("alpha", [2.0, 1.7, 0.25])
     def test_quadratic_homogeneity(self, alpha):
         emb = random_embedding_set(3, 4, seed=23, n_labels=1)
-        scaled = embedding_set(f_v=alpha * emb.f_v, f_r=alpha * emb.f_r,
-                               t_v=alpha * emb.t_v, t_r=alpha * emb.t_r,
-                               labels=emb.labels)
+        scaled = EmbeddingSet(alpha * emb.blocks, emb.labels)
         a, _ = distance_parity_loss(emb)
         b, _ = distance_parity_loss(scaled)
         assert abs(b - alpha * alpha * a) < 1e-10 * max(1.0, abs(b))
@@ -685,8 +676,7 @@ class TestDistanceParity:
 def paired_embedding_set(n_pairs: int, d: int, seed: int) -> EmbeddingSet:
     emb = random_embedding_set(2 * n_pairs, d, seed, n_labels=n_pairs)
     labels = np.repeat(np.arange(n_pairs), 2)
-    return embedding_set(f_v=emb.f_v, f_r=emb.f_r, t_v=emb.t_v, t_r=emb.t_r,
-                         labels=labels)
+    return EmbeddingSet(emb.blocks, labels)
 
 
 class TestTotalLoss:
@@ -711,7 +701,7 @@ class TestTotalLoss:
         res = total_loss(emb, fused, logits, w)
 
         l_id, _ = identity_loss(logits, emb.labels)
-        stack = np.vstack([emb.f_v, emb.f_r])
+        stack = np.vstack(emb.blocks[:2])
         l_wrt, _ = weighted_triplet_loss(stack, np.concatenate([emb.labels] * 2))
         l_single, _ = contrastive_single(emb, w.tau)
         l_fused, _ = contrastive_fused(fused, w.tau)
@@ -752,7 +742,7 @@ class TestTotalLoss:
         w = LossWeights()
         res = total_loss(emb, fused, logits, w)
 
-        stack = np.vstack([emb.f_v, emb.f_r])
+        stack = np.vstack(emb.blocks[:2])
         _, g_stack = weighted_triplet_loss(stack, np.concatenate([emb.labels] * 2))
         _, g_single = contrastive_single(emb, w.tau)
         _, g_fused = contrastive_fused(fused, w.tau)
@@ -775,9 +765,7 @@ class TestTotalLoss:
         base = total_loss(emb, fused, logits, w).breakdown.total
 
         perm = np.random.default_rng(6).permutation(6)
-        p_emb = embedding_set(f_v=emb.f_v[perm], f_r=emb.f_r[perm],
-                              t_v=emb.t_v[perm], t_r=emb.t_r[perm],
-                              labels=emb.labels[perm])
+        p_emb = EmbeddingSet(emb.blocks[:, perm], emb.labels[perm])
         p_fused = fuse_paired(p_emb)
         permuted = total_loss(p_emb, p_fused, logits[:, perm], w).breakdown.total
         assert abs(base - permuted) < 1e-10

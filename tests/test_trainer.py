@@ -272,6 +272,19 @@ class TestRunTraining:
         for name in fresh.names():
             assert np.array_equal(result.store.value(name), fresh.value(name))
 
+    def test_infinite_snapshot_diagnostic_diverges(self, default_bundle, inter_overflow_init):
+        # at rate 0 the store stays at its init, and without the triplet,
+        # distillation and parity terms every step's loss stays finite
+        cfg = TrainConfig(epochs=1, batches_per_epoch=1, lr_visual=0.0, lr_text=0.0,
+                          weights=LossWeights(lambda1=0.0, lambda3=0.0, lambda4=0.0))
+        with pytest.raises(TrainingDivergedError, match=r"^retrieval snapshot at epoch 0: "
+                                                        r"diagnostic inter_mean is inf$") as info:
+            run_training(cfg, default_bundle)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["epoch"] == 0
+        assert 0.0 < diagnostics["intra_mean"] < np.inf
+        assert diagnostics["inter_mean"] == diagnostics["gap_ratio"] == np.inf
+
 
 class TestFusionReference:
     @pytest.mark.parametrize("overrides", [
